@@ -153,6 +153,16 @@ def cmd_report(args) -> int:
     return 0 if mismatch is None else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tritcodes",
@@ -172,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument(
-            "--workers", type=int, default=os.cpu_count() or 1,
+            "--workers", type=_positive_int, default=os.cpu_count() or 1,
             help="parallel partitions; results are workers-independent",
         )
         p.add_argument(
-            "--budget", type=int, default=distance.DEFAULT_BUDGET,
+            "--budget", type=_positive_int, default=dualspectrum.DEFAULT_BUDGET,
             help="operation-count ceiling gating expensive paths",
         )
         if name in ("dual-spectrum", "report"):

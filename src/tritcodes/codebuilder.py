@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from . import polyring
 from .exceptions import CosetCollision, LengthMismatch
 from .gf3m import FieldCtx
@@ -74,10 +76,19 @@ def build_code(ctx: FieldCtx) -> CyclicCode:
 
 
 def is_codeword(word, code: CyclicCode) -> bool:
-    """True iff the polynomial of the length-n word is divisible by gen."""
+    """True iff the polynomial of the length-n word is divisible by gen.
+
+    Only nonzero terms are reduced: sum(c_t * (x^t mod gen)) must vanish, so
+    a weight-4 word at n = 3^13 - 1 costs four square-and-multiply powers.
+    """
     if len(word) != code.n:
         raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    return polyring.poly_mod(polyring.normalize(word), code.gen) == polyring.ZERO
+    coeffs = np.asarray(word) % 3
+    rem = polyring.ZERO
+    for t in np.flatnonzero(coeffs):
+        term = polyring.poly_pow_mod(polyring.X, int(t), code.gen)
+        rem = polyring.poly_add(rem, polyring.poly_mul((int(coeffs[t]),), term))
+    return rem == polyring.ZERO
 
 
 def encode(message, code: CyclicCode) -> tuple[int, ...]:

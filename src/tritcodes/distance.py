@@ -9,17 +9,16 @@ in the log domain of the field tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .codebuilder import CyclicCode, is_codeword, sphere_packing_max_d
-from .dualspectrum import WeightEnumerator
+from .codebuilder import CyclicCode, exponent_pair, is_codeword, sphere_packing_max_d
+from .dualspectrum import DEFAULT_BUDGET, WeightEnumerator
 from .exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
 from .gf3m import FieldCtx
-
-DEFAULT_BUDGET = 10**9
 
 
 @dataclass
@@ -84,43 +83,41 @@ def weight3_search(code: CyclicCode, u_only: bool = False) -> dict | None:
     All four (c1, c2) patterns are covered.  u_only drops the v check.
     """
     ctx = code.ctx
-    n = ctx.order
+    n, h = ctx.order, ctx.half
     u, v = code.u, code.v
     t = np.arange(1, n, dtype=np.int64)  # y1 = pi^t, skipping y1 = 1
-    y1u = ctx.exp[(u * t) % n]
-    y1v = ctx.exp[(v * t) % n]
-    vt = np.arange(n, dtype=np.int64) * v % n
+    y1u = (u * t) % n
+    y1v = (v * t) % n
     best = None
     for c1 in (1, 2):
+        lc1 = ctx.log_of_scalar(c1)
+        # log(1 + c1*y1^u); -1 where it vanishes
+        one_plus = ctx.zech[(y1u + lc1) % n]
+        nz = one_plus >= 0
         for c2 in (1, 2):
             # s = -(1 + c1*y1^u) * c2^(-1), with c2^(-1) = c2 in GF(3)
-            s = ctx.smul_np(c2, ctx.neg_np(ctx.add_np(ctx.smul_np(c1, y1u), 1)))
-            nz = s != 0
-            sq = np.zeros(s.shape, dtype=bool)
-            sq[nz] = ctx.log[s[nz]] % 2 == 0  # squares only have u-th roots
-            lhs_v1 = ctx.smul_np(c1, y1v)
+            ls = (one_plus + h + ctx.log_of_scalar(c2)) % n
+            sq = ls % 2 == 0  # squares only have u-th roots
             for cand_neg in (False, True):
-                y2 = ctx.neg_np(s) if cand_neg else s.copy()
-                ok = nz & sq & (y2 != 1) & (y2 != ctx.exp[t])
+                ly2 = (ls + h) % n if cand_neg else ls
+                ok = nz & sq & (ly2 != 0) & (ly2 != t)
                 if not ok.any():
                     continue
-                if u_only:
-                    idx = np.flatnonzero(ok)
-                else:
-                    y2v = np.zeros_like(y2)
-                    oki = np.flatnonzero(ok)
-                    y2v[oki] = ctx.exp[vt[ctx.log[y2[oki]]]]
-                    resid = ctx.add_np(
-                        ctx.add_np(lhs_v1[oki], ctx.smul_np(c2, y2v[oki])), 1
+                oki = np.flatnonzero(ok)
+                if not u_only:
+                    # c1*y1^v + c2*y2^v + 1 = 0  <=>  c1*y1^v + c2*y2^v = pi^h
+                    lsum = ctx.log_add(
+                        (y1v[oki] + lc1) % n,
+                        (v * ly2[oki] + ctx.log_of_scalar(c2)) % n,
                     )
-                    idx = oki[resid == 0]
-                for i in idx:
+                    oki = oki[lsum == h]
+                for i in oki:
                     t1 = int(t[i])
-                    t2 = int(ctx.log[y2[i]])
+                    t2 = int(ly2[i])
                     cand = {
                         "support": sorted([0, t1, t2]),
-                        "y1": int(ctx.exp[t1]),
-                        "y2": int(y2[i]),
+                        "y1": ctx.exp_of(t1),
+                        "y2": ctx.exp_of(t2),
                         "coefficients": [c1, c2, 1],
                     }
                     key = (tuple(cand["support"]), c1, c2)
@@ -131,8 +128,6 @@ def weight3_search(code: CyclicCode, u_only: bool = False) -> dict | None:
 
 def u_power_solutions(s: int, ctx: FieldCtx) -> list[int]:
     """All y with y^u = s, by brute-force scan (oracle for the candidate logic)."""
-    from .codebuilder import exponent_pair
-
     u, _ = exponent_pair(ctx.m)
     return [y for y in range(1, ctx.size) if ctx.pow(y, u) == s]
 
@@ -164,12 +159,12 @@ def brute_force_min_weight(
     ue = ctx.exp[(u * t) % n]
     ve = ctx.exp[(v * t) % n]
     size = ctx.size
-    # dense add/neg tables; oracle instances are small by construction
-    digits = ctx.decode_np(np.arange(size, dtype=np.int64))
-    neg_t = ctx.encode_np((-digits) % 3)
-    add_t = ctx.encode_np(
-        (digits[:, None, :] + digits[None, :, :]) % 3
-    ).reshape(size, size)
+    # dense add/neg tables from the base-3 digits, independent of the
+    # library's Zech addition; oracle instances are small by construction
+    pow3 = 3 ** np.arange(ctx.m, dtype=np.int64)
+    digits = ((np.arange(size, dtype=np.int64)[:, None] // pow3) % 3).astype(np.int8)
+    neg_t = ((-digits) % 3) @ pow3
+    add_t = ((digits[:, None, :] + digits[None, :, :]) % 3) @ pow3
     cm = {1: np.arange(size, dtype=np.int64), 2: neg_t}
 
     # weight 1: c * pi^(u t) is never zero
@@ -199,8 +194,6 @@ def brute_force_min_weight(
 
 def _oracle_scan(n, w, ue, ve, add_t, cm):
     """Support-major enumeration for weight w in {3, 4}."""
-    import itertools
-
     patterns = list(itertools.product((1, 2), repeat=w - 2))
     for prefix in itertools.combinations(range(n), w - 1):
         last0 = prefix[-1]
@@ -232,36 +225,36 @@ def weight4_witness(code: CyclicCode) -> dict | None:
     is_codeword before being reported.
     """
     ctx = code.ctx
-    n, u, v = code.n, code.u, code.v
+    n, u, v, h = code.n, code.u, code.v, ctx.half
     vinv = pow(v, -1, n)
-    t = np.arange(n, dtype=np.int64)
-    ue = ctx.exp[(u * t) % n]
-    ve = ctx.exp[(v * t) % n]
     for t2 in range(1, n):
         t3 = np.arange(t2 + 1, n, dtype=np.int64)
         for c2 in (1, 2):
-            su12 = ctx.add(ue[0], ctx.smul(c2, ue[t2]))
-            sv12 = ctx.add(ve[0], ctx.smul(c2, ve[t2]))
+            # logs of 1 + c2*pi^(u t2) and 1 + c2*pi^(v t2); -1 when zero
+            lc2 = ctx.log_of_scalar(c2)
+            su12 = int(ctx.zech[(u * t2 + lc2) % n])
+            sv12 = int(ctx.zech[(v * t2 + lc2) % n])
             for c3 in (1, 2):
-                su = ctx.add_np(ctx.smul_np(c3, ue[t3]), su12)
-                sv = ctx.add_np(ctx.smul_np(c3, ve[t3]), sv12)
+                lc3 = ctx.log_of_scalar(c3)
+                lu, lv = (u * t3 + lc3) % n, (v * t3 + lc3) % n
+                su = lu if su12 < 0 else ctx.log_add(lu, su12)
+                sv = lv if sv12 < 0 else ctx.log_add(lv, sv12)
+                oki = np.flatnonzero(sv >= 0)
+                if not oki.size:
+                    continue
                 for c4 in (1, 2):
                     # c4 * pi^(v t4) = -sv  =>  t4 = vinv * log(-sv/c4)
-                    tgt_v = ctx.smul_np(c4, ctx.neg_np(sv))
-                    ok = tgt_v != 0
-                    if not ok.any():
-                        continue
-                    oki = np.flatnonzero(ok)
-                    t4 = (vinv * ctx.log[tgt_v[oki]]) % n
-                    need_u = ctx.neg_np(su[oki])
-                    got_u = ctx.smul_np(c4, ctx.exp[(u * t4) % n])
+                    lc4 = ctx.log_of_scalar(c4)
+                    t4 = (vinv * ((sv[oki] + h + lc4) % n)) % n
+                    # u-syndrome: c4 * pi^(u t4) = -su, never true for su = 0
+                    got_u = (u * t4 + lc4) % n
+                    need_u = np.where(su[oki] < 0, -1, (su[oki] + h) % n)
                     good = np.flatnonzero((got_u == need_u) & (t4 > t3[oki]))
                     for g in good:
                         support = [0, t2, int(t3[oki[g]]), int(t4[g])]
                         coeffs = [1, c2, c3, c4]
-                        word = [0] * n
-                        for pos, c in zip(support, coeffs):
-                            word[pos] = c
+                        word = np.zeros(n, dtype=np.int8)
+                        word[support] = coeffs
                         if is_codeword(word, code):
                             return {"support": support, "coefficients": coeffs}
     return None

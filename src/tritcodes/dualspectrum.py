@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codebuilder import exponent_pair
 from .exceptions import BudgetExceeded, NonIntegralWeight
 from .gf3m import FieldCtx
 
+# Operation-count ceiling for the budget-gated paths (oracles, spectrum).
 DEFAULT_BUDGET = 10**9
 
 
@@ -94,8 +96,6 @@ def weight_value_set(m: int) -> set[int]:
 
 def dual_codeword_weight(a: int, b: int, ctx: FieldCtx) -> int:
     """Hamming weight of the trace codeword (tr(a*pi^(-ui) + b*pi^(-vi)))_i."""
-    from .codebuilder import exponent_pair
-
     u, v = exponent_pair(ctx.m)
     n = ctx.order
     zeros = 0
@@ -111,8 +111,6 @@ def dual_codeword_weight(a: int, b: int, ctx: FieldCtx) -> int:
 
 def fhat(lam: int, ctx: FieldCtx) -> EisensteinInt:
     """Fourier transform of x^v at lam: sum over x of chi(x^v - lam*x)."""
-    from .codebuilder import exponent_pair
-
     _, v = exponent_pair(ctx.m)
     n = ctx.order
     j = np.arange(n, dtype=np.int64)
@@ -165,8 +163,6 @@ def _fhat_real_all(ctx: FieldCtx, v: int, workers: int) -> np.ndarray:
 
 def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Definition-level enumeration over all (a,b) pairs; oracle for small m."""
-    from .codebuilder import exponent_pair
-
     n = ctx.order
     work = (n + 1) ** 2 * n
     if work > budget:
@@ -200,8 +196,6 @@ def spectral_enumerator(
     weight 2*3^(m-1) - (fhat(lam) + fhat(-lam))/3.  The a=0 xor b=0
     boundary contributes 2*(3^m - 1) codewords of weight 2*3^(m-1).
     """
-    from .codebuilder import exponent_pair
-
     n = ctx.order
     work = n * n
     if work > budget:
@@ -211,8 +205,7 @@ def spectral_enumerator(
         )
     _, v = exponent_pair(ctx.m)
     fr = _fhat_real_all(ctx, v, workers)
-    half = n // 2  # log of -1 for odd m
-    pair_sum = fr + np.roll(fr, -half)  # fhat(lam) + fhat(-lam), lam = pi^s
+    pair_sum = fr + np.roll(fr, -ctx.half)  # fhat(lam) + fhat(-lam), lam = pi^s
     if np.any(pair_sum % 3):
         raise NonIntegralWeight("fhat(lam) + fhat(-lam) not divisible by 3")
     mid = 2 * 3 ** (ctx.m - 1)

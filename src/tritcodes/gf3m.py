@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(3^m) for odd m with precomputed exp/log/trace tables.
+"""Exact GF(3^m) arithmetic for odd m from precomputed exp/log/Zech/trace tables.
 
 Elements are plain Python ints in [0, 3^m): the base-3 digits of the int
 are the coefficients of the residue class, digit i holding the
@@ -6,6 +6,12 @@ coefficient of x^i.  The primitive element pi is always the residue
 class of x.  All tables are materialized at construction (m <= 13,
 about 1.6M entries at the top), after which every operation is a pure
 function of (inputs, ctx) and the context is safe to share.
+
+Addition runs in the log domain through the Zech table
+zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
+h = (3^m - 1)/2, -1 = pi^h, so negation adds h to a log and the scalar
+c in {1, 2} adds (c - 1)*h.  The log of zero is -1 in both tables:
+log[0] = -1 and zech[h] = -1.
 """
 
 from __future__ import annotations
@@ -36,9 +42,6 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     13: (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),  # x^13 + 2x + 1
 }
 
-_BOOT_BLOCK = 4096
-
-
 class FieldCtx:
     """Immutable GF(3^m) context: modulus, primitive element pi = x, tables.
 
@@ -52,8 +55,8 @@ class FieldCtx:
         self.modulus = modulus
         self.size = 3**m
         self.order = self.size - 1
-        self._pow3 = np.array([3**i for i in range(m)], dtype=np.int64)
-        self.exp, self._digits_by_log = _build_exp_table(m, modulus)
+        self.half = self.order // 2  # log of -1
+        self.exp, digits_by_log = _build_exp_table(m, modulus)
         self.log = np.full(self.size, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(self.order, dtype=np.int64)
         assigned = int(np.count_nonzero(self.log >= 0))
@@ -61,7 +64,8 @@ class FieldCtx:
             raise NotPrimitive(
                 f"x generates a subgroup of order < {self.order} modulo {modulus}"
             )
-        self.trace_by_log, self.trace_by_elem = _build_trace_tables(self)
+        self.zech = _build_zech_table(self.exp, self.log)
+        self.trace_by_log, self.trace_by_elem = _build_trace_tables(self, digits_by_log)
 
     # -- element codecs ------------------------------------------------
 
@@ -96,24 +100,13 @@ class FieldCtx:
         return int(self.log[a])
 
     def add(self, a: int, b: int) -> int:
-        """Componentwise sum mod 3 of the coefficient sequences."""
-        out = 0
-        p = 1
-        for _ in range(self.m):
-            out += ((a + b) % 3) * p
-            a //= 3
-            b //= 3
-            p *= 3
-        return out
+        if a == 0 or b == 0:
+            return a or b
+        la = self.log_add(self.log[a], self.log[b])
+        return 0 if la < 0 else int(self.exp[la])
 
     def neg(self, a: int) -> int:
-        out = 0
-        p = 1
-        for _ in range(self.m):
-            out += ((-a) % 3) * p
-            a //= 3
-            p *= 3
-        return out
+        return self.smul(2, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -121,11 +114,20 @@ class FieldCtx:
     def smul(self, c: int, a: int) -> int:
         """Scalar multiple by c in GF(3)."""
         c %= 3
-        if c == 0:
+        if c == 0 or a == 0:
             return 0
-        if c == 1:
-            return a
-        return self.neg(a)
+        return int(self.exp[(self.log[a] + self.log_of_scalar(c)) % self.order])
+
+    # -- log-domain helpers (ints or numpy arrays of logs) ---------------
+
+    def log_of_scalar(self, c: int) -> int:
+        """log of c in GF(3)*: 0 for 1, h for 2 = -1."""
+        return (c - 1) * self.half
+
+    def log_add(self, la, lb):
+        """log(pi^la + pi^lb) for logs of nonzero elements; -1 where the sum is 0."""
+        z = self.zech[(lb - la) % self.order]
+        return np.where(z < 0, -1, (la + z) % self.order)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -154,41 +156,17 @@ class FieldCtx:
             raise ZeroInput("quadratic character of zero")
         return int(self.log[a]) % 2 == 0
 
-    # -- vectorized helpers (numpy arrays of packed elements) -----------
-
-    def decode_np(self, values: np.ndarray) -> np.ndarray:
-        """Digit matrix (..., m) of packed elements."""
-        return ((values[..., None] // self._pow3) % 3).astype(np.int8)
-
-    def encode_np(self, digits: np.ndarray) -> np.ndarray:
-        return (digits.astype(np.int64) @ self._pow3).astype(np.int64)
-
-    def add_np(self, a: np.ndarray, b) -> np.ndarray:
-        """Elementwise field addition of packed-element arrays (b may be scalar)."""
-        db = self.decode_np(np.asarray(b, dtype=np.int64))
-        return self.encode_np((self.decode_np(a) + db) % 3)
-
-    def neg_np(self, a: np.ndarray) -> np.ndarray:
-        return self.encode_np((-self.decode_np(a)) % 3)
-
-    def smul_np(self, c: int, a: np.ndarray) -> np.ndarray:
-        c %= 3
-        if c == 0:
-            return np.zeros_like(a)
-        if c == 1:
-            return a
-        return self.neg_np(a)
-
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
 
 
 def _build_exp_table(m: int, modulus: tuple[int, ...]):
-    """exp table for pi = x: entry j is the packed element x^j.
+    """exp table for pi = x (entry j is the packed element x^j) and its
+    digit matrix, row i holding digit i of every x^j.
 
-    The first block is built by sequential multiply-by-x on packed ints;
-    subsequent blocks apply the (linear) multiply-by-x^B map as a digit
-    matrix product, which keeps construction fast at m = 13.
+    Starting from x^0, each step doubles the known prefix [0, L) by applying
+    the linear multiply-by-x^L map to its digit rows, so the work is
+    O(m^2 * 3^m) int8 operations in O(m^2 * log(3^m)) numpy calls.
     """
     size = 3**m
     order = size - 1
@@ -205,56 +183,70 @@ def _build_exp_table(m: int, modulus: tuple[int, ...]):
                 v += ((cur + top * d) % 3 - cur) * pow3[i]
         return v
 
-    boot = min(order, _BOOT_BLOCK)
-    seq = [0] * (boot + m)
-    seq[0] = 1
-    for j in range(1, boot + m):
-        seq[j] = mul_x(seq[j - 1])
-
     pow3_np = np.array(pow3, dtype=np.int64)
 
     def decode(vals):
-        return ((np.asarray(vals, dtype=np.int64)[:, None] // pow3_np) % 3).astype(np.int8)
+        return ((np.asarray(vals, dtype=np.int64) // pow3_np[:, None]) % 3).astype(np.int8)
 
-    if boot >= order:
-        digits = decode(seq[:order])
-        exp = (digits.astype(np.int64) @ pow3_np).astype(np.int64)
-        return exp, digits
+    digits = np.zeros((m, order), dtype=np.int8)
+    digits[0, 0] = 1
+    length = 1
+    while length < order:
+        # column i: digits of x^(length + i), the image of the basis element
+        # x^i under multiplication by x^length
+        images = [mul_x(int(digits[:, length - 1] @ pow3_np))]
+        for _ in range(m - 1):
+            images.append(mul_x(images[-1]))
+        image = decode(images)
+        hi = min(2 * length, order)
+        for r in range(m):
+            digits[r, length:hi] = _lincomb3(image[r], digits[:, : hi - length])
+        length = hi
 
-    # columns of M: digits of x^(boot + i), the images of the basis under
-    # multiplication by x^boot
-    mat = decode(seq[boot : boot + m]).T.astype(np.int64)
-    blocks = [decode(seq[:boot])]
-    total = boot
-    cur = blocks[0]
-    while total < order:
-        cur = ((cur.astype(np.int64) @ mat.T) % 3).astype(np.int8)
-        blocks.append(cur)
-        total += boot
-    digits = np.concatenate(blocks, axis=0)[:order]
-    exp = (digits.astype(np.int64) @ pow3_np).astype(np.int64)
+    exp = digits[m - 1].astype(np.int64)
+    for r in range(m - 2, -1, -1):
+        exp *= 3
+        exp += digits[r]
     return exp, digits
 
 
-def _build_trace_tables(ctx: FieldCtx):
+def _lincomb3(coeffs, rows: np.ndarray) -> np.ndarray:
+    """sum(c * row) mod 3 over int8 digit rows, for trit coefficients c."""
+    acc = np.zeros(rows.shape[1], dtype=np.int8)
+    for c, row in zip(coeffs, rows):
+        if c == 1:
+            acc += row
+        elif c == 2:  # 2 = -1 mod 3; |acc| stays <= 26 for m <= 13
+            acc -= row
+    return acc % 3
+
+
+def _build_zech_table(exp: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """zech[k] = log(1 + pi^k), -1 at k = h where pi^h = -1.
+
+    Adding 1 changes only digit 0 of a packed element, so one pass over
+    exp gives every 1 + pi^k.
+    """
+    one_plus = exp + 1
+    one_plus[exp % 3 == 2] -= 3
+    return log[one_plus]
+
+
+def _build_trace_tables(ctx: FieldCtx, digits_by_log: np.ndarray):
     """Absolute trace GF(3^m) -> GF(3), indexed by log and by element."""
     m, order = ctx.m, ctx.order
     # trace of each basis element x^i: sum of the conjugates x^(i*3^k),
     # which must be a constant polynomial
-    basis_tr = np.zeros(m, dtype=np.int64)
+    basis_tr = []
     for i in range(m):
-        acc = np.zeros(m, dtype=np.int64)
-        for k in range(m):
-            acc += ctx._digits_by_log[(i * 3**k) % order]
-        acc %= 3
+        conjugates = [(i * 3**k) % order for k in range(m)]
+        acc = digits_by_log[:, conjugates].sum(axis=1) % 3
         if np.any(acc[1:]):
             raise NotIrreducible(
                 "trace of a basis element is not in GF(3); modulus is invalid"
             )
-        basis_tr[i] = acc[0]
-    trace_by_log = (
-        (ctx._digits_by_log.astype(np.int64) @ basis_tr) % 3
-    ).astype(np.int8)
+        basis_tr.append(int(acc[0]))
+    trace_by_log = _lincomb3(basis_tr, digits_by_log)
     trace_by_elem = np.zeros(ctx.size, dtype=np.int8)
     trace_by_elem[ctx.exp] = trace_by_log
     return trace_by_log, trace_by_elem

@@ -40,13 +40,12 @@ def _lhs_values(ctx: FieldCtx, epsilon: int) -> np.ndarray:
     """(x^(3^ell) + eps)(x^(3^ell) - x) for every x = pi^j, j in [0, n)."""
     n = ctx.order
     j = np.arange(n, dtype=np.int64)
-    x = ctx.exp[j]
-    x3l = ctx.exp[(j * 3**ctx.ell) % n]  # Frobenius power in the log domain
-    a = ctx.add_np(x3l, epsilon)
-    b = ctx.add_np(x3l, ctx.neg_np(x))
+    x3l = (j * 3**ctx.ell) % n  # log of the Frobenius power x^(3^ell)
+    la = ctx.log_add(x3l, ctx.log_of_scalar(epsilon))
+    lb = ctx.log_add(x3l, (j + ctx.half) % n)  # x^(3^ell) + (-x)
     out = np.zeros(n, dtype=np.int64)
-    nz = (a != 0) & (b != 0)
-    out[nz] = ctx.exp[(ctx.log[a[nz]] + ctx.log[b[nz]]) % n]
+    nz = (la >= 0) & (lb >= 0)
+    out[nz] = ctx.exp[(la[nz] + lb[nz]) % n]
     return out
 
 

@@ -123,3 +123,23 @@ def test_workers_determinism(capsys):
     _, out1, _ = run_cli(capsys, "report", "--m", "3", "--method", "both", "--workers", "1")
     _, out2, _ = run_cli(capsys, "report", "--m", "3", "--method", "both", "--workers", "8")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget", "-5"), ("--budget", "0"), ("--workers", "-3"), ("--workers", "0"),
+     ("--workers", "two")],
+)
+def test_nonpositive_budget_or_workers_exit_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-distance", "--m", "5", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_budget_one_accepted(capsys):
+    code, out, _ = run_cli(capsys, "verify-distance", "--m", "3", "--budget", "1")
+    assert code == 0
+    assert json.loads(out)["d"] == 4

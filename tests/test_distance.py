@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
 from tritcodes import (
     WeightEnumerator,
     brute_force_min_weight,
+    build_code,
     conclude_distance,
     macwilliams,
+    make_field,
     weight2_search,
     weight3_search,
 )
@@ -108,6 +111,27 @@ class TestWeight4Witness:
             for t, c in zip(wit["support"], wit["coefficients"]):
                 word[t] = c
             assert is_codeword(word, code)
+
+    # Witnesses found by the digit-arithmetic search that preceded Zech
+    # addition; the log-domain search must reproduce them exactly.
+    PINNED = {
+        11: {"support": [0, 1, 57062, 155742], "coefficients": [1, 2, 1, 2]},
+        13: {"support": [0, 1, 649602, 1204120], "coefficients": [1, 1, 1, 2]},
+    }
+
+    @pytest.mark.parametrize("m", [11, 13])
+    def test_pinned_witness(self, m):
+        code = build_code(make_field(m))
+        assert weight4_witness(code) == self.PINNED[m]
+
+    def test_flipped_coefficient_rejected_m13(self):
+        code = build_code(make_field(13))
+        wit = self.PINNED[13]
+        word = np.zeros(code.n, dtype=np.int8)
+        word[wit["support"]] = wit["coefficients"]
+        assert is_codeword(word, code)
+        word[wit["support"][-1]] = 3 - wit["coefficients"][-1]
+        assert not is_codeword(word, code)
 
     def test_matches_oracle_weight_m3(self, code3):
         wit = weight4_witness(code3)

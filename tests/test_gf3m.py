@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritcodes import gf3m, polyring
 from tritcodes.exceptions import (
@@ -21,6 +23,39 @@ def ref_mul(ctx, a, b):
     fb = polyring.normalize(ctx.trits_of(b))
     rem = polyring.poly_mod(polyring.poly_mul(fa, fb), ctx.modulus)
     return ctx.element_from_trits(rem)
+
+
+def ref_add(ctx, a, b):
+    """Digit-by-digit sum mod 3 of the coefficient sequences; oracle for Zech add."""
+    out = 0
+    p = 1
+    for _ in range(ctx.m):
+        out += ((a + b) % 3) * p
+        a //= 3
+        b //= 3
+        p *= 3
+    return out
+
+
+def ref_neg(ctx, a):
+    """Digit-by-digit negation mod 3; oracle for the log-domain neg."""
+    out = 0
+    p = 1
+    for _ in range(ctx.m):
+        out += ((-a) % 3) * p
+        a //= 3
+        p *= 3
+    return out
+
+
+@st.composite
+def primitive_fields(draw, ms=(3, 5, 7)):
+    """A field under a random primitive modulus: the minimal polynomial of
+    pi^k for k prime to 3^m - 1, validated again by make_field."""
+    m = draw(st.sampled_from(ms))
+    base = gf3m.make_field(m)
+    k = draw(st.integers(1, base.order - 1).filter(lambda k: math.gcd(k, base.order) == 1))
+    return gf3m.make_field(m, polyring.minimal_polynomial(k, base))
 
 
 def ref_trace(ctx, a):
@@ -170,15 +205,25 @@ class TestInvariants:
             assert math.gcd(v, n) == 1
 
     def test_vectorized_helpers_match_scalar(self, ctx5):
-        rng = random.Random(13)
-        a = np.array([rng.randrange(ctx5.size) for _ in range(64)], dtype=np.int64)
-        b = np.array([rng.randrange(ctx5.size) for _ in range(64)], dtype=np.int64)
-        got = ctx5.add_np(a, b)
-        for i in range(64):
-            assert got[i] == ctx5.add(int(a[i]), int(b[i]))
-        neg = ctx5.neg_np(a)
-        for i in range(64):
-            assert neg[i] == ctx5.neg(int(a[i]))
+        """Array log_add agrees with the digit-loop reference on every
+        ordered pair of nonzero elements, zero sums included."""
+        la, lb = np.meshgrid(np.arange(ctx5.order), np.arange(ctx5.order))
+        got = ctx5.log_add(la.ravel(), lb.ravel())
+        for x, y, z in zip(la.ravel().tolist(), lb.ravel().tolist(), got.tolist()):
+            expect = ref_add(ctx5, ctx5.exp_of(x), ctx5.exp_of(y))
+            assert z == (ctx5.log_of(expect) if expect else -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ctx=primitive_fields(), data=st.data())
+    def test_zech_add_neg_sub_match_digit_reference(self, ctx, data):
+        a = data.draw(st.integers(0, ctx.size - 1))
+        b = data.draw(st.integers(0, ctx.size - 1))
+        assert ctx.add(a, b) == ref_add(ctx, a, b)
+        assert ctx.neg(a) == ref_neg(ctx, a)
+        assert ctx.sub(a, b) == ref_add(ctx, a, ref_neg(ctx, b))
+        assert ctx.add(a, ref_neg(ctx, a)) == 0
+        assert ctx.smul(2, a) == ref_neg(ctx, a)
+        assert ctx.smul(1, a) == a and ctx.smul(3, a) == 0
 
     def test_trit_codec_round_trip(self, ctx5):
         for a in (0, 1, 2, 100, 242):
