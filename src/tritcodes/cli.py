@@ -7,7 +7,9 @@ diffing works.  Exit codes: 0 = all checks pass, 1 = mathematical
 mismatch, 2 = invalid input.
 
 The report command diffs against the shipped fixtures for m in {5, 7, 9};
-TRITCODES_FIXTURES overrides the fixture directory.
+TRITCODES_FIXTURES overrides the fixture directory.  When the diff cannot
+run (no fixture file, or another modulus) fixture_match is null and a
+one-line note on stderr says why.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ def cmd_verify_distance(args) -> int:
     return 0 if report.concluded_d == 4 else 1
 
 
-def _enumerators(ctx, method: str, workers: int, budget: int):
+def _enumerators(ctx, method: str, budget: int):
     spectral = direct = None
     if method in ("spectral", "both"):
-        spectral = dualspectrum.spectral_enumerator(ctx, workers=workers, budget=budget)
+        spectral = dualspectrum.spectral_enumerator(ctx, budget=budget)
     if method in ("direct", "both"):
         direct = dualspectrum.direct_enumerator(ctx, budget=budget)
     return spectral, direct
@@ -83,7 +85,7 @@ def _enumerators(ctx, method: str, workers: int, budget: int):
 
 def cmd_dual_spectrum(args) -> int:
     ctx = _field(args)
-    spectral, direct = _enumerators(ctx, args.method, args.workers, args.budget)
+    spectral, direct = _enumerators(ctx, args.method, args.budget)
     if args.method == "spectral":
         doc = spectral.to_json_dict()
     elif args.method == "direct":
@@ -111,7 +113,7 @@ def cmd_lemma_check(args) -> int:
 def cmd_report(args) -> int:
     ctx = _field(args)
     code = codebuilder.build_code(ctx)
-    spectral, direct = _enumerators(ctx, args.method, args.workers, args.budget)
+    spectral, direct = _enumerators(ctx, args.method, args.budget)
     enum = spectral if spectral is not None else direct
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
     lemma_docs = [lemma.lemma_check(ctx, eps).to_json_dict() for eps in (1, 2)]
@@ -125,7 +127,8 @@ def cmd_report(args) -> int:
         "fixture_match": None,
     }
     fixture = _load_fixture(ctx.m) if ctx.m in FIXTURE_MS else None
-    if fixture is not None and fixture["modulus"] == polyring.format_poly(ctx.modulus):
+    modulus = polyring.format_poly(ctx.modulus)
+    if fixture is not None and fixture["modulus"] == modulus:
         fix_counts = {int(w): c for w, c in fixture["dual_weight_enumerator"]["counts"].items()}
         checks["fixture_match"] = (
             fixture["generator"] == polyring.format_poly(code.gen)
@@ -133,6 +136,12 @@ def cmd_report(args) -> int:
             and fixture["k"] == code.k
             and fix_counts == {w: c for w, c in enum.counts.items() if c}
         )
+    elif ctx.m in FIXTURE_MS:
+        why = (
+            f"no m{ctx.m}.json fixture found" if fixture is None
+            else f"modulus {modulus} is not the fixture's {fixture['modulus']}"
+        )
+        print(f"note: fixture_match is null: {why}", file=sys.stderr)
     mismatch = next(
         (name for name, ok in checks.items() if ok is False),
         None,
@@ -181,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="extension degree (odd, 3..13)")
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument(
-            "--workers", type=_positive_int, default=os.cpu_count() or 1,
-            help="parallel partitions; results are workers-independent",
-        )
         p.add_argument(
             "--budget", type=_positive_int, default=dualspectrum.DEFAULT_BUDGET,
             help="operation-count ceiling gating expensive paths",

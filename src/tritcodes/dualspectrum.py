@@ -2,16 +2,15 @@
 
 Delsarte's theorem presents the dual as trace codewords c(a,b) indexed by
 field pairs.  The direct path loops every (a,b) and counts nonzero trace
-coordinates (small m only).  The spectral path evaluates the Fourier
-transform of the power function x^v at every point and converts the two
-relevant spectrum values into a codeword weight; it scales to every
-supported m.  Character sums are assembled from integer counts of trace
-values (Eisenstein integers), never floating point.
+coordinates (small m only).  The spectral path gets the Fourier transform
+of the power function x^v at every point from one exact ternary Walsh
+transform (m*3^m operations, every supported m; the single-point fhat is
+its test reference) and turns two spectrum values into a codeword weight.
+All sums are Eisenstein integers; no floating point.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,40 +124,35 @@ def fhat(lam: int, ctx: FieldCtx) -> EisensteinInt:
     return EisensteinInt.from_trace_counts(n0, int(counts[1]), int(counts[2]))
 
 
-def _fhat_real_all(ctx: FieldCtx, v: int, workers: int) -> np.ndarray:
+def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
     """Real value of fhat(pi^s) for every s in [0, n); raises if any is complex.
 
-    One pass of ~3^(2m) trace-table lookups, statically partitioned over
-    the s-range; each worker fills a disjoint slice, so the result is
-    schedule-independent.
+    With x = sum_i x_i pi^i, Tr(lam*x) = sum_i x_i Tr(lam*pi^i), so fhat is
+    the ternary Walsh (Vilenkin-Chrestenson) transform over GF(3)^m of
+    omega^Tr(x^v), taken at the trace vector (Tr(lam*pi^i))_i.  Values are
+    Eisenstein pairs p + q*w; one exact length-3 DFT per digit axis gives
+    all 3^m values in m passes.
     """
-    n = ctx.order
-    j = np.arange(n, dtype=np.int64)
-    trv = ctx.trace_by_log[(v * j) % n].astype(np.int16)
-    trs2 = np.concatenate([ctx.trace_by_log, ctx.trace_by_log]).astype(np.int16)
-    out = np.empty(n, dtype=np.int64)
-    bad = []
-
-    def run(lo: int, hi: int) -> None:
-        for s in range(lo, hi):
-            d = (trv - trs2[s : s + n]) % 3
-            n1 = int(np.count_nonzero(d == 1))
-            n2 = int(np.count_nonzero(d == 2))
-            if n1 != n2:
-                bad.append(s)
-                return
-            out[s] = n + 1 - n1 - 2 * n2  # N0 - N2 with the x=0 term in N0
-
-    if workers <= 1 or n < 4096:
-        run(0, n)
-    else:
-        step = -(-n // workers)
-        bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda bd: run(*bd), bounds))
-    if bad:
+    m, n = ctx.m, ctx.order
+    g = np.zeros(ctx.size, dtype=np.int8)
+    g[ctx.exp] = ctx.trace_by_log[(v * np.arange(n, dtype=np.int64)) % n]
+    # omega^g as (p, q): 1 = (1, 0), w = (0, 1), w^2 = (-1, -1); |fhat| <= 3^m fits int32
+    p = np.array([1, 0, -1], dtype=np.int32)[g].reshape((3,) * m)
+    q = np.array([0, 1, -1], dtype=np.int32)[g].reshape((3,) * m)
+    for axis in range(m):
+        # y_k = a_0 + w^(-k)*a_1 + w^(-2k)*a_2, where w*(p, q) = (-q, p - q)
+        # and w^2*(p, q) = (q - p, -p)
+        p0, p1, p2 = np.moveaxis(p, axis, 0)
+        q0, q1, q2 = np.moveaxis(q, axis, 0)
+        p = np.stack([p0 + p1 + p2, p0 - p1 + q1 - q2, p0 - p2 - q1 + q2], axis)
+        q = np.stack([q0 + q1 + q2, q0 - p1 + p2 - q2, q0 + p1 - q1 - p2], axis)
+    # lam = pi^s sits at the packed index sum_i Tr(pi^(s+i)) * 3^i
+    tr = np.concatenate([ctx.trace_by_log, ctx.trace_by_log[:m]]).astype(np.int32)
+    index = sum(tr[i : i + n] * 3**i for i in range(m))
+    bad = np.flatnonzero(q.reshape(-1)[index])
+    if bad.size:
         raise NonIntegralWeight(f"fhat(pi^{bad[0]}) is not real")
-    return out
+    return p.reshape(-1)[index]
 
 
 def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
@@ -186,25 +180,24 @@ def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnum
     )
 
 
-def spectral_enumerator(
-    ctx: FieldCtx, workers: int = 1, budget: int = DEFAULT_BUDGET
-) -> WeightEnumerator:
+def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Dual weight enumerator through the Fourier transform of x^v.
 
     Nonzero pairs (a,b) fall into classes by lam(a,b) = a*c with
     c^v = b^(-1); each nonzero lam collects exactly 3^m - 1 pairs of
     weight 2*3^(m-1) - (fhat(lam) + fhat(-lam))/3.  The a=0 xor b=0
     boundary contributes 2*(3^m - 1) codewords of weight 2*3^(m-1).
+    All fhat values come from one ternary Walsh transform, m*3^m
+    operations, which the budget gates.
     """
     n = ctx.order
-    work = n * n
+    work = ctx.m * ctx.size
     if work > budget:
         raise BudgetExceeded(
-            f"spectral enumeration needs ~{work:.2e} lookups (budget {budget:.0e}); "
-            "raise the budget to allow m >= 11"
+            f"spectral transform needs ~{work:.2e} operations (budget {budget:.0e})"
         )
     _, v = exponent_pair(ctx.m)
-    fr = _fhat_real_all(ctx, v, workers)
+    fr = _fhat_all(ctx, v)
     pair_sum = fr + np.roll(fr, -ctx.half)  # fhat(lam) + fhat(-lam), lam = pi^s
     if np.any(pair_sum % 3):
         raise NonIntegralWeight("fhat(lam) + fhat(-lam) not divisible by 3")

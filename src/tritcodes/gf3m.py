@@ -46,7 +46,7 @@ class FieldCtx:
     """Immutable GF(3^m) context: modulus, primitive element pi = x, tables.
 
     Do not instantiate directly; use make_field(), which validates the
-    modulus and caches contexts.
+    modulus and caches the default-modulus contexts.
     """
 
     def __init__(self, m: int, modulus: tuple[int, ...]):
@@ -252,15 +252,17 @@ def _build_trace_tables(ctx: FieldCtx, digits_by_log: np.ndarray):
     return trace_by_log, trace_by_elem
 
 
-_FIELD_CACHE: dict[tuple[int, tuple[int, ...]], FieldCtx] = {}
+# Contexts for the DEFAULT_MODULI only, so the cache holds at most one per m.
+_FIELD_CACHE: dict[int, FieldCtx] = {}
 
 
 def make_field(m: int, modulus=None) -> FieldCtx:
-    """Build (or fetch from cache) a fully populated GF(3^m) context.
+    """Build a fully populated GF(3^m) context.
 
     Validates that the modulus is monic of degree m, irreducible, and
     that x is primitive.  When no modulus is given the built-in default
-    for that m is used.
+    for that m is used.  Default-modulus contexts are cached; any other
+    modulus gets a fresh context on each call.
     """
     if m % 2 == 0 or m < 3:
         raise EvenDegree(f"m must be odd and >= 3, got {m}")
@@ -270,10 +272,9 @@ def make_field(m: int, modulus=None) -> FieldCtx:
         mod = DEFAULT_MODULI[m]
     else:
         mod = polyring.normalize(modulus)
-    key = (m, mod)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
+    default = mod == DEFAULT_MODULI[m]
+    if default and m in _FIELD_CACHE:
+        return _FIELD_CACHE[m]
     if polyring.degree(mod) != m or mod[-1] != 1:
         raise NotIrreducible(
             f"modulus must be monic of degree {m}: {polyring.format_poly(mod)}"
@@ -281,5 +282,6 @@ def make_field(m: int, modulus=None) -> FieldCtx:
     if not polyring.is_irreducible(mod):
         raise NotIrreducible(f"modulus factors over GF(3): {polyring.format_poly(mod)}")
     ctx = FieldCtx(m, mod)
-    _FIELD_CACHE[key] = ctx
+    if default:
+        _FIELD_CACHE[m] = ctx
     return ctx

@@ -40,17 +40,17 @@ def code7(ctx7):
 
 @pytest.fixture(scope="session")
 def enum5(ctx5):
-    return spectral_enumerator(ctx5, workers=2)
+    return spectral_enumerator(ctx5)
 
 
 @pytest.fixture(scope="session")
 def enum7(ctx7):
-    return spectral_enumerator(ctx7, workers=2)
+    return spectral_enumerator(ctx7)
 
 
 @pytest.fixture(scope="session")
 def enum9(ctx9):
-    return spectral_enumerator(ctx9, workers=4)
+    return spectral_enumerator(ctx9)
 
 
 # Paper fixture values, ascending trit lists.

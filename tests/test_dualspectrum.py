@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tritcodes import (
@@ -9,6 +11,8 @@ from tritcodes import (
     spectral_enumerator,
     weight_value_set,
 )
+from tritcodes.codebuilder import exponent_pair
+from tritcodes.dualspectrum import _fhat_all
 from tritcodes.exceptions import BudgetExceeded
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9
@@ -61,6 +65,22 @@ class TestFhat:
             z = fhat(ctx7.exp_of(j), ctx7)
             assert z.is_real and z.p in allowed
 
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_transform_matches_single_point_everywhere(self, m):
+        ctx = make_field(m)
+        values = _fhat_all(ctx, exponent_pair(m)[1])
+        assert [EisensteinInt(int(p), 0) for p in values] == [
+            fhat(ctx.exp_of(s), ctx) for s in range(ctx.order)
+        ]
+
+    @pytest.mark.parametrize("m", [11, 13])
+    def test_transform_matches_single_point_sampled(self, m):
+        ctx = make_field(m)
+        values = _fhat_all(ctx, exponent_pair(m)[1])
+        rng = random.Random(m)
+        for s in [0, ctx.half] + [rng.randrange(ctx.order) for _ in range(16)]:
+            assert fhat(ctx.exp_of(s), ctx) == EisensteinInt(int(values[s]), 0), s
+
 
 class TestEnumerators:
     @pytest.mark.parametrize("m", [3, 5])
@@ -74,7 +94,8 @@ class TestEnumerators:
 
     def test_spectral_budget_gate(self, ctx9):
         with pytest.raises(BudgetExceeded):
-            spectral_enumerator(ctx9, budget=10**6)
+            # the transform needs m * 3^m = 177,147 operations at m = 9
+            spectral_enumerator(ctx9, budget=10**5)
 
     def test_example1(self, enum5):
         assert enum5.counts == ENUM_M5
@@ -90,11 +111,6 @@ class TestEnumerators:
         assert enum.support() <= weight_value_set(3)
         assert enum.total == 3**6
         assert enum.counts[0] == 1
-
-    def test_workers_do_not_change_result(self, ctx5):
-        assert spectral_enumerator(ctx5, workers=1) == spectral_enumerator(
-            ctx5, workers=7
-        )
 
 
 class TestStructuralProperties:
@@ -133,10 +149,6 @@ class TestStructuralProperties:
 
     def test_spectral_matches_per_pair_weights(self, ctx3):
         """Spot-check: class weight formula equals the definition-level weight."""
-        import random
-
-        from tritcodes.codebuilder import exponent_pair
-
         _, v = exponent_pair(ctx3.m)
         n = ctx3.order
         vinv = pow(v, -1, n)

@@ -93,6 +93,11 @@ class TestMakeField:
         with pytest.raises(EvenDegree):
             gf3m.make_field(1)
 
+    def test_only_default_moduli_cached(self):
+        custom = (1, 1, 1, 1, 2, 1)  # minimal polynomial of pi^5, primitive
+        assert gf3m.make_field(5, custom) is not gf3m.make_field(5, custom)
+        assert gf3m.make_field(5) is gf3m.make_field(5)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(UnsupportedDegree):
             gf3m.make_field(15)
