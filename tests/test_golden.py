@@ -1,0 +1,44 @@
+"""Golden CLI outputs: the exact stdout bytes and exit code of five commands.
+
+Byte-identical default output is part of the CLI contract.  Each file under
+tests/golden/ is the stdout of the command named in CASES, written by the
+CLI and committed unedited; a change that alters one of these bytes changes
+the contract.  The commands run in a fresh interpreter with the shipped
+fixtures (TRITCODES_FIXTURES unset).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tritcodes
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# golden file stem -> (argv, exit code)
+CASES = {
+    "report_m3_both": (["report", "--m", "3", "--method", "both"], 0),
+    "report_m5_both": (["report", "--m", "5", "--method", "both"], 0),
+    "verify_distance_m7": (["verify-distance", "--m", "7"], 0),
+    "lemma_check_m9": (["lemma-check", "--m", "9"], 0),
+    "dual_spectrum_m5_both": (["dual-spectrum", "--m", "5", "--method", "both"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_bytes_and_exit_code(name):
+    argv, exit_code = CASES[name]
+    env = {k: v for k, v in os.environ.items() if k != "TRITCODES_FIXTURES"}
+    src = str(Path(tritcodes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tritcodes.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == exit_code, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
