@@ -33,17 +33,32 @@ from .gf3m import make_field
 FIXTURE_MS = (5, 7, 9)
 
 
+# Top-level fixture keys and their JSON types; counts maps decimal weights to ints.
+FIXTURE_SHAPE = {
+    "n": int, "k": int, "modulus": str, "generator": str, "dual_weight_enumerator": dict,
+}
+
+
 def _load_fixture(m: int) -> dict | None:
+    """The m{m}.json fixture, None when absent; ValueError when malformed."""
     override = os.environ.get("TRITCODES_FIXTURES")
-    if override:
-        path = Path(override) / f"m{m}.json"
-        if not path.is_file():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))
-    ref = resources.files("tritcodes") / "fixtures" / f"m{m}.json"
+    base = Path(override) if override else resources.files("tritcodes") / "fixtures"
+    ref = base / f"m{m}.json"
     if not ref.is_file():
         return None
-    return json.loads(ref.read_text(encoding="utf-8"))
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    ok = isinstance(doc, dict) and all(
+        isinstance(doc.get(key), kind) for key, kind in FIXTURE_SHAPE.items()
+    )
+    counts = doc["dual_weight_enumerator"].get("counts") if ok else None
+    if not isinstance(counts, dict) or not all(
+        w.isdigit() and isinstance(c, int) for w, c in counts.items()
+    ):
+        raise ValueError(
+            f"malformed fixture {ref}: need {', '.join(FIXTURE_SHAPE)}"
+            " and dual_weight_enumerator.counts mapping weights to counts"
+        )
+    return doc
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -55,7 +70,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _field(args):
-    modulus = polyring.parse_poly(args.modulus) if args.modulus else None
+    modulus = polyring.parse_poly(args.modulus) if args.modulus is not None else None
     return make_field(args.m, modulus)
 
 

@@ -2,9 +2,10 @@
 brute-force oracle, and a MacWilliams transform as a third path.
 
 The structured weight-2/3 searches mirror the power-sum syndrome systems
-in u and v; the brute-force oracle enumerates supports directly and is
-kept independent of the structured logic.  All syndrome arithmetic runs
-in the log domain of the field tables.
+in u and v and run in the log domain of the field tables.  The oracle is
+kept independent of them: it completes words over the parity-check matrix
+H, whose row t holds the base-3 digits of pi^(u t) and pi^(v t), using
+only digit sums mod 3, in O(n*m) memory and under the same budget gate.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from math import comb
 
 import numpy as np
 
-from .codebuilder import CyclicCode, exponent_pair, is_codeword, sphere_packing_max_d
+from .codebuilder import CyclicCode, is_codeword, sphere_packing_max_d
 from .dualspectrum import DEFAULT_BUDGET, WeightEnumerator
 from .exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
-from .gf3m import FieldCtx
 
 
 @dataclass
@@ -46,12 +46,11 @@ class DistanceReport:
         }
 
 
-def weight2_search(code: CyclicCode, u_only: bool = False) -> dict | None:
+def weight2_search(code: CyclicCode) -> dict | None:
     """Scan delta = pi^t2 over GF(3^m)* \\ {1} for a weight-2 codeword.
 
     With t1 = 0 and c1 = 1, a weight-2 codeword needs c2*delta^u = -1 and
-    c2*delta^v = -1 simultaneously.  u_only drops the v equation (positive
-    control: the relaxed system has solutions).
+    c2*delta^v = -1 simultaneously.
     """
     ctx = code.ctx
     n = ctx.order
@@ -61,10 +60,7 @@ def weight2_search(code: CyclicCode, u_only: bool = False) -> dict | None:
     hits = []
     for c2 in (1, 2):
         target = ctx.neg(c2)  # delta^e == -(1/c2) == -c2 in GF(3)
-        mask = pu == target
-        if not u_only:
-            mask = mask & (pv == target)
-        for t2 in np.flatnonzero(mask):
+        for t2 in np.flatnonzero((pu == target) & (pv == target)):
             hits.append((int(t[t2]), c2))
     if not hits:
         return None
@@ -72,7 +68,7 @@ def weight2_search(code: CyclicCode, u_only: bool = False) -> dict | None:
     return {"support": [0, t2], "coefficients": [1, c2]}
 
 
-def weight3_search(code: CyclicCode, u_only: bool = False) -> dict | None:
+def weight3_search(code: CyclicCode) -> dict | None:
     """Structured weight-3 search over the normalized (y1, y2) system.
 
     Positions are divided by the third and c3 is normalized to 1, leaving
@@ -80,7 +76,7 @@ def weight3_search(code: CyclicCode, u_only: bool = False) -> dict | None:
     y1, y2 in GF(3^m)* \\ {1}, y1 != y2.  For each y1 the u-equation fixes
     the target s = y2^u; the solutions of y^u = s are exactly {s, -s}
     when s is a square (image of the u-power map) and empty otherwise.
-    All four (c1, c2) patterns are covered.  u_only drops the v check.
+    All four (c1, c2) patterns are covered.
     """
     ctx = code.ctx
     n, h = ctx.order, ctx.half
@@ -104,13 +100,12 @@ def weight3_search(code: CyclicCode, u_only: bool = False) -> dict | None:
                 if not ok.any():
                     continue
                 oki = np.flatnonzero(ok)
-                if not u_only:
-                    # c1*y1^v + c2*y2^v + 1 = 0  <=>  c1*y1^v + c2*y2^v = pi^h
-                    lsum = ctx.log_add(
-                        (y1v[oki] + lc1) % n,
-                        (v * ly2[oki] + ctx.log_of_scalar(c2)) % n,
-                    )
-                    oki = oki[lsum == h]
+                # c1*y1^v + c2*y2^v + 1 = 0  <=>  c1*y1^v + c2*y2^v = pi^h
+                lsum = ctx.log_add(
+                    (y1v[oki] + lc1) % n,
+                    (v * ly2[oki] + ctx.log_of_scalar(c2)) % n,
+                )
+                oki = oki[lsum == h]
                 for i in oki:
                     t1 = int(t[i])
                     t2 = int(ly2[i])
@@ -126,28 +121,33 @@ def weight3_search(code: CyclicCode, u_only: bool = False) -> dict | None:
     return best[1] if best else None
 
 
-def u_power_solutions(s: int, ctx: FieldCtx) -> list[int]:
-    """All y with y^u = s, by brute-force scan (oracle for the candidate logic)."""
-    u, _ = exponent_pair(ctx.m)
-    return [y for y in range(1, ctx.size) if ctx.pow(y, u) == s]
-
-
 def _oracle_work(n: int, wmax: int) -> int:
     return sum(comb(n, w) * 2 ** (w - 1) for w in range(1, wmax + 1))
+
+
+def _key(rows: np.ndarray) -> np.ndarray:
+    """Base-3 integer whose digit i is rows[:, i] mod 3."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col in (rows % 3).T[::-1]:
+        key = 3 * key + col
+    return key
 
 
 def brute_force_min_weight(
     code: CyclicCode, wmax: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, list[int], list[int]] | None:
-    """Enumerate supports of size <= wmax; lightest witness or None.
+    """Lightest codeword of weight <= wmax, by completion over the parity checks.
 
-    Checks vanishing of both power-sum syndromes sum(c_i * pi^(e*t_i))
-    for e in {u, v}.  The leading coefficient is normalized to 1 (scaling
-    preserves codewords).  Ties break lexicographically on
-    (weight, support, coefficients) so output is deterministic.
+    Row t of H holds the base-3 digits of pi^(u t) and pi^(v t); a word is a
+    codeword iff its scaled rows sum to 0 mod 3.  For each weight, all
+    positions but the last two are enumerated with leading coefficient 1,
+    the one before the last is vectorised, and the last (position,
+    coefficient) is looked up in one sorted table of (key(c*H[t]), t, c).
+    Only ctx.exp digits and mod-3 sums are used, in O(n*m) memory.  Ties
+    break lexicographically on (weight, support, coefficients).  Raises
+    BudgetExceeded when the _oracle_work estimate exceeds the budget.
     """
-    ctx = code.ctx
-    n, u, v = code.n, code.u, code.v
+    ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 4:
         raise ValueError("wmax must be in {1,2,3,4}")
     work = _oracle_work(n, wmax)
@@ -156,63 +156,34 @@ def brute_force_min_weight(
             f"oracle needs ~{work:.2e} syndrome checks (budget {budget:.0e})"
         )
     t = np.arange(n, dtype=np.int64)
-    ue = ctx.exp[(u * t) % n]
-    ve = ctx.exp[(v * t) % n]
-    size = ctx.size
-    # dense add/neg tables from the base-3 digits, independent of the
-    # library's Zech addition; oracle instances are small by construction
-    pow3 = 3 ** np.arange(ctx.m, dtype=np.int64)
-    digits = ((np.arange(size, dtype=np.int64)[:, None] // pow3) % 3).astype(np.int8)
-    neg_t = ((-digits) % 3) @ pow3
-    add_t = ((digits[:, None, :] + digits[None, :, :]) % 3) @ pow3
-    cm = {1: np.arange(size, dtype=np.int64), 2: neg_t}
-
-    # weight 1: c * pi^(u t) is never zero
-    if np.any(ue == 0):
-        return (1, [int(np.flatnonzero(ue == 0)[0])], [1])
-
-    if wmax >= 2:
-        for t1 in range(n):
-            su1, sv1 = ue[t1], ve[t1]
-            for c2 in (1, 2):
-                zu = np.flatnonzero(add_t[su1, cm[c2][ue[t1 + 1 :]]] == 0)
-                for off in zu:
-                    t2 = t1 + 1 + int(off)
-                    if add_t[sv1, cm[c2][ve[t2]]] == 0:
-                        return (2, [t1, t2], [1, c2])
-
-    if wmax >= 3:
-        hit = _oracle_scan(n, 3, ue, ve, add_t, cm)
-        if hit:
-            return hit
-    if wmax >= 4:
-        hit = _oracle_scan(n, 4, ue, ve, add_t, cm)
-        if hit:
-            return hit
-    return None
-
-
-def _oracle_scan(n, w, ue, ve, add_t, cm):
-    """Support-major enumeration for weight w in {3, 4}."""
-    patterns = list(itertools.product((1, 2), repeat=w - 2))
-    for prefix in itertools.combinations(range(n), w - 1):
-        last0 = prefix[-1]
-        hits = []
-        for pat in patterns:
-            su = ue[prefix[0]]
-            sv = ve[prefix[0]]
-            for tp, cp in zip(prefix[1:], pat):
-                su = add_t[su, cm[cp][ue[tp]]]
-                sv = add_t[sv, cm[cp][ve[tp]]]
-            for cw in (1, 2):
-                zu = np.flatnonzero(add_t[su, cm[cw][ue[last0 + 1 :]]] == 0)
-                for off in zu:
-                    tw = last0 + 1 + int(off)
-                    if add_t[sv, cm[cw][ve[tw]]] == 0:
-                        hits.append((list(prefix) + [tw], [1, *pat, cw]))
-        if hits:
-            support, coeffs = min(hits)
-            return (w, support, coeffs)
+    elems = (ctx.exp[(e * t) % n] for e in (code.u, code.v))
+    H = np.stack([(a // 3**i % 3).astype(np.int8) for a in elems for i in range(ctx.m)], 1)
+    # (key*n + t)*2 + c - 1 < 2*3^(3m) fits int64 for m <= 13; the int64-max
+    # sentinel keeps every searchsorted index inside the table
+    packed = [(_key(c * H) * n + t) * 2 + c - 1 for c in (1, 2)]
+    table = np.sort(np.concatenate([*packed, [np.iinfo(np.int64).max]]))
+    for w in range(1, wmax + 1):
+        lead_coeffs = (
+            [(1, *p) for p in itertools.product((1, 2), repeat=w - 3)] if w > 2 else [()]
+        )
+        for lead in itertools.combinations(range(n), max(w - 2, 0)):
+            # candidates (tp, cp) for the position before the last; weight 1
+            # has none, so it gets one zero row (coefficient 0) at position -1
+            tp = np.arange(lead[-1] + 1 if lead else 0, n - 1) if w > 1 else np.array([-1])
+            cs = np.array({1: (0,), 2: (1,)}.get(w, (1, 2)), dtype=np.int8)
+            tp, cp = np.tile(tp, len(cs)), np.repeat(cs, len(tp))
+            hits = []
+            for lc in lead_coeffs:
+                s = np.array(lc, dtype=np.int8) @ H[list(lead)] + cp[:, None] * H[tp]
+                need = _key(-s)
+                found = table[np.searchsorted(table, (need * n + tp + 1) * 2)]
+                for i in np.flatnonzero(found // (2 * n) == need):
+                    tw, cw = divmod(int(found[i]), 2)
+                    support = (*lead, int(tp[i]), tw % n)[-w:]
+                    hits.append((list(support), [*lc, int(cp[i]), cw + 1][-w:]))
+            if hits:
+                support, coeffs = min(hits)
+                return (w, support, coeffs)
     return None
 
 
@@ -319,11 +290,7 @@ def conclude_distance(
     if _oracle_work(n, 3) <= budget:
         oracle = brute_force_min_weight(code, 3, budget=budget)
         oracle_checked = True
-        structured = None
-        if wit2 is not None:
-            structured = 2
-        elif wit3 is not None:
-            structured = 3
+        structured = 2 if wit2 is not None else 3 if wit3 is not None else None
         found = oracle[0] if oracle else None
         if found != structured:
             raise Inconsistent(

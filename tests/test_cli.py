@@ -151,3 +151,34 @@ def test_budget_one_accepted(capsys):
     code, out, _ = run_cli(capsys, "verify-distance", "--m", "3", "--budget", "1")
     assert code == 0
     assert json.loads(out)["d"] == 4
+
+
+MALFORMED_FIXTURES = {
+    "empty_object": {},
+    "list": [1, 2],
+    "counts_list": {
+        "m": 5,
+        "n": 242,
+        "k": 232,
+        "modulus": "1,2,0,0,0,1",
+        "generator": "2,2,0,1,0,2,2,0,2,1,1",
+        "dual_weight_enumerator": {"n": 242, "total": 59049, "counts": [1, 2420]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
+def test_malformed_fixture_exit_2(tmp_path, capsys, monkeypatch, name):
+    (tmp_path / "m5.json").write_text(json.dumps(MALFORMED_FIXTURES[name]), encoding="utf-8")
+    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
+    code, out, err = run_cli(capsys, "report", "--m", "5")
+    assert code == 2
+    assert out == ""
+    assert "malformed fixture" in err
+
+
+def test_empty_modulus_exit_2(capsys):
+    code, out, err = run_cli(capsys, "construct", "--m", "5", "--modulus", "")
+    assert code == 2
+    assert out == ""
+    assert "NotIrreducible" in err

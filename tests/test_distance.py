@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,48 @@ from tritcodes import (
     weight2_search,
     weight3_search,
 )
-from tritcodes.distance import u_power_solutions, weight4_witness
-from tritcodes.exceptions import BudgetExceeded, NonIntegerOutput
-from tritcodes.codebuilder import is_codeword
+from tritcodes import distance
+from tritcodes.distance import weight4_witness
+from tritcodes.exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
+from tritcodes.codebuilder import exponent_pair, is_codeword
 
 from conftest import ENUM_M5
+
+
+def relaxed(code):
+    """C_(u,u): the v equations repeat the u ones (positive control)."""
+    return replace(code, v=code.u)
+
+
+def u_power_solutions(s, ctx):
+    """All y with y^u = s, by brute-force scan (oracle for the candidate logic)."""
+    u, _ = exponent_pair(ctx.m)
+    return [y for y in range(1, ctx.size) if ctx.pow(y, u) == s]
+
+
+def naive_min_weight(code, wmax):
+    """Lexicographically first codeword of weight <= wmax, one word at a time.
+
+    Supports in itertools order, leading coefficient 1, syndromes
+    sum(c_i * pi^(e t_i)) for e in {u, v} from scalar ctx.add / ctx.smul.
+    """
+    ctx = code.ctx
+    for w in range(1, wmax + 1):
+        for support in itertools.combinations(range(code.n), w):
+            for tail in itertools.product((1, 2), repeat=w - 1):
+                coeffs = (1, *tail)
+                if all(
+                    _syndrome(ctx, e, support, coeffs) == 0 for e in (code.u, code.v)
+                ):
+                    return (w, list(support), list(coeffs))
+    return None
+
+
+def _syndrome(ctx, e, support, coeffs):
+    acc = 0
+    for t, c in zip(support, coeffs):
+        acc = ctx.add(acc, ctx.smul(c, ctx.exp_of(e * t)))
+    return acc
 
 
 class TestWeight2:
@@ -24,7 +64,7 @@ class TestWeight2:
             assert weight2_search(code) is None
 
     def test_relaxed_system_has_witnesses(self, code3):
-        wit = weight2_search(code3, u_only=True)
+        wit = weight2_search(relaxed(code3))
         assert wit is not None
         # delta is a nonsquare with c = 1: delta^u = -delta = -1 means delta = 1,
         # so the c=1 witnesses are exactly delta with delta^u = -1
@@ -42,7 +82,7 @@ class TestWeight3:
 
     def test_relaxed_system_has_witnesses(self, code3, code5):
         for code in (code3, code5):
-            wit = weight3_search(code, u_only=True)
+            wit = weight3_search(relaxed(code))
             assert wit is not None
             ctx = code.ctx
             y1, y2 = wit["y1"], wit["y2"]
@@ -83,14 +123,26 @@ class TestOracle:
             word[t] = c
         assert is_codeword(word, code3)
 
+    @pytest.mark.parametrize("wmax", [1, 2, 3, 4])
+    @pytest.mark.parametrize("v", ["code", "u", 1, 5])
+    def test_matches_naive_search_m3(self, code3, v, wmax):
+        """Same word as a naive lexicographic search, ties included (v = 5, wmax = 4)."""
+        code = replace(code3, v={"code": code3.v, "u": code3.u}.get(v, v))
+        assert brute_force_min_weight(code, wmax) == naive_min_weight(code, wmax)
+
+    def test_wmax_out_of_range(self, code3):
+        for wmax in (0, 5):
+            with pytest.raises(ValueError):
+                brute_force_min_weight(code3, wmax)
+
     def test_budget_rejected(self, code7):
         with pytest.raises(BudgetExceeded):
             brute_force_min_weight(code7, 3, budget=10**6)
 
     def test_relaxed_agreement(self, code3):
-        """Weakened u-only systems: structured and direct scans agree on existence."""
+        """Relaxed C_(u,u): structured and direct scans agree on existence."""
         ctx = code3.ctx
-        wit = weight2_search(code3, u_only=True)
+        wit = weight2_search(relaxed(code3))
         assert wit is not None
         # direct scan of the u-syndrome over weight-2 patterns
         found = False
@@ -193,6 +245,21 @@ class TestConcludeDistance:
         assert report.concluded_d == 4
         assert (report.n, report.k) == (2186, 2172)
         assert not report.oracle_checked  # weight-3 enumeration over budget
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_weight3_found_both_ways_on_u1_code(self, m):
+        """On C_(u,1) the oracle and the structured search must both find weight 3."""
+        code = replace(build_code(make_field(m)), v=1)
+        report = conclude_distance(code)
+        assert report.oracle_checked
+        assert brute_force_min_weight(code, 3)[0] == 3
+        assert report.weight3_found and not report.weight2_found
+        assert report.concluded_d is None
+
+    def test_disagreement_raises_inconsistent(self, code3, monkeypatch):
+        monkeypatch.setattr(distance, "weight3_search", lambda code: None)
+        with pytest.raises(Inconsistent):
+            conclude_distance(replace(code3, v=1))
 
     def test_json_shape(self, code3):
         doc = conclude_distance(code3).to_json_dict()
