@@ -4,7 +4,7 @@ Commands: construct | verify-distance | dual-spectrum | lemma-check | report.
 All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
 diffing works.  Exit codes: 0 = all checks pass, 1 = mathematical
-mismatch, 2 = invalid input.
+mismatch, 2 = invalid input (an unwritable --out path included).
 
 The report command diffs against the shipped fixtures for m in {5, 7, 9};
 TRITCODES_FIXTURES overrides the fixture directory.  When the diff cannot
@@ -64,7 +64,10 @@ def _load_fixture(m: int) -> dict | None:
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # e.g. a missing directory: invalid input, exit 2
+            raise ValueError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 

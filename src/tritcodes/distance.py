@@ -1,18 +1,21 @@
-"""Minimum-distance verification for C_(u,v): structured searches,
-brute-force oracle, and a MacWilliams transform as a third path.
+"""Minimum-distance verification for C_(u,v): one structured completion
+search, an independent brute-force oracle, and a MacWilliams transform as a
+third path.
 
-The structured weight-2/3 searches mirror the power-sum syndrome systems
-in u and v and run in the log domain of the field tables.  The oracle is
-kept independent of them: it completes words over the parity-check matrix
-H, whose row t holds the base-3 digits of pi^(u t) and pi^(v t), using
-only digit sums mod 3, in O(n*m) memory and under the same budget gate.
+The weight-2 and weight-3 searches and the weight-4 witness all read from
+_completions, which solves the last position of a word from the v-syndrome
+and checks the u-syndrome in the log domain of the field tables.  The
+oracle is kept independent of it: it completes words over the parity-check
+matrix H, whose row t holds the base-3 digits of pi^(u t) and pi^(v t),
+using only digit sums mod 3, in O(n*m) memory and under the same budget
+gate.  It uses no logs and no cyclic normalisation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -46,79 +49,97 @@ class DistanceReport:
         }
 
 
-def weight2_search(code: CyclicCode) -> dict | None:
-    """Scan delta = pi^t2 over GF(3^m)* \\ {1} for a weight-2 codeword.
+# Positions t_(w-1) per vectorised step of _completions; bounds its peak
+# memory at m = 13 to a few MiB of block arrays.
+BLOCK = 1 << 16
 
-    With t1 = 0 and c1 = 1, a weight-2 codeword needs c2*delta^u = -1 and
-    c2*delta^v = -1 simultaneously.
+
+def _log_syndrome(ctx, e: int, support, coeffs) -> int:
+    """log of sum(c * pi^(e t)) over the (t, c) pairs; -1 when it is 0."""
+    acc = -1
+    for t, c in zip(support, coeffs):
+        term = (e * t + ctx.log_of_scalar(c)) % ctx.order
+        acc = term if acc < 0 else int(ctx.log_add(acc, term))
+    return acc
+
+
+def _prefixes(n: int, w: int):
+    """(positions, coefficients) before t_(w-1), for w in {2, 3, 4}.
+
+    Position 0 with coefficient 1 (for w = 2 it is t_(w-1) itself), then t_2
+    and c_2 for w = 4, from a plain range: itertools.combinations would copy
+    range(1, n) into a tuple of about 60 MiB at m = 13.
+    """
+    if w == 2:
+        yield (), ()
+    elif w == 3:
+        yield (0,), (1,)
+    else:
+        for t2 in range(1, n):
+            for c2 in (1, 2):
+                yield (0, t2), (1, c2)
+
+
+def _completions(code: CyclicCode, w: int):
+    """Weight-w codewords with position 0 first and coefficient 1 there.
+
+    Every codeword is a cyclic shift of a scalar multiple of one of these.
+    The positions t_2 < ... < t_(w-2) and their coefficients are scanned
+    (none for w <= 3); t_(w-1) is vectorised in blocks of BLOCK positions
+    (for w = 2 it is position 0 itself).  The last term c_w*pi^(v t_w)
+    must cancel the partial v-syndrome S_v, so v*t_w = L (mod n) with
+    L = log(-S_v / c_w): that has g = gcd(v, n) roots t0 + k*n/g when g
+    divides L and none otherwise.  Only those roots are tested against the
+    u-syndrome, all in the log domain.  Hits come in the order prefix,
+    c_(w-1), c_w, then positions ascending, as dicts of support and
+    coefficients.
     """
     ctx = code.ctx
-    n = ctx.order
-    t = np.arange(1, n, dtype=np.int64)
-    pu = ctx.exp[(code.u * t) % n]
-    pv = ctx.exp[(code.v * t) % n]
-    hits = []
-    for c2 in (1, 2):
-        target = ctx.neg(c2)  # delta^e == -(1/c2) == -c2 in GF(3)
-        for t2 in np.flatnonzero((pu == target) & (pv == target)):
-            hits.append((int(t[t2]), c2))
-    if not hits:
-        return None
-    t2, c2 = min(hits)
-    return {"support": [0, t2], "coefficients": [1, c2]}
+    n, h, u, v = code.n, ctx.half, code.u, code.v
+    g = gcd(v, n)
+    vinv = pow(v // g, -1, n // g)
+    roots = np.arange(g, dtype=np.int64) * (n // g)
+    for support, coeffs in _prefixes(n, w):
+        su, sv = (_log_syndrome(ctx, e, support, coeffs) for e in (u, v))
+        # for w = 2, t_(w-1) is position 0 itself, with coefficient 1
+        lo, hi, cps = (support[-1] + 1, n, (1, 2)) if support else (0, 1, (1,))
+        for cp in cps:
+            lcp = ctx.log_of_scalar(cp)
+            hits = {1: [], 2: []}  # per c_w over all blocks, to keep the hit order
+            for start in range(lo, hi, BLOCK):
+                tp = np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
+                # logs of the partial syndromes with c_(w-1)*pi^(e t_(w-1)) added
+                lu, lv = ((e * tp + lcp) % n for e in (u, v))
+                lu = lu if su < 0 else ctx.log_add(lu, su)
+                lv = lv if sv < 0 else ctx.log_add(lv, sv)
+                for cw in (1, 2):
+                    lcw = ctx.log_of_scalar(cw)
+                    # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
+                    lt = (lv + h - lcw) % n
+                    rows = np.flatnonzero((lv >= 0) & (lt % g == 0))
+                    tw = ((lt[rows] // g * vinv) % (n // g))[:, None] + roots
+                    # u-syndrome: c_w*pi^(u t_w) = -S_u, never true for S_u = 0
+                    need_u = np.where(lu[rows] < 0, -1, (lu[rows] + h) % n)[:, None]
+                    good = ((u * tw + lcw) % n == need_u) & (tw > tp[rows, None])
+                    r, k = np.nonzero(good)
+                    hits[cw].append((tp[rows[r]], tw[r, k]))
+            for cw in (1, 2):
+                for tps, tws in hits[cw]:
+                    for a, b in zip(tps.tolist(), tws.tolist()):
+                        yield {
+                            "support": [*support, a, b],
+                            "coefficients": [*coeffs, cp, cw],
+                        }
+
+
+def weight2_search(code: CyclicCode) -> dict | None:
+    """First weight-2 codeword of _completions, or None."""
+    return next(_completions(code, 2), None)
 
 
 def weight3_search(code: CyclicCode) -> dict | None:
-    """Structured weight-3 search over the normalized (y1, y2) system.
-
-    Positions are divided by the third and c3 is normalized to 1, leaving
-    c1*y1^u + c2*y2^u + 1 = 0 and c1*y1^v + c2*y2^v + 1 = 0 with
-    y1, y2 in GF(3^m)* \\ {1}, y1 != y2.  For each y1 the u-equation fixes
-    the target s = y2^u; the solutions of y^u = s are exactly {s, -s}
-    when s is a square (image of the u-power map) and empty otherwise.
-    All four (c1, c2) patterns are covered.
-    """
-    ctx = code.ctx
-    n, h = ctx.order, ctx.half
-    u, v = code.u, code.v
-    t = np.arange(1, n, dtype=np.int64)  # y1 = pi^t, skipping y1 = 1
-    y1u = (u * t) % n
-    y1v = (v * t) % n
-    best = None
-    for c1 in (1, 2):
-        lc1 = ctx.log_of_scalar(c1)
-        # log(1 + c1*y1^u); -1 where it vanishes
-        one_plus = ctx.zech[(y1u + lc1) % n]
-        nz = one_plus >= 0
-        for c2 in (1, 2):
-            # s = -(1 + c1*y1^u) * c2^(-1), with c2^(-1) = c2 in GF(3)
-            ls = (one_plus + h + ctx.log_of_scalar(c2)) % n
-            sq = ls % 2 == 0  # squares only have u-th roots
-            for cand_neg in (False, True):
-                ly2 = (ls + h) % n if cand_neg else ls
-                ok = nz & sq & (ly2 != 0) & (ly2 != t)
-                if not ok.any():
-                    continue
-                oki = np.flatnonzero(ok)
-                # c1*y1^v + c2*y2^v + 1 = 0  <=>  c1*y1^v + c2*y2^v = pi^h
-                lsum = ctx.log_add(
-                    (y1v[oki] + lc1) % n,
-                    (v * ly2[oki] + ctx.log_of_scalar(c2)) % n,
-                )
-                oki = oki[lsum == h]
-                for i in oki:
-                    t1 = int(t[i])
-                    t2 = int(ly2[i])
-                    cand = {
-                        "support": sorted([0, t1, t2]),
-                        "y1": ctx.exp_of(t1),
-                        "y2": ctx.exp_of(t2),
-                        "coefficients": [c1, c2, 1],
-                    }
-                    key = (tuple(cand["support"]), c1, c2)
-                    if best is None or key < best[0]:
-                        best = (key, cand)
-    return best[1] if best else None
+    """First weight-3 codeword of _completions, or None."""
+    return next(_completions(code, 3), None)
 
 
 def _oracle_work(n: int, wmax: int) -> int:
@@ -188,46 +209,12 @@ def brute_force_min_weight(
 
 
 def weight4_witness(code: CyclicCode) -> dict | None:
-    """Constructive weight-4 codeword via targeted completion.
-
-    For t1 = 0 and scanned (t2, t3), the v-syndrome determines the unique
-    candidate t4 for each trailing coefficient (v is invertible mod n);
-    only the u-syndrome remains to check.  The found word is verified by
-    is_codeword before being reported.
-    """
-    ctx = code.ctx
-    n, u, v, h = code.n, code.u, code.v, ctx.half
-    vinv = pow(v, -1, n)
-    for t2 in range(1, n):
-        t3 = np.arange(t2 + 1, n, dtype=np.int64)
-        for c2 in (1, 2):
-            # logs of 1 + c2*pi^(u t2) and 1 + c2*pi^(v t2); -1 when zero
-            lc2 = ctx.log_of_scalar(c2)
-            su12 = int(ctx.zech[(u * t2 + lc2) % n])
-            sv12 = int(ctx.zech[(v * t2 + lc2) % n])
-            for c3 in (1, 2):
-                lc3 = ctx.log_of_scalar(c3)
-                lu, lv = (u * t3 + lc3) % n, (v * t3 + lc3) % n
-                su = lu if su12 < 0 else ctx.log_add(lu, su12)
-                sv = lv if sv12 < 0 else ctx.log_add(lv, sv12)
-                oki = np.flatnonzero(sv >= 0)
-                if not oki.size:
-                    continue
-                for c4 in (1, 2):
-                    # c4 * pi^(v t4) = -sv  =>  t4 = vinv * log(-sv/c4)
-                    lc4 = ctx.log_of_scalar(c4)
-                    t4 = (vinv * ((sv[oki] + h + lc4) % n)) % n
-                    # u-syndrome: c4 * pi^(u t4) = -su, never true for su = 0
-                    got_u = (u * t4 + lc4) % n
-                    need_u = np.where(su[oki] < 0, -1, (su[oki] + h) % n)
-                    good = np.flatnonzero((got_u == need_u) & (t4 > t3[oki]))
-                    for g in good:
-                        support = [0, t2, int(t3[oki[g]]), int(t4[g])]
-                        coeffs = [1, c2, c3, c4]
-                        word = np.zeros(n, dtype=np.int8)
-                        word[support] = coeffs
-                        if is_codeword(word, code):
-                            return {"support": support, "coefficients": coeffs}
+    """First weight-4 codeword of _completions that is_codeword confirms, or None."""
+    for hit in _completions(code, 4):
+        word = np.zeros(code.n, dtype=np.int8)
+        word[hit["support"]] = hit["coefficients"]
+        if is_codeword(word, code):
+            return hit
     return None
 
 

@@ -102,6 +102,15 @@ def test_report_out_file(tmp_path, capsys):
     assert doc["mismatch"] is None
 
 
+def test_out_to_missing_directory_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "construct", "--m", "3", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
 def test_fixture_missing_noted_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
     code, out, err = run_cli(capsys, "report", "--m", "5")

@@ -80,21 +80,18 @@ class TestWeight3:
         for code in (code3, code5, code7):
             assert weight3_search(code) is None
 
-    def test_relaxed_system_has_witnesses(self, code3, code5):
-        for code in (code3, code5):
-            wit = weight3_search(relaxed(code))
-            assert wit is not None
-            ctx = code.ctx
-            y1, y2 = wit["y1"], wit["y2"]
-            c1, c2, c3 = wit["coefficients"]
-            lhs = ctx.add(
-                ctx.add(
-                    ctx.smul(c1, ctx.pow(y1, code.u)),
-                    ctx.smul(c2, ctx.pow(y2, code.u)),
-                ),
-                c3,
-            )
-            assert lhs == 0
+    def test_relaxed_system_has_witnesses(self, code3, code5, code7):
+        """Reported weight-2/3 words have zero u- and v-syndromes (C_(u,u), C_(u,1))."""
+        for code in (code3, code5, code7):
+            for variant in (relaxed(code), replace(code, v=1)):
+                wits = [weight2_search(variant), weight3_search(variant)]
+                assert wits[1] is not None
+                for wit in filter(None, wits):
+                    support, coeffs = wit["support"], wit["coefficients"]
+                    assert support[0] == 0 and coeffs[0] == 1
+                    assert support == sorted(set(support))
+                    for e in (variant.u, variant.v):
+                        assert _syndrome(variant.ctx, e, support, coeffs) == 0
 
     def test_candidate_logic_exhaustive(self, ctx3):
         """Solutions of y^u = s are exactly {s, -s} for squares, else empty."""
@@ -164,14 +161,15 @@ class TestWeight4Witness:
                 word[t] = c
             assert is_codeword(word, code)
 
-    # Witnesses found by the digit-arithmetic search that preceded Zech
-    # addition; the log-domain search must reproduce them exactly.
+    # Witnesses found by earlier implementations of the search (digit
+    # arithmetic for m = 11, 13); every rewrite must reproduce them exactly.
     PINNED = {
+        9: {"support": [0, 1, 482, 9610], "coefficients": [1, 1, 1, 2]},
         11: {"support": [0, 1, 57062, 155742], "coefficients": [1, 2, 1, 2]},
         13: {"support": [0, 1, 649602, 1204120], "coefficients": [1, 1, 1, 2]},
     }
 
-    @pytest.mark.parametrize("m", [11, 13])
+    @pytest.mark.parametrize("m", [9, 11, 13])
     def test_pinned_witness(self, m):
         code = build_code(make_field(m))
         assert weight4_witness(code) == self.PINNED[m]
@@ -255,6 +253,18 @@ class TestConcludeDistance:
         assert brute_force_min_weight(code, 3)[0] == 3
         assert report.weight3_found and not report.weight2_found
         assert report.concluded_d is None
+
+    @pytest.mark.parametrize("v", [1, 2, 4, 5, 7, 13, "u"])
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_structured_weight_matches_oracle(self, m, v):
+        """Any v, including gcd(v, n) > 1: the searches find the oracle's weight."""
+        code = build_code(make_field(m))
+        code = replace(code, v=code.u if v == "u" else v)
+        report = conclude_distance(code)  # raises Inconsistent on disagreement
+        assert report.oracle_checked
+        structured = 2 if weight2_search(code) else 3 if weight3_search(code) else None
+        oracle = brute_force_min_weight(code, 3)
+        assert structured == (oracle[0] if oracle else None)
 
     def test_disagreement_raises_inconsistent(self, code3, monkeypatch):
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
