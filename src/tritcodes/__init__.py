@@ -11,7 +11,6 @@ from .distance import (
     weight3_search,
 )
 from .dualspectrum import (
-    EisensteinInt,
     WeightEnumerator,
     direct_enumerator,
     dual_codeword_weight,
@@ -22,7 +21,6 @@ from .dualspectrum import (
 from .gf3m import DEFAULT_MODULI, FieldCtx, make_field
 from .lemma import LemmaReport, lemma_check, lemma_preimage_counts
 from .polyring import (
-    CyclotomicCoset,
     cyclotomic_coset,
     minimal_polynomial,
     parse_poly,
@@ -32,10 +30,8 @@ from .polyring import (
 
 __all__ = [
     "CyclicCode",
-    "CyclotomicCoset",
     "DEFAULT_MODULI",
     "DistanceReport",
-    "EisensteinInt",
     "FieldCtx",
     "LemmaReport",
     "WeightEnumerator",

@@ -61,7 +61,7 @@ def build_code(ctx: FieldCtx) -> CyclicCode:
         raise CosetCollision(
             f"coset sizes |C_u|={len(cos_u)}, |C_v|={len(cos_v)}, expected {m}"
         )
-    if set(cos_u.members) & set(cos_v.members):
+    if set(cos_u) & set(cos_v):
         raise CosetCollision(f"C_{u} and C_{v} intersect mod {n}")
     gen = polyring.poly_mul(
         polyring.minimal_polynomial(u, ctx), polyring.minimal_polynomial(v, ctx)
@@ -89,19 +89,6 @@ def is_codeword(word, code: CyclicCode) -> bool:
         term = polyring.poly_pow_mod(polyring.X, int(t), code.gen)
         rem = polyring.poly_add(rem, polyring.poly_mul((int(coeffs[t]),), term))
     return rem == polyring.ZERO
-
-
-def encode(message, code: CyclicCode) -> tuple[int, ...]:
-    """Message polynomial times gen, padded to length n (test codewords only)."""
-    prod = polyring.poly_mul(polyring.normalize(message), code.gen)
-    if len(prod) > code.n:
-        raise LengthMismatch(f"message degree too large for n={code.n}")
-    return tuple(prod) + (0,) * (code.n - len(prod))
-
-
-def cyclic_shift(word, positions: int = 1):
-    positions %= len(word)
-    return tuple(word[-positions:]) + tuple(word[:-positions])
 
 
 def hamming_ball_volume(n: int, r: int, q: int) -> int:

@@ -28,7 +28,6 @@ from .exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
 class DistanceReport:
     n: int
     k: int
-    weight1_found: bool
     weight2_found: bool
     weight3_found: bool
     witness: dict | None
@@ -154,6 +153,18 @@ def _key(rows: np.ndarray) -> np.ndarray:
     return key
 
 
+def _leads(n: int, k: int):
+    """Ascending k-subsets of range(n), k <= 2, in lexicographic order, from plain
+    ranges: itertools.combinations copies range(n) (~60 MiB at m = 13) first."""
+    if k <= 0:
+        yield ()
+    elif k == 1:
+        yield from ((a,) for a in range(n))
+    else:
+        for a in range(n):
+            yield from ((a, b) for b in range(a + 1, n))
+
+
 def brute_force_min_weight(
     code: CyclicCode, wmax: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, list[int], list[int]] | None:
@@ -187,7 +198,7 @@ def brute_force_min_weight(
         lead_coeffs = (
             [(1, *p) for p in itertools.product((1, 2), repeat=w - 3)] if w > 2 else [()]
         )
-        for lead in itertools.combinations(range(n), max(w - 2, 0)):
+        for lead in _leads(n, w - 2):
             # candidates (tp, cp) for the position before the last; weight 1
             # has none, so it gets one zero row (coefficient 0) at position -1
             tp = np.arange(lead[-1] + 1 if lead else 0, n - 1) if w > 1 else np.array([-1])
@@ -258,16 +269,13 @@ def conclude_distance(
 ) -> DistanceReport:
     """Combine every verification path into a single distance report.
 
-    Weight 1 is impossible structurally (c*pi^(u*t) never vanishes) but is
-    scanned anyway; weights 2 and 3 use the structured searches; a
-    weight-4 codeword is produced constructively; the brute-force oracle
-    is attached when the work estimate fits the budget, and MacWilliams
+    Weight 1 is structurally impossible (c*pi^(u*t) never vanishes); the
+    oracle, attached when its work estimate fits the budget (m <= 5 by
+    default), checks it.  Weights 2 and 3 use the structured searches, a
+    weight-4 codeword is produced constructively, and MacWilliams gives the
     low-order coefficients when a dual enumerator is supplied.
     """
-    ctx = code.ctx
     n, k = code.n, code.k
-    t = np.arange(n, dtype=np.int64)
-    w1 = bool(np.any(ctx.exp[(code.u * t) % n] == 0))
     wit2 = weight2_search(code)
     wit3 = weight3_search(code)
     ceiling = sphere_packing_max_d(n, k, 3)
@@ -293,13 +301,12 @@ def conclude_distance(
                 "MacWilliams reports low-weight codewords the searches missed"
             )
 
-    no_le3 = not (w1 or wit2 or wit3)
+    no_le3 = not (wit2 or wit3)
     have_w4 = wit4 is not None or (mw_low is not None and mw_low[4] > 0)
     concluded = 4 if (no_le3 and have_w4 and ceiling == 4) else None
     return DistanceReport(
         n=n,
         k=k,
-        weight1_found=w1,
         weight2_found=wit2 is not None,
         weight3_found=wit3 is not None,
         witness=wit2 or wit3,

@@ -6,7 +6,7 @@ coordinates (small m only).  The spectral path gets the Fourier transform
 of the power function x^v at every point from one exact ternary Walsh
 transform (m*3^m operations, every supported m; the single-point fhat is
 its test reference) and turns two spectrum values into a codeword weight.
-All sums are Eisenstein integers; no floating point.
+All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
 from __future__ import annotations
@@ -23,35 +23,6 @@ from .gf3m import FieldCtx
 DEFAULT_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
-    """p + q*w with w a primitive cube root of unity (w^2 = -1 - w).
-
-    A character sum over a subset with trace-value counts (N0, N1, N2)
-    equals (N0 - N2) + (N1 - N2)*w.
-    """
-
-    p: int
-    q: int
-
-    @classmethod
-    def from_trace_counts(cls, n0: int, n1: int, n2: int) -> "EisensteinInt":
-        return cls(n0 - n2, n1 - n2)
-
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.p + other.p, self.q + other.q)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.p, -self.q)
-
-    @property
-    def is_real(self) -> bool:
-        return self.q == 0
-
-    def norm(self) -> int:
-        return self.p * self.p - self.p * self.q + self.q * self.q
-
-
 @dataclass
 class WeightEnumerator:
     """Exact map weight -> codeword count for a length-n code."""
@@ -65,9 +36,6 @@ class WeightEnumerator:
 
     def support(self) -> set[int]:
         return {w for w, c in self.counts.items() if c}
-
-    def first_moment(self) -> int:
-        return sum(w * c for w, c in self.counts.items())
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,8 +76,9 @@ def dual_codeword_weight(a: int, b: int, ctx: FieldCtx) -> int:
     return n - zeros
 
 
-def fhat(lam: int, ctx: FieldCtx) -> EisensteinInt:
-    """Fourier transform of x^v at lam: sum over x of chi(x^v - lam*x)."""
+def fhat(lam: int, ctx: FieldCtx) -> tuple[int, int]:
+    """Fourier transform of x^v at lam, sum over x of chi(x^v - lam*x), as the
+    Eisenstein pair (N0 - N2, N1 - N2), Nk counting the x of trace value k."""
     _, v = exponent_pair(ctx.m)
     n = ctx.order
     j = np.arange(n, dtype=np.int64)
@@ -121,7 +90,7 @@ def fhat(lam: int, ctx: FieldCtx) -> EisensteinInt:
         d = (trv.astype(np.int16) - ctx.trace_by_log[(s + j) % n]) % 3
     counts = np.bincount(np.asarray(d, dtype=np.int64), minlength=3)
     n0 = int(counts[0]) + 1  # x = 0 contributes chi(0)
-    return EisensteinInt.from_trace_counts(n0, int(counts[1]), int(counts[2]))
+    return n0 - int(counts[2]), int(counts[1]) - int(counts[2])
 
 
 def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:

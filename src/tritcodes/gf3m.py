@@ -65,28 +65,7 @@ class FieldCtx:
                 f"x generates a subgroup of order < {self.order} modulo {modulus}"
             )
         self.zech = _build_zech_table(self.exp, self.log)
-        self.trace_by_log, self.trace_by_elem = _build_trace_tables(self, digits_by_log)
-
-    # -- element codecs ------------------------------------------------
-
-    def element_from_trits(self, trits) -> int:
-        """Pack an ascending trit sequence (length <= m) into an element."""
-        if len(trits) > self.m:
-            raise ValueError(f"element needs at most {self.m} trits")
-        val = 0
-        for i, t in enumerate(trits):
-            if t not in (0, 1, 2):
-                raise ValueError("trits must be in {0,1,2}")
-            val += t * 3**i
-        return val
-
-    def trits_of(self, a: int) -> tuple[int, ...]:
-        """Canonical coefficient sequence of length m."""
-        out = []
-        for _ in range(self.m):
-            a, r = divmod(a, 3)
-            out.append(r)
-        return tuple(out)
+        self.trace_by_log = _build_trace_table(self, digits_by_log)
 
     # -- scalar operations ----------------------------------------------
 
@@ -107,9 +86,6 @@ class FieldCtx:
 
     def neg(self, a: int) -> int:
         return self.smul(2, a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def smul(self, c: int, a: int) -> int:
         """Scalar multiple by c in GF(3)."""
@@ -134,11 +110,6 @@ class FieldCtx:
             return 0
         return int(self.exp[(self.log[a] + self.log[b]) % self.order])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverse("inverse of zero")
-        return int(self.exp[(-self.log[a]) % self.order])
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e > 0:
@@ -149,12 +120,7 @@ class FieldCtx:
         return int(self.exp[(self.log[a] * e) % self.order])
 
     def trace(self, a: int) -> int:
-        return int(self.trace_by_elem[a])
-
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            raise ZeroInput("quadratic character of zero")
-        return int(self.log[a]) % 2 == 0
+        return int(self.trace_by_log[self.log[a]]) if a else 0
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
@@ -232,8 +198,8 @@ def _build_zech_table(exp: np.ndarray, log: np.ndarray) -> np.ndarray:
     return log[one_plus]
 
 
-def _build_trace_tables(ctx: FieldCtx, digits_by_log: np.ndarray):
-    """Absolute trace GF(3^m) -> GF(3), indexed by log and by element."""
+def _build_trace_table(ctx: FieldCtx, digits_by_log: np.ndarray) -> np.ndarray:
+    """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j."""
     m, order = ctx.m, ctx.order
     # trace of each basis element x^i: sum of the conjugates x^(i*3^k),
     # which must be a constant polynomial
@@ -246,10 +212,7 @@ def _build_trace_tables(ctx: FieldCtx, digits_by_log: np.ndarray):
                 "trace of a basis element is not in GF(3); modulus is invalid"
             )
         basis_tr.append(int(acc[0]))
-    trace_by_log = _lincomb3(basis_tr, digits_by_log)
-    trace_by_elem = np.zeros(ctx.size, dtype=np.int8)
-    trace_by_elem[ctx.exp] = trace_by_log
-    return trace_by_log, trace_by_elem
+    return _lincomb3(basis_tr, digits_by_log)
 
 
 # Contexts for the DEFAULT_MODULI only, so the cache holds at most one per m.

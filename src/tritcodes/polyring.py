@@ -4,12 +4,11 @@ Polynomials are tuples of trits (ints in {0,1,2}) in ascending order of
 degree, with no trailing zeros; the zero polynomial is the empty tuple.
 The same ascending comma-separated text format ("1,2,0,0,0,1" for
 x^5+2x+1) is shared with field elements throughout the CLI and JSON
-surfaces.
+surfaces.  A cyclotomic coset is the ascending tuple of its members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exceptions import CoefficientNotInBaseField, DivisionByZeroPoly, OutOfRange
@@ -163,24 +162,8 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    """Orbit of j under multiplication by 3 modulo 3^m - 1."""
-
-    base: int
-    members: tuple[int, ...]
-    m: int
-
-    @property
-    def representative(self) -> int:
-        return self.members[0]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def cyclotomic_coset(j: int, m: int) -> CyclotomicCoset:
-    """The cyclotomic coset modulo 3^m - 1 containing j."""
+def cyclotomic_coset(j: int, m: int) -> tuple[int, ...]:
+    """Ascending members of the orbit of j under x -> 3x modulo 3^m - 1."""
     n = 3**m - 1
     if not 0 <= j <= n - 1:
         raise OutOfRange(f"j={j} outside [0, {n - 1}]")
@@ -191,23 +174,7 @@ def cyclotomic_coset(j: int, m: int) -> CyclotomicCoset:
             break
         seen.add(cur)
         cur = (cur * 3) % n
-    return CyclotomicCoset(base=j, members=tuple(sorted(seen)), m=m)
-
-
-def all_coset_representatives(m: int) -> list[int]:
-    """Canonical (minimum) representatives of every coset mod 3^m - 1."""
-    n = 3**m - 1
-    seen = bytearray(n)
-    reps = []
-    for j in range(n):
-        if seen[j]:
-            continue
-        reps.append(j)
-        cur = j
-        for _ in range(m):
-            seen[cur] = 1
-            cur = (cur * 3) % n
-    return reps
+    return tuple(sorted(seen))
 
 
 def minimal_polynomial(j: int, ctx: "FieldCtx") -> Poly:
@@ -216,10 +183,9 @@ def minimal_polynomial(j: int, ctx: "FieldCtx") -> Poly:
     Expanded with field-element coefficients, then checked to lie in the
     base field.  Monic of degree |C_j|, with pi^j as a root.
     """
-    coset = cyclotomic_coset(j, ctx.m)
     # coefficients ascending, as field elements (packed ints); start with 1
     coeffs = [1]
-    for i in coset.members:
+    for i in cyclotomic_coset(j, ctx.m):
         root = ctx.exp_of(i)
         neg_root = ctx.neg(root)
         new = [0] * (len(coeffs) + 1)

@@ -8,6 +8,7 @@ asserted where the criterion sets one.
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -106,11 +107,11 @@ def test_criterion_7_spectrum_value_set():
     for m in (3, 5, 7):
         ctx = make_field(m)
         allowed = {0, 3 ** (ctx.ell + 1), -(3 ** (ctx.ell + 1))}
-        total_norm = fhat(0, ctx).norm()
-        for lam_log in range(ctx.order):
-            z = fhat(ctx.exp_of(lam_log), ctx)
-            ok = ok and z.is_real and z.p in allowed
-            total_norm += z.norm()
+        total_norm = 0
+        for lam in range(ctx.size):
+            p, q = fhat(lam, ctx)
+            ok = ok and q == 0 and p in allowed
+            total_norm += p * p - p * q + q * q
         parseval[m] = total_norm
     ok = ok and parseval[3] == 3**6 and parseval[5] == 3**10
     _report(7, ok, "(fhat in {0, +-3^(ell+1)}, Parseval at m=3,5)")
@@ -129,15 +130,18 @@ def test_criterion_8_enumerator_structure(ctx3, enum5, enum7, enum9):
     for m, enum in computed.items():
         n = 3**m - 1
         mid = 2 * 3 ** (m - 1)
-        ok = ok and enum.total == 3 ** (2 * m)
         ok = ok and enum.support() <= weight_value_set(m)
-        ok = ok and enum.first_moment() == n * 2 * 3 ** (2 * m - 1)
+        # Pless power moments j = 0..3 (A_1 = A_2 = A_3 = 0 for C): j = 0 is
+        # the total, j = 1 the first moment
+        for j in range(4):
+            moment = sum(c * comb(n - w, j) for w, c in enum.counts.items())
+            ok = ok and moment == 3 ** (2 * m - j) * comb(n, j)
         for w, c in enum.counts.items():
             if w == 0:
                 continue
             boundary = 2 * n if w == mid else 0
             ok = ok and (c - boundary) % n == 0
-    _report(8, ok, "(totals, support, first moment, class divisibility, m=3..13)")
+    _report(8, ok, "(Pless moments 0-3, support, class divisibility, m=3..13)")
 
 
 def test_criterion_9_worker_determinism(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import tritcodes
 from tritcodes.cli import main
 
 
@@ -191,3 +192,7 @@ def test_empty_modulus_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "NotIrreducible" in err
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(tritcodes, name) for name in tritcodes.__all__)

@@ -1,9 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
 from tritcodes import (
-    EisensteinInt,
     direct_enumerator,
     dual_codeword_weight,
     fhat,
@@ -16,19 +16,6 @@ from tritcodes.dualspectrum import _fhat_all
 from tritcodes.exceptions import BudgetExceeded
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9
-
-
-class TestEisenstein:
-    def test_from_trace_counts(self):
-        # counts (4, 1, 1): the omega parts cancel, value is real 3
-        z = EisensteinInt.from_trace_counts(4, 1, 1)
-        assert z == EisensteinInt(3, 0)
-        assert z.is_real
-
-    def test_add_and_norm(self):
-        z = EisensteinInt(1, 2) + EisensteinInt(3, -2)
-        assert z == EisensteinInt(4, 0)
-        assert EisensteinInt(0, 3).norm() == 9
 
 
 class TestCodewordWeight:
@@ -45,31 +32,31 @@ class TestCodewordWeight:
 class TestFhat:
     def test_at_zero(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
-            assert fhat(0, ctx) == EisensteinInt(0, 0)
+            assert fhat(0, ctx) == (0, 0)
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_value_set_and_parseval(self, m):
         ctx = make_field(m)
         allowed = {0, 3 ** (ctx.ell + 1), -(3 ** (ctx.ell + 1))}
-        total_norm = fhat(0, ctx).norm()
-        for lam in range(1, ctx.size):
-            z = fhat(lam, ctx)
-            assert z.is_real
-            assert z.p in allowed
-            total_norm += z.norm()
+        total_norm = 0
+        for lam in range(ctx.size):
+            p, q = fhat(lam, ctx)
+            assert q == 0
+            assert p in allowed
+            total_norm += p * p - p * q + q * q
         assert total_norm == 3 ** (2 * m)
 
     def test_value_set_m7(self, ctx7):
         allowed = {0, 81, -81}
         for j in range(ctx7.order):
-            z = fhat(ctx7.exp_of(j), ctx7)
-            assert z.is_real and z.p in allowed
+            p, q = fhat(ctx7.exp_of(j), ctx7)
+            assert q == 0 and p in allowed
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_transform_matches_single_point_everywhere(self, m):
         ctx = make_field(m)
         values = _fhat_all(ctx, exponent_pair(m)[1])
-        assert [EisensteinInt(int(p), 0) for p in values] == [
+        assert [(int(p), 0) for p in values] == [
             fhat(ctx.exp_of(s), ctx) for s in range(ctx.order)
         ]
 
@@ -79,7 +66,7 @@ class TestFhat:
         values = _fhat_all(ctx, exponent_pair(m)[1])
         rng = random.Random(m)
         for s in [0, ctx.half] + [rng.randrange(ctx.order) for _ in range(16)]:
-            assert fhat(ctx.exp_of(s), ctx) == EisensteinInt(int(values[s]), 0), s
+            assert fhat(ctx.exp_of(s), ctx) == (int(values[s]), 0), s
 
 
 class TestEnumerators:
@@ -115,10 +102,14 @@ class TestEnumerators:
 
 class TestStructuralProperties:
     def test_totals_and_moments(self, enum5, enum7, enum9):
+        """Pless power moments j = 0..3, which hold because C has no codeword
+        of weight 1, 2 or 3; j = 0 is the total, j = 1 the first moment."""
         for m, enum in ((5, enum5), (7, enum7), (9, enum9)):
-            assert enum.total == 3 ** (2 * m)
+            n = 3**m - 1
             assert enum.support() <= weight_value_set(m)
-            assert enum.first_moment() == (3**m - 1) * 2 * 3 ** (2 * m - 1)
+            for j in range(4):
+                moment = sum(c * comb(n - w, j) for w, c in enum.counts.items())
+                assert moment == 3 ** (2 * m - j) * comb(n, j), j
 
     def test_class_counts_divisible(self, enum5, enum7, enum9):
         for m, enum in ((5, enum5), (7, enum7), (9, enum9)):
@@ -144,8 +135,9 @@ class TestStructuralProperties:
     def test_fhat_pair_sums_divisible_by_three(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
             for j in range(ctx.order):
-                z = fhat(ctx.exp_of(j), ctx) + fhat(ctx.neg(ctx.exp_of(j)), ctx)
-                assert z.is_real and z.p % 3 == 0
+                lam = ctx.exp_of(j)
+                (p1, q1), (p2, q2) = fhat(lam, ctx), fhat(ctx.neg(lam), ctx)
+                assert q1 + q2 == 0 and (p1 + p2) % 3 == 0
 
     def test_spectral_matches_per_pair_weights(self, ctx3):
         """Spot-check: class weight formula equals the definition-level weight."""
@@ -159,8 +151,8 @@ class TestStructuralProperties:
             b = rng.randrange(1, ctx3.size)
             lam_log = (ctx3.log_of(a) - vinv * ctx3.log_of(b)) % n
             lam = ctx3.exp_of(lam_log)
-            z = fhat(lam, ctx3) + fhat(ctx3.neg(lam), ctx3)
-            assert dual_codeword_weight(a, b, ctx3) == mid - z.p // 3
+            pair_sum = fhat(lam, ctx3)[0] + fhat(ctx3.neg(lam), ctx3)[0]
+            assert dual_codeword_weight(a, b, ctx3) == mid - pair_sum // 3
 
 
 def test_weight_value_set_examples():

@@ -19,10 +19,10 @@ from tritcodes.exceptions import (
 
 def ref_mul(ctx, a, b):
     """Schoolbook polynomial multiplication followed by reduction; oracle."""
-    fa = polyring.normalize(ctx.trits_of(a))
-    fb = polyring.normalize(ctx.trits_of(b))
+    fa = polyring.normalize(a // 3**i % 3 for i in range(ctx.m))
+    fb = polyring.normalize(b // 3**i % 3 for i in range(ctx.m))
     rem = polyring.poly_mod(polyring.poly_mul(fa, fb), ctx.modulus)
-    return ctx.element_from_trits(rem)
+    return sum(c * 3**i for i, c in enumerate(rem))
 
 
 def ref_add(ctx, a, b):
@@ -60,7 +60,7 @@ def primitive_fields(draw, ms=(3, 5, 7)):
 
 def ref_trace(ctx, a):
     """Trace via repeated poly powmod, independent of exp/log tables."""
-    fa = polyring.normalize(ctx.trits_of(a))
+    fa = polyring.normalize(a // 3**i % 3 for i in range(ctx.m))
     acc = polyring.ZERO
     for i in range(ctx.m):
         acc = polyring.poly_add(
@@ -73,7 +73,7 @@ def ref_trace(ctx, a):
 class TestMakeField:
     def test_paper_modulus_m5(self, ctx5):
         assert ctx5.order == 242
-        assert ctx5.exp_of(1) == ctx5.element_from_trits((0, 1))  # pi = x
+        assert ctx5.exp_of(1) == 3  # pi = x, digits (0, 1)
 
     def test_reducible_modulus_rejected(self):
         # x^5 factors as x * x^4
@@ -132,27 +132,19 @@ class TestArithmetic:
             b = rng.randrange(ctx5.size)
             assert ctx5.mul(a, b) == ref_mul(ctx5, a, b)
 
-    def test_inv(self, ctx5):
-        assert ctx5.inv(1) == 1
-        assert ctx5.inv(ctx5.exp_of(1)) == ctx5.exp_of(3**5 - 2)
-        rng = random.Random(11)
-        for _ in range(100):
-            a = rng.randrange(1, ctx5.size)
-            assert ctx5.mul(a, ctx5.inv(a)) == 1
-        with pytest.raises(ZeroInverse):
-            ctx5.inv(0)
-
     def test_pow(self, ctx5):
         a = ctx5.exp_of(9)
         assert ctx5.pow(a, 1) == a
         assert ctx5.pow(ctx5.exp_of(1), 242) == 1
         assert ctx5.pow(0, 5) == 0
         assert ctx5.pow(0, 0) == 1
+        with pytest.raises(ZeroInverse):
+            ctx5.pow(0, -1)
 
     def test_u_power_dichotomy_full_scan(self, ctx5):
         u = (3**5 + 1) // 2
         for y in range(1, ctx5.size):
-            expect = y if ctx5.is_square(y) else ctx5.neg(y)
+            expect = y if ctx5.log_of(y) % 2 == 0 else ctx5.neg(y)
             assert ctx5.pow(y, u) == expect
 
     def test_trace_basics(self, ctx5):
@@ -177,21 +169,14 @@ class TestArithmetic:
             b = rng.randrange(ctx5.size)
             assert ctx5.trace(ctx5.add(a, b)) == (ctx5.trace(a) + ctx5.trace(b)) % 3
 
-    def test_is_square(self, ctx3, ctx5, ctx7):
-        assert ctx5.is_square(1)
-        for ctx in (ctx3, ctx5, ctx7):
-            assert not ctx.is_square(ctx.neg(1))
-        squares = sum(1 for x in range(1, ctx5.size) if ctx5.is_square(x))
-        assert squares == 121
-        with pytest.raises(ZeroInput):
-            ctx5.is_square(0)
-
 
 class TestInvariants:
     def test_log_exp_round_trip(self, ctx5, ctx7):
         for ctx in (ctx5, ctx7):
             for a in range(1, ctx.size):
                 assert ctx.exp[ctx.log[a]] == a
+        with pytest.raises(ZeroInput):
+            ctx5.log_of(0)
 
     def test_frobenius_orbit_closes(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
@@ -225,11 +210,7 @@ class TestInvariants:
         b = data.draw(st.integers(0, ctx.size - 1))
         assert ctx.add(a, b) == ref_add(ctx, a, b)
         assert ctx.neg(a) == ref_neg(ctx, a)
-        assert ctx.sub(a, b) == ref_add(ctx, a, ref_neg(ctx, b))
+        assert ctx.add(a, ctx.neg(b)) == ref_add(ctx, a, ref_neg(ctx, b))
         assert ctx.add(a, ref_neg(ctx, a)) == 0
         assert ctx.smul(2, a) == ref_neg(ctx, a)
         assert ctx.smul(1, a) == a and ctx.smul(3, a) == 0
-
-    def test_trit_codec_round_trip(self, ctx5):
-        for a in (0, 1, 2, 100, 242):
-            assert ctx5.element_from_trits(ctx5.trits_of(a)) == a

@@ -39,7 +39,7 @@ def test_scalar_cross_check(ctx3):
     for j in range(ctx.order):
         x = ctx.exp_of(j)
         x3l = ctx.pow(x, e3l)
-        val = ctx.mul(ctx.add(x3l, eps), ctx.sub(x3l, x))
+        val = ctx.mul(ctx.add(x3l, eps), ctx.add(x3l, ctx.neg(x)))
         scalar[val] += 1
     assert scalar == counts.tolist()
 

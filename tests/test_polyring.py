@@ -1,13 +1,12 @@
 import pytest
 
-from tritcodes import polyring
+from tritcodes import DEFAULT_MODULI, build_code, make_field, polyring
 from tritcodes.exceptions import DivisionByZeroPoly, OutOfRange
 from tritcodes.polyring import (
     ONE,
     X,
     ZERO,
     cyclotomic_coset,
-    all_coset_representatives,
     minimal_polynomial,
     normalize,
     parse_poly,
@@ -56,7 +55,7 @@ def test_poly_mod_x_n_minus_1_by_generator():
 
 
 def test_cyclotomic_coset_trivia():
-    assert cyclotomic_coset(0, 5).members == (0,)
+    assert cyclotomic_coset(0, 5) == (0,)
     with pytest.raises(OutOfRange):
         cyclotomic_coset(242, 5)
     with pytest.raises(OutOfRange):
@@ -66,21 +65,24 @@ def test_cyclotomic_coset_trivia():
 def test_cyclotomic_cosets_of_u_and_v():
     cu = cyclotomic_coset(122, 5)
     cv = cyclotomic_coset(19, 5)
-    assert cu.members == (122, 124, 130, 148, 202)
-    assert cv.members == (19, 29, 57, 87, 171)
+    assert cu == (122, 124, 130, 148, 202)
+    assert cv == (19, 29, 57, 87, 171)
     assert len(cu) == len(cv) == 5
-    assert not set(cu.members) & set(cv.members)
+    assert not set(cu) & set(cv)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
 def test_cosets_partition(m):
-    total = sum(len(cyclotomic_coset(j, m)) for j in all_coset_representatives(m))
-    assert total == 3**m - 1
+    n = 3**m - 1
+    cosets = {cyclotomic_coset(j, m) for j in range(n)}
+    # each is an orbit of x -> 3x, and together they hold every j once
+    assert all({3 * i % n for i in c} == set(c) for c in cosets)
+    assert sum(len(c) for c in cosets) == n
 
 
 def test_coset_sizes_divide_m():
     for m in (3, 5, 7):
-        for j in all_coset_representatives(m):
+        for j in sorted({cyclotomic_coset(i, m)[0] for i in range(3**m - 1)}):
             size = len(cyclotomic_coset(j, m))
             if j == 0:
                 assert size == 1
@@ -106,7 +108,7 @@ def test_minimal_polynomial_irreducible_and_roots(ctx5):
         mp = minimal_polynomial(j, ctx5)
         assert polyring.is_irreducible(mp)
         assert mp[-1] == 1
-        for i in cyclotomic_coset(j, 5).members:
+        for i in cyclotomic_coset(j, 5):
             root = ctx5.exp_of(i)
             acc = 0
             for c in reversed(mp):  # Horner over the field
@@ -116,12 +118,10 @@ def test_minimal_polynomial_irreducible_and_roots(ctx5):
 
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_product_of_all_minimal_polynomials(m):
-    from tritcodes import make_field
-
     ctx = make_field(m)
     n = 3**m - 1
     prod = ONE
-    for j in all_coset_representatives(m):
+    for j in sorted({cyclotomic_coset(i, m)[0] for i in range(n)}):
         prod = poly_mul(prod, minimal_polynomial(j, ctx))
     assert prod == normalize((-1,) + (0,) * (n - 1) + (1,))
 
@@ -142,3 +142,24 @@ def test_poly_pow_mod_matches_naive():
         naive = poly_mod(poly_mul(naive, X), g)
     assert polyring.poly_pow_mod(X, e, g) == naive
     assert poly_sub(naive, naive) == ZERO
+
+
+def test_sympy_confirms_moduli_minimal_polynomials_and_generators():
+    """Outside oracle at every default m: the modulus is irreducible and x is
+    primitive modulo it, m_u and m_v are irreducible, and gen | x^n - 1."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    def irreducible(f):
+        return sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=3).is_irreducible
+
+    for m, modulus in DEFAULT_MODULI.items():
+        n = 3**m - 1
+        assert irreducible(modulus), m
+        for p in sympy.factorint(n):
+            assert gf_pow_mod([1, 0], n // p, list(modulus[::-1]), 3, ZZ) != [1], (m, p)
+        code = build_code(make_field(m))
+        assert irreducible(minimal_polynomial(code.u, code.ctx)), m
+        assert irreducible(minimal_polynomial(code.v, code.ctx)), m
+        assert gf_pow_mod([1, 0], n, list(code.gen[::-1]), 3, ZZ) == [1], m
