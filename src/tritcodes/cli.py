@@ -114,11 +114,8 @@ def cmd_dual_spectrum(args) -> int:
             "direct": direct.to_json_dict(),
             "agree": spectral == direct,
         }
-        if not doc["agree"]:
-            _emit(doc, args.out)
-            return 1
     _emit(doc, args.out)
-    return 0
+    return 0 if doc.get("agree", True) else 1
 
 
 def cmd_lemma_check(args) -> int:
@@ -152,7 +149,7 @@ def cmd_report(args) -> int:
             fixture["generator"] == polyring.format_poly(code.gen)
             and fixture["n"] == code.n
             and fixture["k"] == code.k
-            and fix_counts == {w: c for w, c in enum.counts.items() if c}
+            and fix_counts == enum.counts
         )
     elif ctx.m in FIXTURE_MS:
         why = (

@@ -91,23 +91,23 @@ def is_codeword(word, code: CyclicCode) -> bool:
     return rem == polyring.ZERO
 
 
-def hamming_ball_volume(n: int, r: int, q: int) -> int:
-    """Number of words within Hamming distance r; exact big-integer arithmetic."""
-    return sum(comb(n, i) * (q - 1) ** i for i in range(r + 1))
+def hamming_ball_volume(n: int, r: int) -> int:
+    """Number of ternary words within Hamming distance r; exact big-integer arithmetic."""
+    return sum(comb(n, i) * 2**i for i in range(r + 1))
 
 
-def sphere_packing_max_d(n: int, k: int, q: int) -> int:
-    """Largest minimum distance an [n, k] code over GF(q) can have.
+def sphere_packing_max_d(n: int, k: int) -> int:
+    """Largest minimum distance a ternary [n, k] code can have.
 
     Sphere packing: the radius-floor((d-1)/2) ball volume must not exceed
-    q^(n-k).  The ball condition alone never rules out d = 2, so the
+    3^(n-k).  The ball condition alone never rules out d = 2, so the
     Singleton bound d <= n - k + 1 is applied on top (this is what makes
     the zero-redundancy case return 1).
     """
-    if not (1 <= k <= n) or q < 2:
-        raise ValueError(f"need 1 <= k <= n and q >= 2, got n={n}, k={k}, q={q}")
-    bound = q ** (n - k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    bound = 3 ** (n - k)
     r = 0
-    while hamming_ball_volume(n, r + 1, q) <= bound:
+    while hamming_ball_volume(n, r + 1) <= bound:
         r += 1
     return min(2 * r + 2, n - k + 1)

@@ -8,7 +8,8 @@ and checks the u-syndrome in the log domain of the field tables.  The
 oracle is kept independent of it: it completes words over the parity-check
 matrix H, whose row t holds the base-3 digits of pi^(u t) and pi^(v t),
 using only digit sums mod 3, in O(n*m) memory and under the same budget
-gate.  It uses no logs and no cyclic normalisation.
+gate.  It uses no logs and no cyclic normalisation.  The oracle and
+MacWilliams must agree with the searches both ways on the lightest weight <= 3.
 """
 
 from __future__ import annotations
@@ -26,14 +27,9 @@ from .exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
 
 @dataclass
 class DistanceReport:
-    n: int
-    k: int
-    weight2_found: bool
-    weight3_found: bool
     witness: dict | None
     sphere_packing_ceiling: int
     weight4_witness: dict | None
-    macwilliams_low_weights: dict[int, int] | None
     oracle_checked: bool
     concluded_d: int | None
 
@@ -229,26 +225,24 @@ def weight4_witness(code: CyclicCode) -> dict | None:
     return None
 
 
-def macwilliams(
-    enum: WeightEnumerator, n: int, q: int, max_weight: int | None = None
-) -> WeightEnumerator:
-    """Dual weight enumerator via the Krawtchouk/MacWilliams transform.
+def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> WeightEnumerator:
+    """Dual weight enumerator via the Krawtchouk/MacWilliams transform over GF(3).
 
     Exact integer arithmetic; raises NonIntegerOutput when the input is
     not the enumerator of a linear code.  max_weight truncates the output
     to low weights, which keeps the A_1..A_4 checks cheap at n ~ 2*10^4.
     """
-    total = enum.total
-    if total <= 0 or q**n % total:
-        raise NonIntegerOutput(f"total count {total} does not divide {q}^{n}")
+    n, total = enum.n, enum.total
+    if total <= 0 or 3**n % total:
+        raise NonIntegerOutput(f"total count {total} does not divide 3^{n}")
     jmax = n if max_weight is None else min(max_weight, n)
-    items = sorted((w, c) for w, c in enum.counts.items() if c)
+    items = sorted(enum.counts.items())
     counts: dict[int, int] = {}
     for j in range(jmax + 1):
         acc = 0
         for i, a_i in items:
             k_ji = sum(
-                (-1) ** s * comb(i, s) * comb(n - i, j - s) * (q - 1) ** (j - s)
+                (-1) ** s * comb(i, s) * comb(n - i, j - s) * 2 ** (j - s)
                 for s in range(max(0, j - (n - i)), min(i, j) + 1)
             )
             acc += a_i * k_ji
@@ -257,8 +251,7 @@ def macwilliams(
         val = acc // total
         if val < 0:
             raise NonIntegerOutput(f"A'_{j} = {val} is negative")
-        if val:
-            counts[j] = val
+        counts[j] = val
     return WeightEnumerator(n=n, counts=counts)
 
 
@@ -273,46 +266,43 @@ def conclude_distance(
     oracle, attached when its work estimate fits the budget (m <= 5 by
     default), checks it.  Weights 2 and 3 use the structured searches, a
     weight-4 codeword is produced constructively, and MacWilliams gives the
-    low-order coefficients when a dual enumerator is supplied.
+    low-order coefficients when a dual enumerator of length code.n is
+    supplied.  Any disagreement with the searches on the lightest weight
+    <= 3, either way, raises Inconsistent.
     """
-    n, k = code.n, code.k
+    n = code.n
+    if dual_enum is not None and dual_enum.n != n:
+        raise ValueError(f"dual enumerator has length {dual_enum.n}, the code {n}")
     wit2 = weight2_search(code)
     wit3 = weight3_search(code)
-    ceiling = sphere_packing_max_d(n, k, 3)
+    structured = 2 if wit2 is not None else 3 if wit3 is not None else None
+    ceiling = sphere_packing_max_d(n, code.k)
     wit4 = weight4_witness(code)
 
     oracle_checked = False
     if _oracle_work(n, 3) <= budget:
         oracle = brute_force_min_weight(code, 3, budget=budget)
         oracle_checked = True
-        structured = 2 if wit2 is not None else 3 if wit3 is not None else None
         found = oracle[0] if oracle else None
         if found != structured:
             raise Inconsistent(
                 f"oracle found weight {found}, structured searches found {structured}"
             )
 
-    mw_low = None
-    if dual_enum is not None:
-        mw = macwilliams(dual_enum, n, 3, max_weight=4)
-        mw_low = {j: mw.counts.get(j, 0) for j in range(5)}
-        if any(mw_low[j] for j in (1, 2, 3)) and wit2 is None and wit3 is None:
-            raise Inconsistent(
-                "MacWilliams reports low-weight codewords the searches missed"
-            )
+    mw = {} if dual_enum is None else macwilliams(dual_enum, max_weight=4).counts
+    lightest = next((j for j in (1, 2, 3) if j in mw), None)
+    if dual_enum is not None and lightest != structured:
+        raise Inconsistent(
+            f"MacWilliams gives lightest weight {lightest}, "
+            f"structured searches found {structured}"
+        )
 
-    no_le3 = not (wit2 or wit3)
-    have_w4 = wit4 is not None or (mw_low is not None and mw_low[4] > 0)
-    concluded = 4 if (no_le3 and have_w4 and ceiling == 4) else None
+    have_w4 = wit4 is not None or 4 in mw
+    concluded = 4 if (structured is None and have_w4 and ceiling == 4) else None
     return DistanceReport(
-        n=n,
-        k=k,
-        weight2_found=wit2 is not None,
-        weight3_found=wit3 is not None,
         witness=wit2 or wit3,
         sphere_packing_ceiling=ceiling,
         weight4_witness=wit4,
-        macwilliams_low_weights=mw_low,
         oracle_checked=oracle_checked,
         concluded_d=concluded,
     )

@@ -25,17 +25,20 @@ DEFAULT_BUDGET = 10**9
 
 @dataclass
 class WeightEnumerator:
-    """Exact map weight -> codeword count for a length-n code."""
+    """Exact map weight -> codeword count for a length-n code, zero counts dropped."""
 
     n: int
     counts: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.counts = {w: c for w, c in self.counts.items() if c}
 
     @property
     def total(self) -> int:
         return sum(self.counts.values())
 
     def support(self) -> set[int]:
-        return {w for w, c in self.counts.items() if c}
+        return set(self.counts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,12 +46,6 @@ class WeightEnumerator:
             "total": self.total,
             "counts": {str(w): self.counts[w] for w in sorted(self.counts)},
         }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightEnumerator):
-            return NotImplemented
-        clean = lambda d: {w: c for w, c in d.items() if c}
-        return self.n == other.n and clean(self.counts) == clean(other.counts)
 
 
 def weight_value_set(m: int) -> set[int]:
@@ -144,9 +141,7 @@ def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnum
     for row in tau:
         weights = n - np.count_nonzero((row[None, :] + tav) % 3 == 0, axis=1)
         hist += np.bincount(weights, minlength=n + 1)
-    return WeightEnumerator(
-        n=n, counts={int(w): int(c) for w, c in enumerate(hist) if c}
-    )
+    return WeightEnumerator(n=n, counts=dict(enumerate(hist.tolist())))
 
 
 def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:

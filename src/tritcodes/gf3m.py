@@ -5,7 +5,8 @@ are the coefficients of the residue class, digit i holding the
 coefficient of x^i.  The primitive element pi is always the residue
 class of x.  All tables are materialized at construction (m <= 13,
 about 1.6M entries at the top), after which every operation is a pure
-function of (inputs, ctx) and the context is safe to share.
+function of (inputs, ctx) and the context is safe to share.  The exp
+table reduces powers of x by polyring.poly_mod, the one GF(3)[x] reduction.
 
 Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
@@ -132,38 +133,21 @@ def _build_exp_table(m: int, modulus: tuple[int, ...]):
 
     Starting from x^0, each step doubles the known prefix [0, L) by applying
     the linear multiply-by-x^L map to its digit rows, so the work is
-    O(m^2 * 3^m) int8 operations in O(m^2 * log(3^m)) numpy calls.
+    O(m^2 * 3^m) int8 operations in O(m^2 * log(3^m)) numpy calls.  The m
+    images x^(L + i) that define the map come from polyring.poly_mod.
     """
-    size = 3**m
-    order = size - 1
-    pow3 = [3**i for i in range(m)]
-    # x^m = -(low-order part of modulus)
-    red_sparse = [(i, (-c) % 3) for i, c in enumerate(modulus[:m]) if c % 3]
-
-    def mul_x(v: int) -> int:
-        v *= 3
-        top, v = divmod(v, size)
-        if top:
-            for i, d in red_sparse:
-                cur = (v // pow3[i]) % 3
-                v += ((cur + top * d) % 3 - cur) * pow3[i]
-        return v
-
-    pow3_np = np.array(pow3, dtype=np.int64)
-
-    def decode(vals):
-        return ((np.asarray(vals, dtype=np.int64) // pow3_np[:, None]) % 3).astype(np.int8)
-
+    order = 3**m - 1
     digits = np.zeros((m, order), dtype=np.int8)
     digits[0, 0] = 1
     length = 1
     while length < order:
         # column i: digits of x^(length + i), the image of the basis element
         # x^i under multiplication by x^length
-        images = [mul_x(int(digits[:, length - 1] @ pow3_np))]
-        for _ in range(m - 1):
-            images.append(mul_x(images[-1]))
-        image = decode(images)
+        image = np.zeros((m, m), dtype=np.int8)
+        col = polyring.normalize(digits[:, length - 1].tolist())
+        for i in range(m):
+            col = polyring.poly_mod(polyring.poly_mul(polyring.X, col), modulus)
+            image[: len(col), i] = col
         hi = min(2 * length, order)
         for r in range(m):
             digits[r, length:hi] = _lincomb3(image[r], digits[:, : hi - length])

@@ -80,32 +80,22 @@ def poly_mul(f: Sequence[int], g: Sequence[int]) -> Poly:
     return normalize(out)
 
 
-def poly_divmod(f: Sequence[int], g: Sequence[int]) -> tuple[Poly, Poly]:
-    """Quotient and remainder of f by g over GF(3)."""
+def poly_mod(f: Sequence[int], g: Sequence[int]) -> Poly:
+    """Remainder of f divided by g over GF(3)."""
     g = normalize(g)
     if not g:
         raise DivisionByZeroPoly("polynomial division by zero")
     rem = list(normalize(f))
     dg = degree(g)
-    # leading coefficient inverse in GF(3): 1->1, 2->2
-    lead_inv = g[-1]
-    if len(rem) - 1 < dg:
-        return ZERO, tuple(rem)
-    quot = [0] * (len(rem) - dg)
-    while len(rem) - 1 >= dg and rem:
+    # the leading coefficient is its own inverse in GF(3): 1*1 = 2*2 = 1
+    while len(rem) - 1 >= dg:
         shift = len(rem) - 1 - dg
-        factor = (rem[-1] * lead_inv) % 3
-        quot[shift] = factor
+        factor = (rem[-1] * g[-1]) % 3
         for i, c in enumerate(g):
             rem[shift + i] = (rem[shift + i] - factor * c) % 3
         while rem and rem[-1] == 0:
             rem.pop()
-    return normalize(quot), tuple(rem)
-
-
-def poly_mod(f: Sequence[int], g: Sequence[int]) -> Poly:
-    """Remainder of f divided by g over GF(3)."""
-    return poly_divmod(f, g)[1]
+    return tuple(rem)
 
 
 def poly_pow_mod(base: Sequence[int], e: int, mod: Sequence[int]) -> Poly:

@@ -42,7 +42,7 @@ def test_criterion_1_example1_construction(code5):
     ok = (
         code5.gen == GEN_M5
         and (code5.n, code5.k) == (242, 232)
-        and sphere_packing_max_d(242, 232, 3) == 4
+        and sphere_packing_max_d(242, 232) == 4
     )
     elapsed = time.monotonic() - start
     _report(1, ok and elapsed < 10, f"(Example 1 [242,232,4], {elapsed:.2f}s)")
@@ -82,9 +82,9 @@ def test_criterion_5_distance_suite(code3, code5, code7, enum5, enum7, enum9):
     for code in (code3, code5):
         ok = ok and brute_force_min_weight(code, 3) is None
     for m in (3, 5, 7, 9, 11, 13):
-        ok = ok and sphere_packing_max_d(3**m - 1, 3**m - 1 - 2 * m, 3) == 4
+        ok = ok and sphere_packing_max_d(3**m - 1, 3**m - 1 - 2 * m) == 4
     for enum in (enum5, enum7, enum9):
-        mw = macwilliams(enum, enum.n, 3, max_weight=4)
+        mw = macwilliams(enum, max_weight=4)
         ok = ok and all(mw.counts.get(j, 0) == 0 for j in (1, 2, 3))
         ok = ok and mw.counts.get(4, 0) > 0
     _report(5, ok, "(weight searches, oracle, sphere packing, MacWilliams)")
@@ -124,7 +124,7 @@ def test_criterion_8_enumerator_structure(ctx3, enum5, enum7, enum9):
         enum = computed[m] = spectral_enumerator(make_field(m))
         # C has no codeword of weight 1..3 and some of weight 4 (d = 4), a
         # check of the spectrum where the brute-force oracle cannot run
-        mw = macwilliams(enum, enum.n, 3, max_weight=4)
+        mw = macwilliams(enum, max_weight=4)
         ok = ok and all(mw.counts.get(j, 0) == 0 for j in (1, 2, 3))
         ok = ok and mw.counts.get(4, 0) > 0
     for m, enum in computed.items():

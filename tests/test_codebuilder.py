@@ -87,19 +87,19 @@ def test_cyclic_shift_closure(m):
 
 
 def test_sphere_packing_examples():
-    assert cb.sphere_packing_max_d(242, 232, 3) == 4
-    assert cb.sphere_packing_max_d(26, 20, 3) == 4
-    assert cb.sphere_packing_max_d(100, 100, 3) == 1
+    assert cb.sphere_packing_max_d(242, 232) == 4
+    assert cb.sphere_packing_max_d(26, 20) == 4
+    assert cb.sphere_packing_max_d(100, 100) == 1
 
 
 def test_sphere_packing_ball_volumes():
     # radius-1 and radius-2 volumes behind the m=5 result
-    assert cb.hamming_ball_volume(242, 1, 3) == 485
-    assert cb.hamming_ball_volume(242, 2, 3) == 117129
-    assert cb.hamming_ball_volume(26, 1, 3) == 53
-    assert cb.hamming_ball_volume(26, 2, 3) == 1353
+    assert cb.hamming_ball_volume(242, 1) == 485
+    assert cb.hamming_ball_volume(242, 2) == 117129
+    assert cb.hamming_ball_volume(26, 1) == 53
+    assert cb.hamming_ball_volume(26, 2) == 1353
 
 
 def test_sphere_packing_all_supported_m():
     for m in (3, 5, 7, 9, 11, 13):
-        assert cb.sphere_packing_max_d(3**m - 1, 3**m - 1 - 2 * m, 3) == 4
+        assert cb.sphere_packing_max_d(3**m - 1, 3**m - 1 - 2 * m) == 4

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from tritcodes import (
     conclude_distance,
     macwilliams,
     make_field,
+    spectral_enumerator,
     weight2_search,
     weight3_search,
 )
@@ -193,22 +195,22 @@ class TestMacWilliams:
     def test_zero_code_gives_full_space(self):
         from math import comb
 
-        n, q = 8, 3
+        n = 8
         enum = WeightEnumerator(n=n, counts={0: 1})
-        dual = macwilliams(enum, n, q)
-        assert dual.counts == {w: comb(n, w) * (q - 1) ** w for w in range(n + 1)}
+        dual = macwilliams(enum)
+        assert dual.counts == {w: comb(n, w) * 2**w for w in range(n + 1)}
 
     def test_involution(self, ctx3):
         from tritcodes import direct_enumerator
 
         enum = direct_enumerator(ctx3)
-        dual = macwilliams(enum, enum.n, 3)
-        back = macwilliams(dual, enum.n, 3)
+        dual = macwilliams(enum)
+        back = macwilliams(dual)
         assert back == enum
 
     def test_example1_dual_transform(self):
         enum = WeightEnumerator(n=242, counts=dict(ENUM_M5))
-        code_side = macwilliams(enum, 242, 3, max_weight=4)
+        code_side = macwilliams(enum, max_weight=4)
         assert code_side.counts.get(0) == 1
         for j in (1, 2, 3):
             assert code_side.counts.get(j, 0) == 0
@@ -217,11 +219,11 @@ class TestMacWilliams:
     def test_invalid_enumerator_rejected(self):
         bad = WeightEnumerator(n=8, counts={0: 1, 3: 5})
         with pytest.raises(NonIntegerOutput):
-            macwilliams(bad, 8, 3)
+            macwilliams(bad)
 
     def test_low_weight_transform_of_computed_enums(self, enum5, enum7, enum9):
         for enum in (enum5, enum7, enum9):
-            mw = macwilliams(enum, enum.n, 3, max_weight=4)
+            mw = macwilliams(enum, max_weight=4)
             assert all(mw.counts.get(j, 0) == 0 for j in (1, 2, 3))
             assert mw.counts[4] > 0
 
@@ -235,13 +237,13 @@ class TestConcludeDistance:
     def test_m5(self, code5, enum5):
         report = conclude_distance(code5, dual_enum=enum5)
         assert report.concluded_d == 4
-        assert (report.n, report.k) == (242, 232)
-        assert report.macwilliams_low_weights[4] > 0
+        assert (code5.n, code5.k) == (242, 232)
+        assert macwilliams(enum5, max_weight=4).counts[4] > 0
 
     def test_m7(self, code7, enum7):
         report = conclude_distance(code7, dual_enum=enum7)
         assert report.concluded_d == 4
-        assert (report.n, report.k) == (2186, 2172)
+        assert (code7.n, code7.k) == (2186, 2172)
         assert not report.oracle_checked  # weight-3 enumeration over budget
 
     @pytest.mark.parametrize("m", [3, 5])
@@ -251,7 +253,7 @@ class TestConcludeDistance:
         report = conclude_distance(code)
         assert report.oracle_checked
         assert brute_force_min_weight(code, 3)[0] == 3
-        assert report.weight3_found and not report.weight2_found
+        assert len(report.witness["support"]) == 3  # so weight2_search found none
         assert report.concluded_d is None
 
     @pytest.mark.parametrize("v", [1, 2, 4, 5, 7, 13, "u"])
@@ -270,6 +272,32 @@ class TestConcludeDistance:
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
         with pytest.raises(Inconsistent):
             conclude_distance(replace(code3, v=1))
+
+    def test_macwilliams_disagreement_raises_both_ways(self, ctx3, code3, monkeypatch):
+        """MacWilliams must find the searches' lightest weight <= 3, or none."""
+        code = replace(code3, v=1)
+        # dual of C_(u,1) by Delsarte: the words (Tr(a*pi^(u t) + b*pi^t))_t
+        t = np.arange(code.n)
+        rows = {
+            e: [np.zeros(code.n, dtype=np.int8)]
+            + [ctx3.trace_by_log[(s + e * t) % code.n] for s in range(code.n)]
+            for e in (code.u, 1)
+        }
+        weights = Counter(
+            int(np.count_nonzero((a + b) % 3)) for a in rows[code.u] for b in rows[1]
+        )
+        dual = WeightEnumerator(n=code.n, counts=dict(weights))
+        # budget=1 skips the oracle, so only MacWilliams can disagree
+        assert conclude_distance(code, dual_enum=dual, budget=1).concluded_d is None
+        with pytest.raises(Inconsistent):  # searches find weight 3, MacWilliams none
+            conclude_distance(code, dual_enum=spectral_enumerator(ctx3), budget=1)
+        monkeypatch.setattr(distance, "weight3_search", lambda code: None)
+        with pytest.raises(Inconsistent):  # MacWilliams finds weight 3, searches none
+            conclude_distance(code, dual_enum=dual, budget=1)
+
+    def test_dual_enumerator_of_another_length_rejected(self, code3, enum5):
+        with pytest.raises(ValueError):
+            conclude_distance(code3, dual_enum=enum5)
 
     def test_json_shape(self, code3):
         doc = conclude_distance(code3).to_json_dict()

@@ -112,6 +112,31 @@ class TestMakeField:
             ctx = gf3m.make_field(m)
             assert ctx.order == 3**m - 1
 
+    @pytest.mark.parametrize("m", sorted(gf3m.DEFAULT_MODULI))
+    def test_whole_exp_and_trace_tables(self, m):
+        """Every entry, from the modulus f alone: exp[j + 1] = x * exp[j] by a
+        digit shift and x^m = -sum f_i x^i; the trace table satisfies the same
+        recurrence, started by Tr(1) = m and Newton's identities."""
+        ctx = gf3m.make_field(m)
+        f, exp = ctx.modulus, ctx.exp
+        assert exp[0] == 1
+        top = exp // 3 ** (m - 1)
+        want = np.zeros_like(exp)
+        for i in range(m):  # digit i of x * exp[j]
+            below = exp // 3 ** (i - 1) % 3 if i else 0
+            want += (below - top * f[i]) % 3 * 3**i
+        assert np.array_equal(np.roll(exp, -1), want)
+        tr = ctx.trace_by_log.astype(np.int64)
+        rhs = np.zeros_like(tr)
+        for k in range(m):
+            rhs -= f[k] * np.roll(tr, -k)
+        assert np.array_equal(np.roll(tr, -m), rhs % 3)
+        # the first m traces are the power sums of the roots of f
+        assert tr[0] == m % 3
+        for k in range(1, m):
+            newton = tr[k] + sum(f[m - i] * tr[k - i] for i in range(1, k)) + k * f[m - k]
+            assert newton % 3 == 0
+
 
 class TestArithmetic:
     def test_mul_absorbing_and_identity(self, ctx5):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tritcodes import DEFAULT_MODULI, build_code, make_field, polyring
@@ -126,12 +128,20 @@ def test_product_of_all_minimal_polynomials(m):
     assert prod == normalize((-1,) + (0,) * (n - 1) + (1,))
 
 
-def test_poly_divmod_reconstructs():
-    f = (2, 0, 1, 1, 0, 2, 1)
-    g = (1, 2, 1)
-    q, r = polyring.poly_divmod(f, g)
-    assert polyring.poly_add(poly_mul(q, g), r) == normalize(f)
-    assert polyring.degree(r) < polyring.degree(g)
+def test_poly_mod_matches_sympy():
+    """Seeded random pairs, with deg f < deg g and leading coefficient 2 among them."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(200):
+        f = normalize(rng.randrange(3) for _ in range(rng.randrange(16)))
+        g = normalize([*(rng.randrange(3) for _ in range(rng.randrange(8))), rng.choice((1, 2))])
+        seen.add((len(f) < len(g), g[-1]))
+        sf, sg = (sympy.Poly(p[::-1] or [0], x, modulus=3) for p in (f, g))
+        want = normalize(reversed(sympy.rem(sf, sg).all_coeffs()))
+        assert poly_mod(f, g) == want, (f, g)
+    assert seen == {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
 def test_poly_pow_mod_matches_naive():
