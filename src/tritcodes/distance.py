@@ -65,10 +65,8 @@ def _prefixes(n: int, w: int):
     and c_2 for w = 4, from a plain range: itertools.combinations would copy
     range(1, n) into a tuple of about 60 MiB at m = 13.
     """
-    if w == 2:
-        yield (), ()
-    elif w == 3:
-        yield (0,), (1,)
+    if w < 4:
+        yield ((0,), (1,)) if w == 3 else ((), ())
     else:
         for t2 in range(1, n):
             for c2 in (1, 2):
@@ -85,15 +83,18 @@ def _completions(code: CyclicCode, w: int):
     must cancel the partial v-syndrome S_v, so v*t_w = L (mod n) with
     L = log(-S_v / c_w): that has g = gcd(v, n) roots t0 + k*n/g when g
     divides L and none otherwise.  Only those roots are tested against the
-    u-syndrome, all in the log domain.  Hits come in the order prefix,
-    c_(w-1), c_w, then positions ascending, as dicts of support and
-    coefficients.
+    u-syndrome, all in the log domain.  Logs in [0, 2n) are reduced by
+    ctx.wrap, and e*t_(w-1) mod n by a table of e*i mod n for i < BLOCK.
+    Hits come in the order prefix, c_(w-1), c_w, then positions ascending,
+    as dicts of support and coefficients.
     """
     ctx = code.ctx
-    n, h, u, v = code.n, ctx.half, code.u, code.v
+    n, u, v = code.n, code.u, code.v
     g = gcd(v, n)
     vinv = pow(v // g, -1, n // g)
     roots = np.arange(g, dtype=np.int64) * (n // g)
+    offsets = np.arange(min(BLOCK, n), dtype=np.int64)
+    steps = {e: (e * offsets) % n for e in (u, v)}
     for support, coeffs in _prefixes(n, w):
         su, sv = (_log_syndrome(ctx, e, support, coeffs) for e in (u, v))
         # for w = 2, t_(w-1) is position 0 itself, with coefficient 1
@@ -102,22 +103,24 @@ def _completions(code: CyclicCode, w: int):
             lcp = ctx.log_of_scalar(cp)
             hits = {1: [], 2: []}  # per c_w over all blocks, to keep the hit order
             for start in range(lo, hi, BLOCK):
-                tp = np.arange(start, min(start + BLOCK, hi), dtype=np.int64)
+                size = min(BLOCK, hi - start)
+                tp = offsets[:size] + start
                 # logs of the partial syndromes with c_(w-1)*pi^(e t_(w-1)) added
-                lu, lv = ((e * tp + lcp) % n for e in (u, v))
+                lu, lv = (ctx.wrap(steps[e][:size] + (e * start + lcp) % n) for e in (u, v))
                 lu = lu if su < 0 else ctx.log_add(lu, su)
                 lv = lv if sv < 0 else ctx.log_add(lv, sv)
                 for cw in (1, 2):
-                    lcw = ctx.log_of_scalar(cw)
+                    lneg = ctx.log_of_scalar(3 - cw)  # log(-1/c_w) = log(-c_w)
                     # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
-                    lt = (lv + h - lcw) % n
-                    rows = np.flatnonzero((lv >= 0) & (lt % g == 0))
-                    tw = ((lt[rows] // g * vinv) % (n // g))[:, None] + roots
-                    # u-syndrome: c_w*pi^(u t_w) = -S_u, never true for S_u = 0
-                    need_u = np.where(lu[rows] < 0, -1, (lu[rows] + h) % n)[:, None]
-                    good = ((u * tw + lcw) % n == need_u) & (tw > tp[rows, None])
-                    r, k = np.nonzero(good)
-                    hits[cw].append((tp[rows[r]], tw[r, k]))
+                    lt = ctx.wrap(lv + lneg)
+                    q = lt // g
+                    tw = ((q * vinv) % (n // g))[:, None] + roots
+                    # u-syndrome: c_w*pi^(u t_w) = -S_u, u*t_w + log(-c_w) = log S_u
+                    # (never for S_u = 0, log -1); a root needs S_v != 0 and g | L
+                    good = ctx.wrap((u * tw) % n + lneg) == lu[:, None]
+                    good &= (tw > tp[:, None]) & ((lv >= 0) & (q * g == lt))[:, None]
+                    r, k = np.divmod(np.flatnonzero(good), g)
+                    hits[cw].append((tp[r], tw[r, k]))
             for cw in (1, 2):
                 for tps, tws in hits[cw]:
                     for a, b in zip(tps.tolist(), tws.tolist()):

@@ -167,8 +167,8 @@ def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEn
         raise NonIntegralWeight("fhat(lam) + fhat(-lam) not divisible by 3")
     mid = 2 * 3 ** (ctx.m - 1)
     weights = mid - pair_sum // 3
-    hist = np.bincount(weights, minlength=n + 1) * n
-    counts = {int(w): int(c) for w, c in enumerate(hist) if c}
+    hist = np.bincount(weights)  # at most six weights occur
+    counts = {int(w): int(hist[w]) * n for w in np.flatnonzero(hist)}
     counts[mid] = counts.get(mid, 0) + 2 * n
     counts[0] = counts.get(0, 0) + 1
     return WeightEnumerator(n=n, counts=counts)

@@ -5,8 +5,8 @@ are the coefficients of the residue class, digit i holding the
 coefficient of x^i.  The primitive element pi is always the residue
 class of x.  All tables are materialized at construction (m <= 13,
 about 1.6M entries at the top), after which every operation is a pure
-function of (inputs, ctx) and the context is safe to share.  The exp
-table reduces powers of x by polyring.poly_mod, the one GF(3)[x] reduction.
+function of (inputs, ctx) and the context is safe to share.  The exp, log
+and Zech tables are int32; arithmetic on their entries runs in int64 or ints.
 
 Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
@@ -16,6 +16,8 @@ log[0] = -1 and zech[h] = -1.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -57,16 +59,19 @@ class FieldCtx:
         self.size = 3**m
         self.order = self.size - 1
         self.half = self.order // 2  # log of -1
-        self.exp, digits_by_log = _build_exp_table(m, modulus)
-        self.log = np.full(self.size, -1, dtype=np.int64)
-        self.log[self.exp] = np.arange(self.order, dtype=np.int64)
-        assigned = int(np.count_nonzero(self.log >= 0))
-        if assigned != self.order or self.exp[0] != 1:
+        self.exp, digit0 = _build_exp_table(m, modulus)
+        self.log = np.full(self.size, -1, dtype=np.int32)
+        self.log[self.exp] = np.arange(self.order, dtype=np.int32)
+        if np.count_nonzero(self.log >= 0) != self.order or self.exp[0] != 1:
             raise NotPrimitive(
                 f"x generates a subgroup of order < {self.order} modulo {modulus}"
             )
-        self.zech = _build_zech_table(self.exp, self.log)
-        self.trace_by_log = _build_trace_table(self, digits_by_log)
+        # zech[k] = log(1 + pi^k), -1 at k = h where pi^h = -1: adding 1
+        # changes only digit 0 of the packed element exp[k]
+        one_plus = self.exp + 1
+        np.subtract(one_plus, 3, out=one_plus, where=digit0 == 2)
+        self.zech = self.log[one_plus]
+        self.trace_by_log = _build_trace_table(self)
 
     # -- scalar operations ----------------------------------------------
 
@@ -82,7 +87,7 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return a or b
-        la = self.log_add(self.log[a], self.log[b])
+        la = self.log_add(int(self.log[a]), int(self.log[b]))
         return 0 if la < 0 else int(self.exp[la])
 
     def neg(self, a: int) -> int:
@@ -93,7 +98,7 @@ class FieldCtx:
         c %= 3
         if c == 0 or a == 0:
             return 0
-        return int(self.exp[(self.log[a] + self.log_of_scalar(c)) % self.order])
+        return int(self.exp[(int(self.log[a]) + self.log_of_scalar(c)) % self.order])
 
     # -- log-domain helpers (ints or numpy arrays of logs) ---------------
 
@@ -102,14 +107,23 @@ class FieldCtx:
         return (c - 1) * self.half
 
     def log_add(self, la, lb):
-        """log(pi^la + pi^lb) for logs of nonzero elements; -1 where the sum is 0."""
-        z = self.zech[(lb - la) % self.order]
-        return np.where(z < 0, -1, (la + z) % self.order)
+        """log(pi^la + pi^lb) for logs in [0, n) (ints or int64 arrays) of
+        nonzero elements; -1 where the sum is 0."""
+        z = self.zech[lb - la]  # a negative index wraps mod n
+        out = self.wrap(np.asarray(la + z, dtype=np.int64))
+        np.copyto(out, -1, where=z < 0)
+        return out
+
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """x mod n in place for an int64 array x in [0, 2n): as uint64, x - n
+        is huge exactly where x < n, so the minimum is the residue."""
+        np.minimum(x.view(np.uint64), (x - self.order).view(np.uint64), out=x.view(np.uint64))
+        return x
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % self.order])
+        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.order])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -118,7 +132,7 @@ class FieldCtx:
             if e == 0:
                 return 1
             raise ZeroInverse("negative power of zero")
-        return int(self.exp[(self.log[a] * e) % self.order])
+        return int(self.exp[(int(self.log[a]) * e) % self.order])
 
     def trace(self, a: int) -> int:
         return int(self.trace_by_log[self.log[a]]) if a else 0
@@ -127,76 +141,64 @@ class FieldCtx:
         return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
 
 
+def _recurring(first, modulus: tuple[int, ...], length: int) -> np.ndarray:
+    """`length` int8 terms of the linear recurring sequence of the modulus f
+    that starts with the m trits `first`: s_j = lam(x^j mod f) for a linear
+    lam, so x^(j+L) = x^j * (x^L mod f) gives s_(j+L) = sum_k a_k s_(j+k).
+    The prefix doubles from m slices: O(m * length) int8 operations."""
+    m = len(modulus) - 1
+    s = np.zeros(length, dtype=np.int8)
+    s[:m] = first
+    known = m
+    while known < length:
+        # s_(known+j) for j < known - m + 1 reads only s[:known]
+        hi = min(2 * known - m + 1, length)
+        a = polyring.poly_pow_mod(polyring.X, known, modulus)
+        s[known:hi] = _lincomb3(a, [s[k : k + hi - known] for k in range(m)])
+        known = hi
+    return s
+
+
 def _build_exp_table(m: int, modulus: tuple[int, ...]):
-    """exp table for pi = x (entry j is the packed element x^j) and its
-    digit matrix, row i holding digit i of every x^j.
-
-    Starting from x^0, each step doubles the known prefix [0, L) by applying
-    the linear multiply-by-x^L map to its digit rows, so the work is
-    O(m^2 * 3^m) int8 operations in O(m^2 * log(3^m)) numpy calls.  The m
-    images x^(L + i) that define the map come from polyring.poly_mod.
-    """
+    """exp table for pi = x (entry j is the packed element x^j, int32) and the
+    int8 digit 0 of every x^j.  The top digit s_j is a _recurring sequence;
+    row r - 1 is row r shifted plus f_r*s, since x^(j+1) = x * x^j, so row
+    r reads s up to entry n - 1 + r."""
     order = 3**m - 1
-    digits = np.zeros((m, order), dtype=np.int8)
-    digits[0, 0] = 1
-    length = 1
-    while length < order:
-        # column i: digits of x^(length + i), the image of the basis element
-        # x^i under multiplication by x^length
-        image = np.zeros((m, m), dtype=np.int8)
-        col = polyring.normalize(digits[:, length - 1].tolist())
-        for i in range(m):
-            col = polyring.poly_mod(polyring.poly_mul(polyring.X, col), modulus)
-            image[: len(col), i] = col
-        hi = min(2 * length, order)
-        for r in range(m):
-            digits[r, length:hi] = _lincomb3(image[r], digits[:, : hi - length])
-        length = hi
-
-    exp = digits[m - 1].astype(np.int64)
-    for r in range(m - 2, -1, -1):
+    s = row = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
+    exp = np.zeros(order, dtype=np.int32)
+    for r in range(m - 1, -1, -1):
         exp *= 3
-        exp += digits[r]
-    return exp, digits
+        exp += row[:order]
+        if r:  # a shift alone where f_r = 0
+            row = row[1:]
+            row = np.take(_MOD3, row + modulus[r] * s[: len(row)]) if modulus[r] else row
+    return exp, row[:order]
 
 
-def _lincomb3(coeffs, rows: np.ndarray) -> np.ndarray:
-    """sum(c * row) mod 3 over int8 digit rows, for trit coefficients c."""
-    acc = np.zeros(rows.shape[1], dtype=np.int8)
+_MOD3 = (np.arange(64) % 3).astype(np.int8)  # x mod 3 for int8 x < 64: faster than %
+
+
+def _lincomb3(coeffs, rows) -> np.ndarray:
+    """sum(c * row) mod 3 over up to 13 int8 rows of trits, for trit coefficients c."""
+    acc = np.full(len(rows[0]), 27, dtype=np.int8)  # 27 = 0 mod 3 keeps acc in [14, 40]
     for c, row in zip(coeffs, rows):
         if c == 1:
             acc += row
-        elif c == 2:  # 2 = -1 mod 3; |acc| stays <= 26 for m <= 13
+        elif c == 2:  # 2 = -1 mod 3
             acc -= row
-    return acc % 3
+    return np.take(_MOD3, acc)
 
 
-def _build_zech_table(exp: np.ndarray, log: np.ndarray) -> np.ndarray:
-    """zech[k] = log(1 + pi^k), -1 at k = h where pi^h = -1.
-
-    Adding 1 changes only digit 0 of a packed element, so one pass over
-    exp gives every 1 + pi^k.
-    """
-    one_plus = exp + 1
-    one_plus[exp % 3 == 2] -= 3
-    return log[one_plus]
-
-
-def _build_trace_table(ctx: FieldCtx, digits_by_log: np.ndarray) -> np.ndarray:
-    """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j."""
-    m, order = ctx.m, ctx.order
-    # trace of each basis element x^i: sum of the conjugates x^(i*3^k),
-    # which must be a constant polynomial
-    basis_tr = []
-    for i in range(m):
-        conjugates = [(i * 3**k) % order for k in range(m)]
-        acc = digits_by_log[:, conjugates].sum(axis=1) % 3
-        if np.any(acc[1:]):
-            raise NotIrreducible(
-                "trace of a basis element is not in GF(3); modulus is invalid"
-            )
-        basis_tr.append(int(acc[0]))
-    return _lincomb3(basis_tr, digits_by_log)
+def _build_trace_table(ctx: FieldCtx) -> np.ndarray:
+    """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j: a _recurring
+    sequence (Tr is linear) started by Tr(x^i), the sum of the conjugates
+    x^(i*3^k), for i < m; each must be a constant."""
+    m = ctx.m
+    basis_tr = [reduce(ctx.add, [ctx.exp_of(i * 3**k) for k in range(m)]) for i in range(m)]
+    if max(basis_tr) > 2:
+        raise NotIrreducible("trace of a basis element is not in GF(3); modulus is invalid")
+    return _recurring(basis_tr, ctx.modulus, ctx.order)
 
 
 # Contexts for the DEFAULT_MODULI only, so the cache holds at most one per m.
@@ -215,10 +217,7 @@ def make_field(m: int, modulus=None) -> FieldCtx:
         raise EvenDegree(f"m must be odd and >= 3, got {m}")
     if m > MAX_M:
         raise UnsupportedDegree(f"m={m} exceeds the supported maximum {MAX_M}")
-    if modulus is None:
-        mod = DEFAULT_MODULI[m]
-    else:
-        mod = polyring.normalize(modulus)
+    mod = DEFAULT_MODULI[m] if modulus is None else polyring.normalize(modulus)
     default = mod == DEFAULT_MODULI[m]
     if default and m in _FIELD_CACHE:
         return _FIELD_CACHE[m]

@@ -157,14 +157,7 @@ def cyclotomic_coset(j: int, m: int) -> tuple[int, ...]:
     n = 3**m - 1
     if not 0 <= j <= n - 1:
         raise OutOfRange(f"j={j} outside [0, {n - 1}]")
-    seen = set()
-    cur = j
-    for _ in range(m):
-        if cur in seen:
-            break
-        seen.add(cur)
-        cur = (cur * 3) % n
-    return tuple(sorted(seen))
+    return tuple(sorted({j * 3**k % n for k in range(m)}))  # 3^m = 1 mod n
 
 
 def minimal_polynomial(j: int, ctx: "FieldCtx") -> Poly:

@@ -16,7 +16,7 @@ from tritcodes import (
     weight2_search,
     weight3_search,
 )
-from tritcodes import distance
+from tritcodes import distance, polyring
 from tritcodes.distance import weight4_witness
 from tritcodes.exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
 from tritcodes.codebuilder import exponent_pair, is_codeword
@@ -310,3 +310,35 @@ class TestConcludeDistance:
         assert doc["d"] == 4
         assert doc["weight_le3_witness"] is None
         assert len(doc["weight4_support"]) == 4
+
+
+class TestBlockedCompletions:
+    @pytest.mark.parametrize("m, block", [(3, 7), (5, 37)])
+    @pytest.mark.parametrize("variant", ["v=u", "v=1"])
+    def test_block_size_does_not_change_hits(self, m, block, variant, monkeypatch):
+        """Blocks of a few positions give the default (single-block) hit lists,
+        in the same order, for weights 2, 3 and 4."""
+        code = build_code(make_field(m))
+        code = relaxed(code) if variant == "v=u" else replace(code, v=1)
+        want = {w: list(distance._completions(code, w)) for w in (2, 3, 4)}
+        assert want[3] and want[4]
+        monkeypatch.setattr(distance, "BLOCK", block)
+        assert {w: list(distance._completions(code, w)) for w in (2, 3, 4)} == want
+
+    @pytest.mark.parametrize("variant", ["v=u", "v=1"])
+    def test_hits_near_the_end_m13(self, variant):
+        """Weight-3 hits of the relaxed m = 13 codes, those with t_3 nearest
+        n - 1 among the first 300, have zero syndromes by GF(3)[x] arithmetic
+        on Python ints: a log product computed in int32 would wrap silently."""
+        code = build_code(make_field(13))
+        code = relaxed(code) if variant == "v=u" else replace(code, v=1)
+        hits = list(itertools.islice(distance._completions(code, 3), 300))
+        hits.sort(key=lambda hit: -hit["support"][2])
+        assert hits[0]["support"][2] > code.n - 2**16
+        for hit in hits[:12]:
+            for e in (code.u, code.v):
+                acc = polyring.ZERO
+                for t, c in zip(hit["support"], hit["coefficients"]):
+                    term = polyring.poly_pow_mod(polyring.X, e * t, code.ctx.modulus)
+                    acc = polyring.poly_add(acc, polyring.poly_mul((c,), term))
+                assert acc == polyring.ZERO

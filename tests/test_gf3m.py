@@ -113,6 +113,11 @@ class TestMakeField:
             assert ctx.order == 3**m - 1
 
     @pytest.mark.parametrize("m", sorted(gf3m.DEFAULT_MODULI))
+    def test_tables_are_int32(self, m):
+        ctx = gf3m.make_field(m)
+        assert ctx.exp.dtype == ctx.log.dtype == ctx.zech.dtype == np.int32
+
+    @pytest.mark.parametrize("m", sorted(gf3m.DEFAULT_MODULI))
     def test_whole_exp_and_trace_tables(self, m):
         """Every entry, from the modulus f alone: exp[j + 1] = x * exp[j] by a
         digit shift and x^m = -sum f_i x^i; the trace table satisfies the same
@@ -165,6 +170,15 @@ class TestArithmetic:
         assert ctx5.pow(0, 0) == 1
         with pytest.raises(ZeroInverse):
             ctx5.pow(0, -1)
+
+    def test_pow_huge_exponents_m13(self):
+        """pi^j to a power near n^2 against square-and-multiply on x: the
+        exponent arithmetic must not happen in the int32 log table's type."""
+        ctx = gf3m.make_field(13)
+        n = ctx.order
+        for j, e in [(n - 1, n * n - 3), (n - 2, n * n // 2 + 7), (n // 2 + 1, 3 * n + 5)]:
+            want = polyring.poly_pow_mod(polyring.X, j * e, ctx.modulus)
+            assert ctx.pow(ctx.exp_of(j), e) == sum(c * 3**i for i, c in enumerate(want))
 
     def test_u_power_dichotomy_full_scan(self, ctx5):
         u = (3**5 + 1) // 2
