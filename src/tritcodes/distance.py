@@ -21,8 +21,8 @@ from math import comb, gcd
 import numpy as np
 
 from .codebuilder import CyclicCode, is_codeword, sphere_packing_max_d
-from .dualspectrum import DEFAULT_BUDGET, WeightEnumerator
-from .exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
+from .dualspectrum import DEFAULT_BUDGET, WeightEnumerator, check_budget
+from .exceptions import Inconsistent, NonIntegerOutput
 
 
 @dataclass
@@ -42,11 +42,6 @@ class DistanceReport:
                 self.weight4_witness["support"] if self.weight4_witness else None
             ),
         }
-
-
-# Positions t_(w-1) per vectorised step of _completions; bounds its peak
-# memory at m = 13 to a few MiB of block arrays.
-BLOCK = 1 << 16
 
 
 def _log_syndrome(ctx, e: int, support, coeffs) -> int:
@@ -78,23 +73,20 @@ def _completions(code: CyclicCode, w: int):
 
     Every codeword is a cyclic shift of a scalar multiple of one of these.
     The positions t_2 < ... < t_(w-2) and their coefficients are scanned
-    (none for w <= 3); t_(w-1) is vectorised in blocks of BLOCK positions
+    (none for w <= 3); t_(w-1) is vectorised in the blocks of ctx.line_logs
     (for w = 2 it is position 0 itself).  The last term c_w*pi^(v t_w)
     must cancel the partial v-syndrome S_v, so v*t_w = L (mod n) with
     L = log(-S_v / c_w): that has g = gcd(v, n) roots t0 + k*n/g when g
     divides L and none otherwise.  Only those roots are tested against the
-    u-syndrome, all in the log domain.  Logs in [0, 2n) are reduced by
-    ctx.wrap, and e*t_(w-1) mod n by a table of e*i mod n for i < BLOCK.
-    Hits come in the order prefix, c_(w-1), c_w, then positions ascending,
-    as dicts of support and coefficients.
+    u-syndrome, all in the log domain, where logs in [0, 2n) are reduced
+    by ctx.wrap.  Hits come in the order prefix, c_(w-1), c_w, then
+    positions ascending, as dicts of support and coefficients.
     """
     ctx = code.ctx
     n, u, v = code.n, code.u, code.v
     g = gcd(v, n)
     vinv = pow(v // g, -1, n // g)
     roots = np.arange(g, dtype=np.int64) * (n // g)
-    offsets = np.arange(min(BLOCK, n), dtype=np.int64)
-    steps = {e: (e * offsets) % n for e in (u, v)}
     for support, coeffs in _prefixes(n, w):
         su, sv = (_log_syndrome(ctx, e, support, coeffs) for e in (u, v))
         # for w = 2, t_(w-1) is position 0 itself, with coefficient 1
@@ -102,11 +94,8 @@ def _completions(code: CyclicCode, w: int):
         for cp in cps:
             lcp = ctx.log_of_scalar(cp)
             hits = {1: [], 2: []}  # per c_w over all blocks, to keep the hit order
-            for start in range(lo, hi, BLOCK):
-                size = min(BLOCK, hi - start)
-                tp = offsets[:size] + start
-                # logs of the partial syndromes with c_(w-1)*pi^(e t_(w-1)) added
-                lu, lv = (ctx.wrap(steps[e][:size] + (e * start + lcp) % n) for e in (u, v))
+            # logs of c_(w-1)*pi^(e t_(w-1)), then of the partial syndromes with it
+            for tp, (lu, lv) in ctx.line_logs(lo, hi, (u, lcp), (v, lcp)):
                 lu = lu if su < 0 else ctx.log_add(lu, su)
                 lv = lv if sv < 0 else ctx.log_add(lv, sv)
                 for cw in (1, 2):
@@ -181,11 +170,7 @@ def brute_force_min_weight(
     ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 4:
         raise ValueError("wmax must be in {1,2,3,4}")
-    work = _oracle_work(n, wmax)
-    if work > budget:
-        raise BudgetExceeded(
-            f"oracle needs ~{work:.2e} syndrome checks (budget {budget:.0e})"
-        )
+    check_budget("oracle", _oracle_work(n, wmax), "syndrome checks", budget)
     t = np.arange(n, dtype=np.int64)
     elems = (ctx.exp[(e * t) % n] for e in (code.u, code.v))
     H = np.stack([(a // 3**i % 3).astype(np.int8) for a in elems for i in range(ctx.m)], 1)

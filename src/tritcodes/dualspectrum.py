@@ -23,6 +23,12 @@ from .gf3m import FieldCtx
 DEFAULT_BUDGET = 10**9
 
 
+def check_budget(what: str, work: int, unit: str, budget: int) -> None:
+    """Raise BudgetExceeded when a path's work estimate exceeds the budget."""
+    if work > budget:
+        raise BudgetExceeded(f"{what} needs ~{work:.2e} {unit} (budget {budget:.0e})")
+
+
 @dataclass
 class WeightEnumerator:
     """Exact map weight -> codeword count for a length-n code, zero counts dropped."""
@@ -124,11 +130,7 @@ def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
 def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Definition-level enumeration over all (a,b) pairs; oracle for small m."""
     n = ctx.order
-    work = (n + 1) ** 2 * n
-    if work > budget:
-        raise BudgetExceeded(
-            f"direct enumeration needs ~{work:.2e} trace lookups (budget {budget:.0e})"
-        )
+    check_budget("direct enumeration", (n + 1) ** 2 * n, "trace lookups", budget)
     u, v = exponent_pair(ctx.m)
     i = np.arange(n, dtype=np.int64)
     t = np.arange(n, dtype=np.int64)
@@ -155,11 +157,7 @@ def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEn
     operations, which the budget gates.
     """
     n = ctx.order
-    work = ctx.m * ctx.size
-    if work > budget:
-        raise BudgetExceeded(
-            f"spectral transform needs ~{work:.2e} operations (budget {budget:.0e})"
-        )
+    check_budget("spectral transform", ctx.m * ctx.size, "operations", budget)
     _, v = exponent_pair(ctx.m)
     fr = _fhat_all(ctx, v)
     pair_sum = fr + np.roll(fr, -ctx.half)  # fhat(lam) + fhat(-lam), lam = pi^s

@@ -26,7 +26,7 @@ class ZeroInverse(TritcodesError):
 
 
 class ZeroInput(TritcodesError):
-    """Quadratic character of zero requested."""
+    """Logarithm of zero requested."""
 
 
 class DivisionByZeroPoly(TritcodesError):

@@ -33,6 +33,10 @@ from .exceptions import (
 
 MAX_M = 13
 
+# Positions per block of FieldCtx.line_logs, read at each call: a few MiB of
+# block arrays at m = 13.
+BLOCK = 1 << 16
+
 # Monic primitive polynomials used when no modulus is supplied, ascending
 # trit lists.  The m = 5, 7, 9 entries are pinned so that the generator
 # polynomials and dual enumerators match the shipped fixtures bit-exactly.
@@ -120,6 +124,19 @@ class FieldCtx:
         np.minimum(x.view(np.uint64), (x - self.order).view(np.uint64), out=x.view(np.uint64))
         return x
 
+    def line_logs(self, lo: int, hi: int, *terms):
+        """(t, logs) per block of at most BLOCK positions t in [lo, hi): t an
+        int64 array, logs one int64 array (e*t + c) mod n, the log of
+        pi^(e t + c), per (e, c) in terms.  e*t mod n comes from one table of
+        e*i mod n for i < BLOCK, and every sum is reduced by wrap."""
+        n = self.order
+        offsets = np.arange(min(BLOCK, hi - lo), dtype=np.int64)
+        steps = [((e * offsets) % n, e, c) for e, c in terms]
+        for start in range(lo, hi, BLOCK):
+            size = min(BLOCK, hi - start)
+            logs = [self.wrap(st[:size] + (e * start + c) % n) for st, e, c in steps]
+            yield offsets[:size] + start, logs
+
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -172,22 +189,26 @@ def _build_exp_table(m: int, modulus: tuple[int, ...]):
         exp += row[:order]
         if r:  # a shift alone where f_r = 0
             row = row[1:]
-            row = np.take(_MOD3, row + modulus[r] * s[: len(row)]) if modulus[r] else row
+            row = _mod3(row + modulus[r] * s[: len(row)]) if modulus[r] else row
     return exp, row[:order]
 
 
-_MOD3 = (np.arange(64) % 3).astype(np.int8)  # x mod 3 for int8 x < 64: faster than %
+def _mod3(x: np.ndarray) -> np.ndarray:
+    """x mod 3 in place for an int8 array x in [0, 54), FieldCtx.wrap's trick: as
+    uint8, x - k is huge exactly where x < k.  Several times faster than int8 % 3."""
+    u = x.view(np.uint8)
+    for k in (27, 9, 9, 3, 3):
+        np.minimum(u, u - k, out=u)
+    return x
 
 
 def _lincomb3(coeffs, rows) -> np.ndarray:
     """sum(c * row) mod 3 over up to 13 int8 rows of trits, for trit coefficients c."""
-    acc = np.full(len(rows[0]), 27, dtype=np.int8)  # 27 = 0 mod 3 keeps acc in [14, 40]
+    acc = np.zeros(len(rows[0]), dtype=np.int8)  # in [0, 52]
     for c, row in zip(coeffs, rows):
-        if c == 1:
-            acc += row
-        elif c == 2:  # 2 = -1 mod 3
-            acc -= row
-    return np.take(_MOD3, acc)
+        if c:
+            acc += c * row
+    return _mod3(acc)
 
 
 def _build_trace_table(ctx: FieldCtx) -> np.ndarray:

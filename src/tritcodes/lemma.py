@@ -36,28 +36,19 @@ class LemmaReport:
         }
 
 
-# Positions j per vectorised step of _lhs_logs: a few MiB of block arrays at m = 13.
-BLOCK = 1 << 16
-
-
 def _lhs_logs(ctx: FieldCtx, epsilon: int):
-    """(start, logs) per block of j, logs[i] the log of the left-hand side at
-    x = pi^(start + i), -1 where it is 0: x^(3^ell) has the log j*3^ell mod n,
-    the sums go through the Zech table, and the product adds logs."""
+    """(start, logs) per block of ctx.line_logs, logs[i] the log of the
+    left-hand side at x = pi^(start + i), -1 where it is 0: x^(3^ell) has the
+    log j*3^ell mod n, -x the log j + h, the sums go through the Zech table,
+    and the product adds logs."""
     if epsilon not in (1, 2):
         raise ValueError(f"epsilon must be 1 or 2, got {epsilon}")
-    n, frob = ctx.order, 3**ctx.ell
-    offsets = np.arange(min(BLOCK, n), dtype=np.int64)
-    steps = (frob * offsets) % n
-    for start in range(0, n, BLOCK):
-        size = min(BLOCK, n - start)
-        x3l = ctx.wrap(steps[:size] + frob * start % n)  # log of x^(3^ell)
+    for j, (x3l, minus_x) in ctx.line_logs(0, ctx.order, (3**ctx.ell, 0), (1, ctx.half)):
         la = ctx.log_add(x3l, ctx.log_of_scalar(epsilon))
-        minus_x = ctx.wrap(offsets[:size] + (start + ctx.half) % n)  # log(-x) = j + h
         lb = ctx.log_add(x3l, minus_x)
         logs = ctx.wrap(la + lb)
         np.copyto(logs, -1, where=(la < 0) | (lb < 0))
-        yield start, logs
+        yield int(j[0]), logs
 
 
 def lemma_check(ctx: FieldCtx, epsilon: int) -> LemmaReport:

@@ -64,9 +64,21 @@ def test_dual_spectrum_both_m3(capsys):
 
 
 def test_dual_spectrum_direct_budget_gate_m7(capsys):
-    code, _, err = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "direct")
-    assert code == 2
-    assert "budget" in err.lower()
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "direct")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: BudgetExceeded: direct enumeration needs ~1.05e+10 trace lookups"
+        " (budget 1e+09)\n"
+    )
+
+
+def test_dual_spectrum_spectral_budget_gate_m9(capsys):
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "9", "--budget", "100000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: BudgetExceeded: spectral transform needs ~1.77e+05 operations"
+        " (budget 1e+05)\n"
+    )
 
 
 def test_lemma_check_m5(capsys):

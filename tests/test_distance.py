@@ -16,7 +16,7 @@ from tritcodes import (
     weight2_search,
     weight3_search,
 )
-from tritcodes import distance, polyring
+from tritcodes import distance, gf3m, polyring
 from tritcodes.distance import weight4_witness
 from tritcodes.exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
 from tritcodes.codebuilder import exponent_pair, is_codeword
@@ -135,8 +135,14 @@ class TestOracle:
                 brute_force_min_weight(code3, wmax)
 
     def test_budget_rejected(self, code7):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             brute_force_min_weight(code7, 3, budget=10**6)
+        assert str(exc.value) == "oracle needs ~6.96e+09 syndrome checks (budget 1e+06)"
+
+    def test_packed_table_fits_int64(self):
+        """The oracle packs (key*n + t)*2 + c - 1 < 2*3^(3m) into int64; a larger
+        MAX_M needs another packing first."""
+        assert 2 * 3 ** (3 * gf3m.MAX_M) <= np.iinfo(np.int64).max
 
     def test_relaxed_agreement(self, code3):
         """Relaxed C_(u,u): structured and direct scans agree on existence."""
@@ -322,8 +328,23 @@ class TestBlockedCompletions:
         code = relaxed(code) if variant == "v=u" else replace(code, v=1)
         want = {w: list(distance._completions(code, w)) for w in (2, 3, 4)}
         assert want[3] and want[4]
-        monkeypatch.setattr(distance, "BLOCK", block)
+        monkeypatch.setattr(gf3m, "BLOCK", block)
         assert {w: list(distance._completions(code, w)) for w in (2, 3, 4)} == want
+
+    def test_every_hit_has_zero_syndromes_m3(self, code3):
+        """For every v' in [1, n), each weight-4 hit of C_(u,v') has zero u- and
+        v-syndromes by scalar field arithmetic.  Where the partial v-syndrome
+        S_v vanishes no last position fits; without the S_v != 0 condition of
+        the root mask, some such prefixes pass the u-check (v' = 4 gives the
+        spurious support [0, 2, 7, 16])."""
+        ctx = code3.ctx
+        for v in range(1, code3.n):
+            for hit in distance._completions(replace(code3, v=v), 4):
+                for e in (code3.u, v):
+                    syndrome = 0
+                    for t, c in zip(hit["support"], hit["coefficients"]):
+                        syndrome = ctx.add(syndrome, ctx.smul(c, ctx.exp_of(e * t)))
+                    assert syndrome == 0, (v, hit)
 
     @pytest.mark.parametrize("variant", ["v=u", "v=1"])
     def test_hits_near_the_end_m13(self, variant):

@@ -242,6 +242,20 @@ class TestInvariants:
             expect = ref_add(ctx5, ctx5.exp_of(x), ctx5.exp_of(y))
             assert z == (ctx5.log_of(expect) if expect else -1)
 
+    @pytest.mark.parametrize("lo, hi", [(0, 26), (5, 26), (25, 26), (26, 26)])
+    def test_line_logs_blocks(self, ctx3, lo, hi, monkeypatch):
+        """Blocks of at most BLOCK positions cover [lo, hi) in order, with the
+        logs (e*t + c) mod n per term, for e and c past n too."""
+        monkeypatch.setattr(gf3m, "BLOCK", 7)
+        terms = [(14, 0), (1, 13), (40, 30)]
+        blocks = list(ctx3.line_logs(lo, hi, *terms))
+        assert all(0 < len(t) <= 7 for t, _ in blocks)
+        t = np.concatenate([t for t, _ in blocks] or [[]])
+        assert t.tolist() == list(range(lo, hi))
+        for i, (e, c) in enumerate(terms):
+            logs = np.concatenate([logs[i] for _, logs in blocks] or [[]])
+            assert logs.tolist() == [(e * j + c) % 26 for j in range(lo, hi)]
+
     @settings(max_examples=300, deadline=None)
     @given(ctx=primitive_fields(), data=st.data())
     def test_zech_add_neg_sub_match_digit_reference(self, ctx, data):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tritcodes import lemma, lemma_check, lemma_preimage_counts, make_field, polyring
+from tritcodes import gf3m, lemma, lemma_check, lemma_preimage_counts, make_field, polyring
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
@@ -81,7 +81,7 @@ def test_block_size_does_not_change_the_scan(m, monkeypatch):
         return out
 
     want = scan()
-    monkeypatch.setattr(lemma, "BLOCK", 7)
+    monkeypatch.setattr(gf3m, "BLOCK", 7)
     assert scan() == want
 
 
