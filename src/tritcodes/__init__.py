@@ -1,59 +1,48 @@
 """Optimal ternary cyclic codes C_(u,v), their minimum distance, and the
-exact weight enumerators of their duals."""
+exact weight enumerators of their duals.
 
-from .codebuilder import CyclicCode, build_code, is_codeword, sphere_packing_max_d
-from .distance import (
-    DistanceReport,
-    brute_force_min_weight,
-    conclude_distance,
-    macwilliams,
-    weight2_search,
-    weight3_search,
-)
-from .dualspectrum import (
-    WeightEnumerator,
-    direct_enumerator,
-    dual_codeword_weight,
-    fhat,
-    spectral_enumerator,
-    weight_value_set,
-)
-from .gf3m import DEFAULT_MODULI, FieldCtx, make_field
-from .lemma import LemmaReport, lemma_check, lemma_preimage_counts
-from .polyring import (
-    cyclotomic_coset,
-    minimal_polynomial,
-    parse_poly,
-    poly_mod,
-    poly_mul,
-)
+The public names resolve on first use (PEP 562), so importing the package,
+or its numpy-free modules cli, gf3m, polyring and exceptions, does not
+import numpy.
+"""
 
-__all__ = [
-    "CyclicCode",
-    "DEFAULT_MODULI",
-    "DistanceReport",
-    "FieldCtx",
-    "LemmaReport",
-    "WeightEnumerator",
-    "brute_force_min_weight",
-    "build_code",
-    "conclude_distance",
-    "cyclotomic_coset",
-    "direct_enumerator",
-    "dual_codeword_weight",
-    "fhat",
-    "is_codeword",
-    "lemma_check",
-    "lemma_preimage_counts",
-    "macwilliams",
-    "make_field",
-    "minimal_polynomial",
-    "parse_poly",
-    "poly_mod",
-    "poly_mul",
-    "spectral_enumerator",
-    "sphere_packing_max_d",
-    "weight2_search",
-    "weight3_search",
-    "weight_value_set",
-]
+from importlib import import_module
+
+# public name -> the module that defines it
+_EXPORTS = {
+    "CyclicCode": "codebuilder",
+    "DEFAULT_MODULI": "gf3m",
+    "DistanceReport": "distance",
+    "FieldCtx": "fieldctx",
+    "LemmaReport": "lemma",
+    "WeightEnumerator": "dualspectrum",
+    "brute_force_min_weight": "distance",
+    "build_code": "codebuilder",
+    "conclude_distance": "distance",
+    "cyclotomic_coset": "polyring",
+    "direct_enumerator": "dualspectrum",
+    "dual_codeword_weight": "dualspectrum",
+    "fhat": "dualspectrum",
+    "is_codeword": "codebuilder",
+    "lemma_check": "lemma",
+    "lemma_preimage_counts": "lemma",
+    "macwilliams": "distance",
+    "make_field": "gf3m",
+    "minimal_polynomial": "polyring",
+    "parse_poly": "polyring",
+    "poly_mod": "polyring",
+    "poly_mul": "polyring",
+    "spectral_enumerator": "dualspectrum",
+    "sphere_packing_max_d": "codebuilder",
+    "weight2_search": "distance",
+    "weight3_search": "distance",
+    "weight_value_set": "dualspectrum",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

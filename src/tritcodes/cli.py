@@ -21,8 +21,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import codebuilder, distance, dualspectrum, lemma, polyring
+from . import polyring
 from .exceptions import (
+    DEFAULT_BUDGET,
     Inconsistent,
     NonIntegerOutput,
     NonIntegralWeight,
@@ -79,6 +80,7 @@ def _field(args):
 
 def cmd_construct(args) -> int:
     ctx = _field(args)
+    from . import codebuilder
     code = codebuilder.build_code(ctx)
     _emit(code.to_json_dict(), args.out)
     return 0
@@ -86,6 +88,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify_distance(args) -> int:
     ctx = _field(args)
+    from . import codebuilder, distance
     code = codebuilder.build_code(ctx)
     report = distance.conclude_distance(code, budget=args.budget)
     _emit(report.to_json_dict(), args.out)
@@ -93,6 +96,7 @@ def cmd_verify_distance(args) -> int:
 
 
 def _enumerators(ctx, method: str, budget: int):
+    from . import dualspectrum
     spectral = direct = None
     if method in ("spectral", "both"):
         spectral = dualspectrum.spectral_enumerator(ctx, budget=budget)
@@ -120,6 +124,7 @@ def cmd_dual_spectrum(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     ctx = _field(args)
+    from . import lemma
     docs = [lemma.lemma_check(ctx, eps).to_json_dict() for eps in (1, 2)]
     _emit({"m": ctx.m, "reports": docs}, args.out)
     return 0 if all(d["solution_count"] == 0 for d in docs) else 1
@@ -127,6 +132,7 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_report(args) -> int:
     ctx = _field(args)
+    from . import codebuilder, distance, dualspectrum, lemma
     code = codebuilder.build_code(ctx)
     spectral, direct = _enumerators(ctx, args.method, args.budget)
     enum = spectral if spectral is not None else direct
@@ -206,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument(
-            "--budget", type=_positive_int, default=dualspectrum.DEFAULT_BUDGET,
+            "--budget", type=_positive_int, default=DEFAULT_BUDGET,
             help="operation-count ceiling gating expensive paths",
         )
         if name in ("dual-spectrum", "report"):
@@ -218,6 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # tritcodes computes in exact integers and never calls BLAS, so numpy's
+    # OpenBLAS, imported below only once a modulus has passed validation,
+    # needs no pool of nproc - 1 worker threads; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import polyring
 from .exceptions import CosetCollision, LengthMismatch
-from .gf3m import FieldCtx
+from .fieldctx import FieldCtx
 
 
 @dataclass(frozen=True)

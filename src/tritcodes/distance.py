@@ -21,8 +21,8 @@ from math import comb, gcd
 import numpy as np
 
 from .codebuilder import CyclicCode, is_codeword, sphere_packing_max_d
-from .dualspectrum import DEFAULT_BUDGET, WeightEnumerator, check_budget
-from .exceptions import Inconsistent, NonIntegerOutput
+from .dualspectrum import WeightEnumerator
+from .exceptions import DEFAULT_BUDGET, Inconsistent, NonIntegerOutput, check_budget
 
 
 @dataclass
@@ -221,7 +221,7 @@ def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> Weight
     to low weights, which keeps the A_1..A_4 checks cheap at n ~ 2*10^4.
     """
     n, total = enum.n, enum.total
-    if total <= 0 or 3**n % total:
+    if total <= 0 or pow(3, n, total):
         raise NonIntegerOutput(f"total count {total} does not divide 3^{n}")
     jmax = n if max_weight is None else min(max_weight, n)
     items = sorted(enum.counts.items())

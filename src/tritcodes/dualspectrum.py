@@ -16,17 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebuilder import exponent_pair
-from .exceptions import BudgetExceeded, NonIntegralWeight
-from .gf3m import FieldCtx
-
-# Operation-count ceiling for the budget-gated paths (oracles, spectrum).
-DEFAULT_BUDGET = 10**9
-
-
-def check_budget(what: str, work: int, unit: str, budget: int) -> None:
-    """Raise BudgetExceeded when a path's work estimate exceeds the budget."""
-    if work > budget:
-        raise BudgetExceeded(f"{what} needs ~{work:.2e} {unit} (budget {budget:.0e})")
+from .exceptions import DEFAULT_BUDGET, NonIntegralWeight, check_budget
+from .fieldctx import FieldCtx
 
 
 @dataclass

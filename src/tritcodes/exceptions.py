@@ -1,4 +1,5 @@
-"""Exception hierarchy for tritcodes."""
+"""Exception hierarchy for tritcodes, and the one budget gate that raises
+BudgetExceeded for the oracle and both enumerators."""
 
 
 class TritcodesError(Exception):
@@ -51,6 +52,16 @@ class LengthMismatch(TritcodesError):
 
 class BudgetExceeded(TritcodesError):
     """Estimated work exceeds the configured operation budget."""
+
+
+# Operation-count ceiling for the budget-gated paths (oracles, spectrum).
+DEFAULT_BUDGET = 10**9
+
+
+def check_budget(what: str, work: int, unit: str, budget: int) -> None:
+    """Raise BudgetExceeded when a path's work estimate exceeds the budget."""
+    if work > budget:
+        raise BudgetExceeded(f"{what} needs ~{work:.2e} {unit} (budget {budget:.0e})")
 
 
 class NonIntegerOutput(TritcodesError):

@@ -1,0 +1,200 @@
+"""Exact GF(3^m) arithmetic for odd m from precomputed exp/log/Zech/trace tables.
+
+Elements are plain Python ints in [0, 3^m): the base-3 digits of the int
+are the coefficients of the residue class, digit i holding the
+coefficient of x^i.  The primitive element pi is always the residue
+class of x.  All tables are materialized at construction (m <= 13,
+about 1.6M entries at the top), after which every operation is a pure
+function of (inputs, ctx) and the context is safe to share.  The exp, log
+and Zech tables are int32; arithmetic on their entries runs in int64 or ints.
+
+Addition runs in the log domain through the Zech table
+zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
+h = (3^m - 1)/2, -1 = pi^h, so negation adds h to a log and the scalar
+c in {1, 2} adds (c - 1)*h.  The log of zero is -1 in both tables:
+log[0] = -1 and zech[h] = -1.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+import numpy as np
+
+from . import gf3m, polyring
+from .exceptions import NotIrreducible, ZeroInput, ZeroInverse
+
+
+class FieldCtx:
+    """Immutable GF(3^m) context: modulus, primitive element pi = x, tables.
+
+    Do not instantiate directly; use make_field(), which validates the
+    modulus (x must be primitive modulo it, or the log table is wrong) and
+    caches the default-modulus contexts.
+    """
+
+    def __init__(self, m: int, modulus: tuple[int, ...]):
+        self.m = m
+        self.ell = (m - 1) // 2
+        self.modulus = modulus
+        self.size = 3**m
+        self.order = self.size - 1
+        self.half = self.order // 2  # log of -1
+        self.exp, digit0 = _build_exp_table(m, modulus)
+        self.log = np.full(self.size, -1, dtype=np.int32)
+        self.log[self.exp] = np.arange(self.order, dtype=np.int32)
+        # zech[k] = log(1 + pi^k), -1 at k = h where pi^h = -1: adding 1
+        # changes only digit 0 of the packed element exp[k].  Built in blocks
+        # of gf3m.BLOCK, so no temporary holds n entries.
+        block = gf3m.BLOCK
+        self.zech = np.empty(self.order, dtype=np.int32)
+        for lo in range(0, self.order, block):
+            part = slice(lo, lo + block)
+            one_plus = self.exp[part] + 1
+            np.subtract(one_plus, 3, out=one_plus, where=digit0[part] == 2)
+            self.zech[part] = self.log[one_plus]
+        self.trace_by_log = _build_trace_table(self)
+
+    # -- scalar operations ----------------------------------------------
+
+    def exp_of(self, j: int) -> int:
+        """pi^j for any integer j (reduced mod 3^m - 1)."""
+        return int(self.exp[j % self.order])
+
+    def log_of(self, a: int) -> int:
+        if a == 0:
+            raise ZeroInput("log of zero")
+        return int(self.log[a])
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return a or b
+        la = self.log_add(int(self.log[a]), int(self.log[b]))
+        return 0 if la < 0 else int(self.exp[la])
+
+    def neg(self, a: int) -> int:
+        return self.smul(2, a)
+
+    def smul(self, c: int, a: int) -> int:
+        """Scalar multiple by c in GF(3)."""
+        c %= 3
+        if c == 0 or a == 0:
+            return 0
+        return int(self.exp[(int(self.log[a]) + self.log_of_scalar(c)) % self.order])
+
+    # -- log-domain helpers (ints or numpy arrays of logs) ---------------
+
+    def log_of_scalar(self, c: int) -> int:
+        """log of c in GF(3)*: 0 for 1, h for 2 = -1."""
+        return (c - 1) * self.half
+
+    def log_add(self, la, lb):
+        """log(pi^la + pi^lb) for logs in [0, n) (ints or int64 arrays) of
+        nonzero elements; -1 where the sum is 0."""
+        z = self.zech[lb - la]  # a negative index wraps mod n
+        out = self.wrap(np.asarray(la + z, dtype=np.int64))
+        np.copyto(out, -1, where=z < 0)
+        return out
+
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """x mod n in place for an int64 array x in [0, 2n): as uint64, x - n
+        is huge exactly where x < n, so the minimum is the residue."""
+        np.minimum(x.view(np.uint64), (x - self.order).view(np.uint64), out=x.view(np.uint64))
+        return x
+
+    def line_logs(self, lo: int, hi: int, *terms):
+        """(t, logs) per block of at most gf3m.BLOCK positions t in [lo, hi): t
+        an int64 array, logs one int64 array (e*t + c) mod n, the log of
+        pi^(e t + c), per (e, c) in terms.  e*t mod n comes from one table of
+        e*i mod n for i < BLOCK, and every sum is reduced by wrap."""
+        n, block = self.order, gf3m.BLOCK
+        offsets = np.arange(min(block, hi - lo), dtype=np.int64)
+        steps = [((e * offsets) % n, e, c) for e, c in terms]
+        for start in range(lo, hi, block):
+            size = min(block, hi - start)
+            logs = [self.wrap(st[:size] + (e * start + c) % n) for st, e, c in steps]
+            yield offsets[:size] + start, logs
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.order])
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e > 0:
+                return 0
+            if e == 0:
+                return 1
+            raise ZeroInverse("negative power of zero")
+        return int(self.exp[(int(self.log[a]) * e) % self.order])
+
+    def trace(self, a: int) -> int:
+        return int(self.trace_by_log[self.log[a]]) if a else 0
+
+    def __repr__(self) -> str:
+        return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
+
+
+def _recurring(first, modulus: tuple[int, ...], length: int) -> np.ndarray:
+    """`length` int8 terms of the linear recurring sequence of the modulus f
+    that starts with the m trits `first`: s_j = lam(x^j mod f) for a linear
+    lam, so x^(j+L) = x^j * (x^L mod f) gives s_(j+L) = sum_k a_k s_(j+k).
+    The prefix doubles from m slices: O(m * length) int8 operations."""
+    m = len(modulus) - 1
+    s = np.zeros(length, dtype=np.int8)
+    s[:m] = first
+    known = m
+    while known < length:
+        # s_(known+j) for j < known - m + 1 reads only s[:known]
+        hi = min(2 * known - m + 1, length)
+        a = polyring.poly_pow_mod(polyring.X, known, modulus)
+        s[known:hi] = _lincomb3(a, [s[k : k + hi - known] for k in range(m)])
+        known = hi
+    return s
+
+
+def _build_exp_table(m: int, modulus: tuple[int, ...]):
+    """exp table for pi = x (entry j is the packed element x^j, int32) and the
+    int8 digit 0 of every x^j.  The top digit s_j is a _recurring sequence;
+    row r - 1 is row r shifted plus f_r*s, since x^(j+1) = x * x^j, so row
+    r reads s up to entry n - 1 + r."""
+    order = 3**m - 1
+    s = row = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
+    exp = np.zeros(order, dtype=np.int32)
+    for r in range(m - 1, -1, -1):
+        exp *= 3
+        exp += row[:order]
+        if r:  # a shift alone where f_r = 0
+            row = row[1:]
+            row = _mod3(row + modulus[r] * s[: len(row)]) if modulus[r] else row
+    return exp, row[:order]
+
+
+def _mod3(x: np.ndarray) -> np.ndarray:
+    """x mod 3 in place for an int8 array x in [0, 54), FieldCtx.wrap's trick: as
+    uint8, x - k is huge exactly where x < k.  Several times faster than int8 % 3."""
+    u = x.view(np.uint8)
+    for k in (27, 9, 9, 3, 3):
+        np.minimum(u, u - k, out=u)
+    return x
+
+
+def _lincomb3(coeffs, rows) -> np.ndarray:
+    """sum(c * row) mod 3 over up to 13 int8 rows of trits, for trit coefficients c."""
+    acc = np.zeros(len(rows[0]), dtype=np.int8)  # in [0, 52]
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc += c * row
+    return _mod3(acc)
+
+
+def _build_trace_table(ctx: FieldCtx) -> np.ndarray:
+    """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j: a _recurring
+    sequence (Tr is linear) started by Tr(x^i), the sum of the conjugates
+    x^(i*3^k), for i < m; each must be a constant."""
+    m = ctx.m
+    basis_tr = [reduce(ctx.add, [ctx.exp_of(i * 3**k) for k in range(m)]) for i in range(m)]
+    if max(basis_tr) > 2:
+        raise NotIrreducible("trace of a basis element is not in GF(3); modulus is invalid")
+    return _recurring(basis_tr, ctx.modulus, ctx.order)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf3m import FieldCtx
+from .fieldctx import FieldCtx
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .exceptions import CoefficientNotInBaseField, DivisionByZeroPoly, OutOfRange
 
 if TYPE_CHECKING:
-    from .gf3m import FieldCtx
+    from .fieldctx import FieldCtx
 
 Poly = tuple[int, ...]
 
@@ -136,6 +136,17 @@ def is_irreducible(f: Sequence[int]) -> bool:
         if poly_gcd(poly_sub(h, X), f) != ONE:
             return False
     return True
+
+
+def is_primitive(f: Sequence[int]) -> bool:
+    """True iff x has order 3^d - 1 modulo f of degree d: x^(3^d - 1) = 1 and
+    x^((3^d - 1)/p) != 1 for every prime p dividing 3^d - 1.  Such an f is
+    irreducible, since x then reaches every nonzero residue."""
+    f = normalize(f)
+    order = 3 ** degree(f) - 1
+    if order < 1 or poly_pow_mod(X, order, f) != ONE:
+        return False
+    return all(poly_pow_mod(X, order // p, f) != ONE for p in _prime_factors(order))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,46 @@ def test_empty_modulus_exit_2(capsys):
 
 def test_every_public_name_resolves():
     assert all(hasattr(tritcodes, name) for name in tritcodes.__all__)
+
+
+def _fresh_python(script, *drop_env):
+    """Run script in a new interpreter that imports tritcodes from this tree,
+    without the environment variables in drop_env."""
+    env = {k: v for k, v in os.environ.items() if k not in drop_env}
+    src = str(Path(tritcodes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_rejected_moduli_exit_2_before_numpy_loads():
+    """A reducible and an irreducible but imprimitive m = 13 modulus are
+    refused in GF(3)[x]: numpy is never imported."""
+    proc = _fresh_python(
+        "import sys\n"
+        "from tritcodes.cli import main\n"
+        "for f in ('1,1,0,2,0,1,1,1,0,2,1,0,2,1', '2,2,1,2,1,0,1,2,2,1,2,1,2,1'):\n"
+        "    print(main(['construct', '--m', '13', '--modulus', f]))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert proc.stdout.split() == ["2", "2", "False"]
+    assert proc.stderr.splitlines() == [
+        "error: NotIrreducible: modulus factors over GF(3): 1,1,0,2,0,1,1,1,0,2,1,0,2,1",
+        "error: NotPrimitive: x generates a subgroup of order < 1594322 modulo"
+        " (2, 2, 1, 2, 1, 0, 1, 2, 2, 1, 2, 1, 2, 1)",
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_starts_no_blas_threads():
+    """main caps numpy's OpenBLAS pool at one thread before numpy loads,
+    when OPENBLAS_NUM_THREADS is unset."""
+    proc = _fresh_python(
+        "import os, sys\n"
+        "from tritcodes.cli import main\n"
+        "main(['construct', '--m', '5', '--out', os.devnull])\n"
+        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n",
+        "OPENBLAS_NUM_THREADS",
+    )
+    assert proc.stdout.split() == ["True", "1"], proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritcodes import gf3m, polyring
+from tritcodes import fieldctx, gf3m, polyring
 from tritcodes.exceptions import (
     EvenDegree,
     NotIrreducible,
@@ -86,6 +86,23 @@ class TestMakeField:
         assert polyring.is_irreducible(mod)
         with pytest.raises(NotPrimitive):
             gf3m.make_field(3, mod)
+
+    def test_rejections_build_no_table(self, monkeypatch):
+        """Every modulus make_field refuses is refused in GF(3)[x], before
+        a FieldCtx (and its tables) is built."""
+
+        def no_tables(*args):
+            raise AssertionError("make_field built tables for a rejected modulus")
+
+        monkeypatch.setattr(fieldctx, "FieldCtx", no_tables)
+        with pytest.raises(NotPrimitive):
+            gf3m.make_field(3, (2, 2, 2, 1))
+        with pytest.raises(NotPrimitive):
+            gf3m.make_field(13, (2, 2, 1, 2, 1, 0, 1, 2, 2, 1, 2, 1, 2, 1))
+        with pytest.raises(NotIrreducible):
+            gf3m.make_field(5, (0, 0, 0, 0, 0, 1))
+        with pytest.raises(NotIrreducible):
+            gf3m.make_field(5, (1, 2, 0, 0, 1))
 
     def test_even_degree_rejected(self):
         with pytest.raises(EvenDegree):
@@ -255,6 +272,16 @@ class TestInvariants:
         for i, (e, c) in enumerate(terms):
             logs = np.concatenate([logs[i] for _, logs in blocks] or [[]])
             assert logs.tolist() == [(e * j + c) % 26 for j in range(lo, hi)]
+
+    def test_zech_block_size_does_not_change_the_tables(self, monkeypatch):
+        """The Zech table is built in blocks of gf3m.BLOCK; 7 does not divide
+        n = 242, so the last block is short."""
+        custom = (1, 1, 1, 1, 2, 1)  # not the default, so not cached
+        whole = gf3m.make_field(5, custom)
+        monkeypatch.setattr(gf3m, "BLOCK", 7)
+        blocked = gf3m.make_field(5, custom)
+        for table in ("exp", "log", "zech", "trace_by_log"):
+            assert np.array_equal(getattr(blocked, table), getattr(whole, table)), table
 
     @settings(max_examples=300, deadline=None)
     @given(ctx=primitive_fields(), data=st.data())

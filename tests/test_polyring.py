@@ -173,3 +173,35 @@ def test_sympy_confirms_moduli_minimal_polynomials_and_generators():
         assert irreducible(minimal_polynomial(code.u, code.ctx)), m
         assert irreducible(minimal_polynomial(code.v, code.ctx)), m
         assert gf_pow_mod([1, 0], n, list(code.gen[::-1]), 3, ZZ) == [1], m
+
+
+def test_is_primitive_matches_sympy_order_test():
+    """polyring.is_primitive against sympy's order test on every default
+    modulus, x^3 + 2x^2 + 2x + 2 (x of order 13), and seeded random monic
+    moduli at m = 3..9: irreducible ones of both kinds, and reducible ones,
+    which are never primitive."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    def irreducible(f):
+        return sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=3).is_irreducible
+
+    def primitive(f):
+        n = 3 ** (len(f) - 1) - 1
+        return irreducible(f) and all(
+            gf_pow_mod([1, 0], n // p, list(f[::-1]), 3, ZZ) != [1] for p in sympy.factorint(n)
+        )
+
+    assert not polyring.is_primitive((2, 2, 2, 1))
+    rng = random.Random(10)
+    moduli = [*DEFAULT_MODULI.values(), (2, 2, 2, 1)]
+    for m in range(3, 10):
+        kinds = {}
+        while len(kinds) < 3:
+            f = (*(rng.randrange(3) for _ in range(m)), 1)
+            kind = "primitive" if primitive(f) else "irreducible" if irreducible(f) else "reducible"
+            kinds.setdefault(kind, f)
+        moduli += kinds.values()
+    for f in moduli:
+        assert polyring.is_primitive(f) == primitive(f), f
