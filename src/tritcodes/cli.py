@@ -1,15 +1,18 @@
 """Command-line entry point.
 
 Commands: construct | verify-distance | dual-spectrum | lemma-check | report.
+Each is cmd_x(ctx, args) -> (doc, passed) on the field main builds from
+--m and --modulus; main alone writes doc and maps passed to the exit code.
 All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
 diffing works.  Exit codes: 0 = all checks pass, 1 = mathematical
 mismatch, 2 = invalid input (an unwritable --out path included).
 
-The report command diffs against the shipped fixtures for m in {5, 7, 9};
-TRITCODES_FIXTURES overrides the fixture directory.  When the diff cannot
-run (no fixture file, or another modulus) fixture_match is null and a
-one-line note on stderr says why.
+The report command diffs against the shipped fixtures for m in {5, 7, 9}
+(TRITCODES_FIXTURES overrides the directory): fixture_match compares each
+key the run writes for the code and its dual enumerator with that key of
+the fixture.  When the diff cannot run (no fixture file, or another
+modulus) fixture_match is null and a one-line note on stderr says why.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .gf3m import make_field
 FIXTURE_MS = (5, 7, 9)
 
 
-# Top-level fixture keys and their JSON types; counts maps decimal weights to ints.
+# Top-level fixture keys and their JSON types; counts maps ASCII decimal weights to ints.
 FIXTURE_SHAPE = {
     "n": int, "k": int, "modulus": str, "generator": str, "dual_weight_enumerator": dict,
 }
@@ -53,11 +56,11 @@ def _load_fixture(m: int) -> dict | None:
     )
     counts = doc["dual_weight_enumerator"].get("counts") if ok else None
     if not isinstance(counts, dict) or not all(
-        w.isdigit() and isinstance(c, int) for w, c in counts.items()
+        w.isascii() and w.isdigit() and type(c) is int for w, c in counts.items()
     ):
         raise ValueError(
             f"malformed fixture {ref}: need {', '.join(FIXTURE_SHAPE)}"
-            " and dual_weight_enumerator.counts mapping weights to counts"
+            " and dual_weight_enumerator.counts mapping ASCII decimal weights to int counts"
         )
     return doc
 
@@ -73,114 +76,89 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _field(args):
-    modulus = polyring.parse_poly(args.modulus) if args.modulus is not None else None
-    return make_field(args.m, modulus)
-
-
-def cmd_construct(args) -> int:
-    ctx = _field(args)
+def cmd_construct(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder
-    code = codebuilder.build_code(ctx)
-    _emit(code.to_json_dict(), args.out)
-    return 0
+    return codebuilder.build_code(ctx).to_json_dict(), True
 
 
-def cmd_verify_distance(args) -> int:
-    ctx = _field(args)
+def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder, distance
-    code = codebuilder.build_code(ctx)
-    report = distance.conclude_distance(code, budget=args.budget)
-    _emit(report.to_json_dict(), args.out)
-    return 0 if report.concluded_d == 4 else 1
+    report = distance.conclude_distance(codebuilder.build_code(ctx), budget=args.budget)
+    return report.to_json_dict(), report.concluded_d == 4
 
 
-def _enumerators(ctx, method: str, budget: int):
+def _enumerators(ctx, args) -> dict:
+    """The dual weight enumerators --method asks for, by path name, spectral first."""
     from . import dualspectrum
-    spectral = direct = None
-    if method in ("spectral", "both"):
-        spectral = dualspectrum.spectral_enumerator(ctx, budget=budget)
-    if method in ("direct", "both"):
-        direct = dualspectrum.direct_enumerator(ctx, budget=budget)
-    return spectral, direct
+    paths = {
+        "spectral": dualspectrum.spectral_enumerator,
+        "direct": dualspectrum.direct_enumerator,
+    }
+    return {
+        name: path(ctx, budget=args.budget)
+        for name, path in paths.items()
+        if args.method in (name, "both")
+    }
 
 
-def cmd_dual_spectrum(args) -> int:
-    ctx = _field(args)
-    spectral, direct = _enumerators(ctx, args.method, args.budget)
-    if args.method == "spectral":
-        doc = spectral.to_json_dict()
-    elif args.method == "direct":
-        doc = direct.to_json_dict()
-    else:
-        doc = {
-            "spectral": spectral.to_json_dict(),
-            "direct": direct.to_json_dict(),
-            "agree": spectral == direct,
-        }
-    _emit(doc, args.out)
-    return 0 if doc.get("agree", True) else 1
+def cmd_dual_spectrum(ctx, args) -> tuple[dict, bool]:
+    enums = _enumerators(ctx, args)
+    if args.method != "both":
+        return enums[args.method].to_json_dict(), True
+    agree = enums["spectral"] == enums["direct"]
+    return {**{name: e.to_json_dict() for name, e in enums.items()}, "agree": agree}, agree
 
 
-def cmd_lemma_check(args) -> int:
-    ctx = _field(args)
+def _lemma_docs(ctx) -> tuple[list[dict], bool]:
+    """The epsilon = 1, 2 lemma reports as JSON, and whether both are empty."""
     from . import lemma
     docs = [lemma.lemma_check(ctx, eps).to_json_dict() for eps in (1, 2)]
-    _emit({"m": ctx.m, "reports": docs}, args.out)
-    return 0 if all(d["solution_count"] == 0 for d in docs) else 1
+    return docs, all(d["solution_count"] == 0 for d in docs)
 
 
-def cmd_report(args) -> int:
-    ctx = _field(args)
-    from . import codebuilder, distance, dualspectrum, lemma
+def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
+    docs, empty = _lemma_docs(ctx)
+    return {"m": ctx.m, "reports": docs}, empty
+
+
+def cmd_report(ctx, args) -> tuple[dict, bool]:
+    from . import codebuilder, distance, dualspectrum
     code = codebuilder.build_code(ctx)
-    spectral, direct = _enumerators(ctx, args.method, args.budget)
-    enum = spectral if spectral is not None else direct
+    enums = _enumerators(ctx, args)
+    enum = next(iter(enums.values()))
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
-    lemma_docs = [lemma.lemma_check(ctx, eps).to_json_dict() for eps in (1, 2)]
-
-    predicted = dualspectrum.weight_value_set(ctx.m)
+    lemma_docs, lemma_empty = _lemma_docs(ctx)
     checks = {
         "d_equals_4": dist_report.concluded_d == 4,
-        "lemma_empty": all(d["solution_count"] == 0 for d in lemma_docs),
-        "weights_in_predicted_set": enum.support() <= predicted,
-        "paths_agree": spectral == direct if args.method == "both" else None,
+        "lemma_empty": lemma_empty,
+        "weights_in_predicted_set": enum.support() <= dualspectrum.weight_value_set(ctx.m),
+        "paths_agree": enums["spectral"] == enums["direct"] if args.method == "both" else None,
         "fixture_match": None,
     }
+    code_doc = code.to_json_dict()
+    written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
     fixture = _load_fixture(ctx.m) if ctx.m in FIXTURE_MS else None
-    modulus = polyring.format_poly(ctx.modulus)
-    if fixture is not None and fixture["modulus"] == modulus:
-        fix_counts = {int(w): c for w, c in fixture["dual_weight_enumerator"]["counts"].items()}
-        checks["fixture_match"] = (
-            fixture["generator"] == polyring.format_poly(code.gen)
-            and fixture["n"] == code.n
-            and fixture["k"] == code.k
-            and fix_counts == enum.counts
-        )
+    if fixture is not None and fixture["modulus"] == code_doc["modulus"]:
+        checks["fixture_match"] = all(fixture.get(key) == val for key, val in written.items())
     elif ctx.m in FIXTURE_MS:
         why = (
             f"no m{ctx.m}.json fixture found" if fixture is None
-            else f"modulus {modulus} is not the fixture's {fixture['modulus']}"
+            else f"modulus {code_doc['modulus']} is not the fixture's {fixture['modulus']}"
         )
         print(f"note: fixture_match is null: {why}", file=sys.stderr)
-    mismatch = next(
-        (name for name, ok in checks.items() if ok is False),
-        None,
-    )
+    mismatch = next((name for name, ok in checks.items() if ok is False), None)
     doc = {
-        **code.to_json_dict(),
+        **code_doc,
         "distance": dist_report.to_json_dict(),
         "lemma": lemma_docs,
         "dual_spectrum": {
-            "method": args.method,
-            "spectral": spectral.to_json_dict() if spectral else None,
-            "direct": direct.to_json_dict() if direct else None,
+            "method": args.method, "spectral": None, "direct": None,
+            **{name: e.to_json_dict() for name, e in enums.items()},
         },
         "checks": checks,
         "mismatch": mismatch,
     }
-    _emit(doc, args.out)
-    return 0 if mismatch is None else 1
+    return doc, mismatch is None
 
 
 def _positive_int(text: str) -> int:
@@ -230,7 +208,10 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        modulus = None if args.modulus is None else polyring.parse_poly(args.modulus)
+        doc, passed = args.func(make_field(args.m, modulus), args)
+        _emit(doc, args.out)
+        return 0 if passed else 1
     except (Inconsistent, NonIntegerOutput, NonIntegralWeight) as exc:
         # internal mathematical inconsistency, not bad input
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .codebuilder import CyclicCode, is_codeword, sphere_packing_max_d
 from .dualspectrum import WeightEnumerator
-from .exceptions import DEFAULT_BUDGET, Inconsistent, NonIntegerOutput, check_budget
+from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, NonIntegerOutput
+from .exceptions import check_budget
 
 
 @dataclass
@@ -53,21 +54,6 @@ def _log_syndrome(ctx, e: int, support, coeffs) -> int:
     return acc
 
 
-def _prefixes(n: int, w: int):
-    """(positions, coefficients) before t_(w-1), for w in {2, 3, 4}.
-
-    Position 0 with coefficient 1 (for w = 2 it is t_(w-1) itself), then t_2
-    and c_2 for w = 4, from a plain range: itertools.combinations would copy
-    range(1, n) into a tuple of about 60 MiB at m = 13.
-    """
-    if w < 4:
-        yield ((0,), (1,)) if w == 3 else ((), ())
-    else:
-        for t2 in range(1, n):
-            for c2 in (1, 2):
-                yield (0, t2), (1, c2)
-
-
 def _completions(code: CyclicCode, w: int):
     """Weight-w codewords with position 0 first and coefficient 1 there.
 
@@ -87,7 +73,13 @@ def _completions(code: CyclicCode, w: int):
     g = gcd(v, n)
     vinv = pow(v // g, -1, n // g)
     roots = np.arange(g, dtype=np.int64) * (n // g)
-    for support, coeffs in _prefixes(n, w):
+    # t_2 and c_2 come from a plain range: itertools.combinations would copy
+    # range(1, n) into a tuple of about 60 MiB at m = 13
+    prefixes = (
+        [((), ())] if w == 2 else [((0,), (1,))] if w == 3
+        else (((0, t2), (1, c2)) for t2 in range(1, n) for c2 in (1, 2))
+    )
+    for support, coeffs in prefixes:
         su, sv = (_log_syndrome(ctx, e, support, coeffs) for e in (u, v))
         # for w = 2, t_(w-1) is position 0 itself, with coefficient 1
         lo, hi, cps = (support[-1] + 1, n, (1, 2)) if support else (0, 1, (1,))
@@ -129,28 +121,12 @@ def weight3_search(code: CyclicCode) -> dict | None:
     return next(_completions(code, 3), None)
 
 
-def _oracle_work(n: int, wmax: int) -> int:
-    return sum(comb(n, w) * 2 ** (w - 1) for w in range(1, wmax + 1))
-
-
 def _key(rows: np.ndarray) -> np.ndarray:
     """Base-3 integer whose digit i is rows[:, i] mod 3."""
     key = np.zeros(len(rows), dtype=np.int64)
     for col in (rows % 3).T[::-1]:
         key = 3 * key + col
     return key
-
-
-def _leads(n: int, k: int):
-    """Ascending k-subsets of range(n), k <= 2, in lexicographic order, from plain
-    ranges: itertools.combinations copies range(n) (~60 MiB at m = 13) first."""
-    if k <= 0:
-        yield ()
-    elif k == 1:
-        yield from ((a,) for a in range(n))
-    else:
-        for a in range(n):
-            yield from ((a, b) for b in range(a + 1, n))
 
 
 def brute_force_min_weight(
@@ -165,12 +141,13 @@ def brute_force_min_weight(
     coefficient) is looked up in one sorted table of (key(c*H[t]), t, c).
     Only ctx.exp digits and mod-3 sums are used, in O(n*m) memory.  Ties
     break lexicographically on (weight, support, coefficients).  Raises
-    BudgetExceeded when the _oracle_work estimate exceeds the budget.
+    BudgetExceeded when the estimate of syndrome checks exceeds the budget.
     """
     ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 4:
         raise ValueError("wmax must be in {1,2,3,4}")
-    check_budget("oracle", _oracle_work(n, wmax), "syndrome checks", budget)
+    work = sum(comb(n, w) * 2 ** (w - 1) for w in range(1, wmax + 1))
+    check_budget("oracle", work, "syndrome checks", budget)
     t = np.arange(n, dtype=np.int64)
     elems = (ctx.exp[(e * t) % n] for e in (code.u, code.v))
     H = np.stack([(a // 3**i % 3).astype(np.int8) for a in elems for i in range(ctx.m)], 1)
@@ -182,7 +159,7 @@ def brute_force_min_weight(
         lead_coeffs = (
             [(1, *p) for p in itertools.product((1, 2), repeat=w - 3)] if w > 2 else [()]
         )
-        for lead in _leads(n, w - 2):
+        for lead in itertools.combinations(range(n), max(w - 2, 0)):
             # candidates (tp, cp) for the position before the last; weight 1
             # has none, so it gets one zero row (coefficient 0) at position -1
             tp = np.arange(lead[-1] + 1 if lead else 0, n - 1) if w > 1 else np.array([-1])
@@ -267,9 +244,11 @@ def conclude_distance(
     ceiling = sphere_packing_max_d(n, code.k)
     wit4 = weight4_witness(code)
 
-    oracle_checked = False
-    if _oracle_work(n, 3) <= budget:
+    try:
         oracle = brute_force_min_weight(code, 3, budget=budget)
+    except BudgetExceeded:
+        oracle_checked = False
+    else:
         oracle_checked = True
         found = oracle[0] if oracle else None
         if found != structured:

@@ -50,14 +50,13 @@ def make_field(m: int, modulus=None) -> FieldCtx:
     default = mod == DEFAULT_MODULI[m]
     if default and m in _FIELD_CACHE:
         return _FIELD_CACHE[m]
+    text = polyring.format_poly(mod)
     if polyring.degree(mod) != m or mod[-1] != 1:
-        raise NotIrreducible(
-            f"modulus must be monic of degree {m}: {polyring.format_poly(mod)}"
-        )
+        raise NotIrreducible(f"modulus must be monic of degree {m}: {text}")
     if not polyring.is_irreducible(mod):
-        raise NotIrreducible(f"modulus factors over GF(3): {polyring.format_poly(mod)}")
+        raise NotIrreducible(f"modulus factors over GF(3): {text}")
     if not polyring.is_primitive(mod):
-        raise NotPrimitive(f"x generates a subgroup of order < {3**m - 1} modulo {mod}")
+        raise NotPrimitive(f"x generates a subgroup of order < {3**m - 1} modulo {text}")
     from .fieldctx import FieldCtx
 
     ctx = FieldCtx(m, mod)

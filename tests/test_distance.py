@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -251,6 +252,12 @@ class TestConcludeDistance:
         assert report.concluded_d == 4
         assert (code7.n, code7.k) == (2186, 2172)
         assert not report.oracle_checked  # weight-3 enumeration over budget
+
+    def test_oracle_runs_exactly_when_its_estimate_fits_the_budget(self, code3):
+        estimate = sum(comb(code3.n, w) * 2 ** (w - 1) for w in (1, 2, 3))
+        assert estimate == 11076
+        assert conclude_distance(code3, budget=estimate).oracle_checked
+        assert not conclude_distance(code3, budget=estimate - 1).oracle_checked
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_weight3_found_both_ways_on_u1_code(self, m):

@@ -1,10 +1,11 @@
 """Golden CLI outputs: the exact stdout bytes and exit code of five commands.
 
-Byte-identical default output is part of the CLI contract.  Each file under
-tests/golden/ is the stdout of the command named in CASES, written by the
-CLI and committed unedited; a change that alters one of these bytes changes
-the contract.  The commands run in a fresh interpreter with the shipped
-fixtures (TRITCODES_FIXTURES unset).
+Byte-identical default output is part of the CLI contract, and --out writes
+the same bytes to its file.  Each file under tests/golden/ is the stdout of
+the command named in CASES, written by the CLI and committed unedited; a
+change that alters one of these bytes changes the contract.  The commands
+run in a fresh interpreter with the shipped fixtures (TRITCODES_FIXTURES
+unset).
 """
 
 import os
@@ -28,17 +29,31 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_bytes_and_exit_code(name):
-    argv, exit_code = CASES[name]
+def _run(argv):
     env = {k: v for k, v in os.environ.items() if k != "TRITCODES_FIXTURES"}
     src = str(Path(tritcodes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tritcodes.cli", *argv],
         capture_output=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_bytes_and_exit_code(name):
+    argv, exit_code = CASES[name]
+    proc = _run(argv)
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_file_holds_the_stdout_bytes(name, tmp_path):
+    argv, exit_code = CASES[name]
+    path = tmp_path / f"{name}.json"
+    proc = _run([*argv, "--out", str(path)])
+    assert proc.returncode == exit_code, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
