@@ -9,10 +9,11 @@ diffing works.  Exit codes: 0 = all checks pass, 1 = mathematical
 mismatch, 2 = invalid input (an unwritable --out path included).
 
 The report command diffs against the shipped fixtures for m in {5, 7, 9}
-(TRITCODES_FIXTURES overrides the directory): fixture_match compares each
-key the run writes for the code and its dual enumerator with that key of
-the fixture.  When the diff cannot run (no fixture file, or another
-modulus) fixture_match is null and a one-line note on stderr says why.
+(TRITCODES_FIXTURES overrides the directory): fixture_match compares the
+JSON of each key the run writes for the code and its dual enumerator with
+the JSON of that key of the fixture, so 122.0 does not match 122.  When the
+diff cannot run (no fixture file, or another modulus) fixture_match is null
+and a one-line note on stderr says why.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from .exceptions import (
     NonIntegralWeight,
     TritcodesError,
 )
-from .gf3m import make_field
+from .gf3m import MAX_M, make_field
+
+# tritcodes computes in exact integers and never calls BLAS, so numpy's
+# OpenBLAS needs no pool of nproc - 1 worker threads.  Set on import, before
+# any command imports numpy, so every caller of main runs one thread; a value
+# the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 FIXTURE_MS = (5, 7, 9)
 
@@ -139,7 +146,10 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
     written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
     fixture = _load_fixture(ctx.m) if ctx.m in FIXTURE_MS else None
     if fixture is not None and fixture["modulus"] == code_doc["modulus"]:
-        checks["fixture_match"] = all(fixture.get(key) == val for key, val in written.items())
+        checks["fixture_match"] = all(
+            json.dumps(fixture.get(key), sort_keys=True) == json.dumps(val, sort_keys=True)
+            for key, val in written.items()
+        )
     elif ctx.m in FIXTURE_MS:
         why = (
             f"no m{ctx.m}.json fixture found" if fixture is None
@@ -186,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, func in specs.items():
         p = sub.add_parser(name)
-        p.add_argument("--m", type=int, required=True, help="extension degree (odd, 3..13)")
+        p.add_argument("--m", type=int, required=True, help=f"extension degree (odd, 3..{MAX_M})")
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument(
@@ -202,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # tritcodes computes in exact integers and never calls BLAS, so numpy's
-    # OpenBLAS, imported below only once a modulus has passed validation,
-    # needs no pool of nproc - 1 worker threads; a value the user set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         modulus = None if args.modulus is None else polyring.parse_poly(args.modulus)

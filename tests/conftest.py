@@ -1,6 +1,8 @@
 import pytest
 
-from tritcodes import build_code, make_field, spectral_enumerator
+from tritcodes.codebuilder import build_code
+from tritcodes.dualspectrum import spectral_enumerator
+from tritcodes.gf3m import make_field
 
 
 @pytest.fixture(scope="session")

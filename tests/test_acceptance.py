@@ -12,21 +12,21 @@ from math import comb
 
 import pytest
 
-from tritcodes import (
+from tritcodes.codebuilder import build_code, sphere_packing_max_d
+from tritcodes.distance import (
     brute_force_min_weight,
-    direct_enumerator,
-    fhat,
-    lemma_check,
-    lemma_preimage_counts,
     macwilliams,
-    make_field,
-    spectral_enumerator,
-    sphere_packing_max_d,
     weight2_search,
     weight3_search,
+)
+from tritcodes.dualspectrum import (
+    direct_enumerator,
+    fhat,
+    spectral_enumerator,
     weight_value_set,
 )
-from tritcodes.codebuilder import build_code
+from tritcodes.gf3m import make_field
+from tritcodes.lemma import lemma_check, lemma_preimage_counts
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9, GEN_M5, GEN_M7, GEN_M9
 

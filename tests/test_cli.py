@@ -163,6 +163,30 @@ def test_fixture_dir_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["mismatch"] == "fixture_match"
 
 
+# name -> (top-level keys, dual_weight_enumerator keys) replaced in the shipped
+# m5.json: equal to the run's ints under ==, yet not the JSON a run writes
+FLOAT_FIXTURE_VALUES = {
+    "u": ({"u": 122.0}, {}),
+    "total": ({}, {"total": 59049.0}),
+    "u_and_total": ({"u": 122.0}, {"total": 59049.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_FIXTURE_VALUES))
+def test_fixture_with_float_values_does_not_match(tmp_path, capsys, monkeypatch, name):
+    doc = _shipped_m5_fixture()
+    top, enum = FLOAT_FIXTURE_VALUES[name]
+    doc.update(top)
+    doc["dual_weight_enumerator"].update(enum)
+    (tmp_path / "m5.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
+    code, out, _ = run_cli(capsys, "report", "--m", "5")
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"]["fixture_match"] is False
+    assert report["mismatch"] == "fixture_match"
+
+
 @pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--budget", "0")])
 def test_nonpositive_budget_or_workers_exit_2(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -179,10 +203,14 @@ def test_budget_one_accepted(capsys):
     assert json.loads(out)["d"] == 4
 
 
+def _shipped_m5_fixture():
+    path = Path(tritcodes.__file__).parent / "fixtures" / "m5.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _m5_fixture_with_weight0(key, count):
     """The shipped m5.json with its weight-0 entry replaced by key: count."""
-    path = Path(tritcodes.__file__).parent / "fixtures" / "m5.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _shipped_m5_fixture()
     counts = doc["dual_weight_enumerator"]["counts"]
     del counts["0"]
     counts[key] = count
@@ -223,10 +251,6 @@ def test_empty_modulus_exit_2(capsys):
     assert "NotIrreducible" in err
 
 
-def test_every_public_name_resolves():
-    assert all(hasattr(tritcodes, name) for name in tritcodes.__all__)
-
-
 def _fresh_python(script, *drop_env):
     """Run script in a new interpreter that imports tritcodes from this tree,
     without the environment variables in drop_env."""
@@ -258,13 +282,17 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_starts_no_blas_threads():
-    """main caps numpy's OpenBLAS pool at one thread before numpy loads,
-    when OPENBLAS_NUM_THREADS is unset."""
-    proc = _fresh_python(
-        "import os, sys\n"
-        "from tritcodes.cli import main\n"
-        "main(['construct', '--m', '5', '--out', os.devnull])\n"
-        "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n",
-        "OPENBLAS_NUM_THREADS",
-    )
-    assert proc.stdout.split() == ["True", "1"], proc.stderr
+    """Importing tritcodes.cli caps numpy's OpenBLAS pool at one thread before
+    numpy loads, when OPENBLAS_NUM_THREADS is unset: for a command run by main,
+    and for the layers imported next, as perfbench's tracer does."""
+    for script in (
+        "from tritcodes.cli import main\nmain(['construct', '--m', '5', '--out', os.devnull])\n",
+        "import tritcodes.cli\nimport tritcodes.distance\n",
+    ):
+        proc = _fresh_python(
+            "import os, sys\n"
+            + script
+            + "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n",
+            "OPENBLAS_NUM_THREADS",
+        )
+        assert proc.stdout.split() == ["True", "1"], (script, proc.stderr)

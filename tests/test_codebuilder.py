@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tritcodes import codebuilder as cb
-from tritcodes import make_field, polyring
+from tritcodes import polyring
+from tritcodes.gf3m import make_field
 from tritcodes.exceptions import LengthMismatch
 
 from conftest import GEN_M5, GEN_M7

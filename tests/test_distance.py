@@ -6,21 +6,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from tritcodes import (
-    WeightEnumerator,
+from tritcodes import distance, gf3m, polyring
+from tritcodes.distance import (
     brute_force_min_weight,
-    build_code,
     conclude_distance,
     macwilliams,
-    make_field,
-    spectral_enumerator,
     weight2_search,
     weight3_search,
+    weight4_witness,
 )
-from tritcodes import distance, gf3m, polyring
-from tritcodes.distance import weight4_witness
+from tritcodes.dualspectrum import WeightEnumerator, spectral_enumerator
 from tritcodes.exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
-from tritcodes.codebuilder import exponent_pair, is_codeword
+from tritcodes.codebuilder import build_code, exponent_pair, is_codeword
+from tritcodes.gf3m import make_field
 
 from conftest import ENUM_M5
 
@@ -208,7 +206,7 @@ class TestMacWilliams:
         assert dual.counts == {w: comb(n, w) * 2**w for w in range(n + 1)}
 
     def test_involution(self, ctx3):
-        from tritcodes import direct_enumerator
+        from tritcodes.dualspectrum import direct_enumerator
 
         enum = direct_enumerator(ctx3)
         dual = macwilliams(enum)

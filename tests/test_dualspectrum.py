@@ -1,19 +1,20 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
-from tritcodes import (
+from tritcodes.codebuilder import exponent_pair
+from tritcodes.dualspectrum import (
+    _fhat_all,
     direct_enumerator,
     dual_codeword_weight,
     fhat,
-    make_field,
     spectral_enumerator,
     weight_value_set,
 )
-from tritcodes.codebuilder import exponent_pair
-from tritcodes.dualspectrum import _fhat_all
 from tritcodes.exceptions import BudgetExceeded
+from tritcodes.gf3m import make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9
 
@@ -59,6 +60,19 @@ class TestFhat:
         assert [(int(p), 0) for p in values] == [
             fhat(ctx.exp_of(s), ctx) for s in range(ctx.order)
         ]
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+    def test_transform_value_distribution(self, m):
+        """fhat takes 0, +3^(ell+1) and -3^(ell+1), with the frequencies of
+        the three-valued ternary Welch-type cross-correlation."""
+        ctx = make_field(m)
+        values, counts = np.unique(_fhat_all(ctx, exponent_pair(m)[1]), return_counts=True)
+        top, third, low = 3 ** (ctx.ell + 1), 3 ** (m - 1), 3**ctx.ell
+        assert dict(zip(values.tolist(), counts.tolist())) == {
+            0: 2 * third - 1,
+            top: (third + low) // 2,
+            -top: (third - low) // 2,
+        }
 
     @pytest.mark.parametrize("m", [11, 13])
     def test_transform_matches_single_point_sampled(self, m):

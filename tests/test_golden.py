@@ -5,10 +5,12 @@ the same bytes to its file.  Each file under tests/golden/ is the stdout of
 the command named in CASES, written by the CLI and committed unedited; a
 change that alters one of these bytes changes the contract.  The commands
 run in a fresh interpreter with the shipped fixtures (TRITCODES_FIXTURES
-unset).
+unset).  The python block under "## Library" in README.md runs here too,
+so the documented import paths cannot go stale.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ import pytest
 import tritcodes
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 # golden file stem -> (argv, exit code)
 CASES = {
@@ -57,3 +60,18 @@ def test_out_file_holds_the_stdout_bytes(name, tmp_path):
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == b""
     assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def run_library_example() -> dict:
+    """Execute the python block under "## Library" in README.md; its globals."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", section.split("\n## ", 1)[0], re.M | re.S)
+    namespace = {}
+    exec(block.group(1), namespace)
+    return namespace
+
+
+def test_readme_library_example():
+    namespace = run_library_example()
+    assert namespace["report"].concluded_d == 4
+    assert namespace["enum"].counts[144] == 2420

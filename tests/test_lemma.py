@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tritcodes import gf3m, lemma, lemma_check, lemma_preimage_counts, make_field, polyring
+from tritcodes import gf3m, lemma, polyring
+from tritcodes.gf3m import make_field
+from tritcodes.lemma import lemma_check, lemma_preimage_counts
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])

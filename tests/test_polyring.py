@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from tritcodes import DEFAULT_MODULI, build_code, make_field, polyring
+from tritcodes import polyring
+from tritcodes.codebuilder import build_code
+from tritcodes.gf3m import DEFAULT_MODULI, make_field
 from tritcodes.exceptions import DivisionByZeroPoly, OutOfRange
 from tritcodes.polyring import (
     ONE,
