@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the exact stdout bytes and exit code of five commands.
+"""Golden CLI outputs: the exact stdout bytes and exit code of seven commands.
 
 Byte-identical default output is part of the CLI contract, and --out writes
 the same bytes to its file.  Each file under tests/golden/ is the stdout of
@@ -27,7 +27,9 @@ CASES = {
     "report_m3_both": (["report", "--m", "3", "--method", "both"], 0),
     "report_m5_both": (["report", "--m", "5", "--method", "both"], 0),
     "verify_distance_m7": (["verify-distance", "--m", "7"], 0),
+    "verify_distance_m13": (["verify-distance", "--m", "13"], 0),
     "lemma_check_m9": (["lemma-check", "--m", "9"], 0),
+    "lemma_check_m13": (["lemma-check", "--m", "13"], 0),
     "dual_spectrum_m5_both": (["dual-spectrum", "--m", "5", "--method", "both"], 0),
 }
 
