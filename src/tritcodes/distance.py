@@ -2,14 +2,17 @@
 search, an independent brute-force oracle, and a MacWilliams transform as a
 third path.
 
-The weight-2 and weight-3 searches and the weight-4 witness all read from
-_completions, which solves the last position of a word from the v-syndrome
-and checks the u-syndrome in the log domain of the field tables.  The
-oracle is kept independent of it: it completes words over the parity-check
-matrix H, whose row t holds the base-3 digits of pi^(u t) and pi^(v t),
-using only digit sums mod 3, in O(n*m) memory and under the same budget
-gate.  It uses no logs and no cyclic normalisation.  The oracle and
-MacWilliams must agree with the searches both ways on the lightest weight <= 3.
+The weight-2 and weight-3 searches and the weight-4 witness all solve the
+last position of a word with _last_positions, from the v-syndrome, and
+check the u-syndrome in the log domain of the field tables.  The weight-3
+search scans its middle position over the Frobenius orbit representatives
+only, about n/m positions; the weight-2 search and the weight-4 witness
+scan every position in order.  The oracle is kept independent of them: it
+completes words over the parity-check matrix H, whose row t holds the
+base-3 digits of pi^(u t) and pi^(v t), using only digit sums mod 3, in
+O(n*m) memory and under the same budget gate.  It uses no logs, no cyclic
+normalisation and no orbits.  The oracle and MacWilliams must agree with
+the searches both ways on the lightest weight <= 3.
 """
 
 from __future__ import annotations
@@ -54,61 +57,95 @@ def _log_syndrome(ctx, e: int, support, coeffs) -> int:
     return acc
 
 
-def _completions(code: CyclicCode, w: int):
-    """Weight-w codewords with position 0 first and coefficient 1 there.
+def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
+    """(t_(w-1), c_w, t_w) for every last term that completes a word, by c_w
+    and then in block order.
 
-    Every codeword is a cyclic shift of a scalar multiple of one of these.
-    The positions t_2 < ... < t_(w-2) and their coefficients are scanned
-    (none for w <= 3); t_(w-1) is vectorised in the blocks of ctx.line_logs
-    (for w = 2 it is position 0 itself).  The last term c_w*pi^(v t_w)
-    must cancel the partial v-syndrome S_v, so v*t_w = L (mod n) with
-    L = log(-S_v / c_w): that has g = gcd(v, n) roots t0 + k*n/g when g
-    divides L and none otherwise.  Only those roots are tested against the
-    u-syndrome, all in the log domain, where logs in [0, 2n) are reduced
-    by ctx.wrap.  Hits come in the order prefix, c_(w-1), c_w, then
-    positions ascending, as dicts of support and coefficients.
+    blocks yields positions tp of c_(w-1), an int64 array, with the logs lu,
+    lv of c_(w-1)*pi^(e tp) for e = u, v; su, sv are the logs of the
+    syndromes of the positions before it (-1 for none).  The last term
+    c_w*pi^(v t_w) must cancel the partial v-syndrome S_v, so v*t_w = L
+    (mod n) with L = log(-S_v / c_w): that has g = gcd(v, n) roots
+    t0 + k*n/g when g divides L and none otherwise.  Only those roots are
+    tested against the u-syndrome, all in the log domain, where logs in
+    [0, 2n) are reduced by ctx.wrap, and keep(tp, tw) masks the allowed
+    last positions.
     """
     ctx = code.ctx
     n, u, v = code.n, code.u, code.v
     g = gcd(v, n)
     vinv = pow(v // g, -1, n // g)
     roots = np.arange(g, dtype=np.int64) * (n // g)
+    hits = {1: [], 2: []}
+    for tp, (lu, lv) in blocks:
+        lu = lu if su < 0 else ctx.log_add(lu, su)
+        lv = lv if sv < 0 else ctx.log_add(lv, sv)
+        for cw in (1, 2):
+            lneg = ctx.log_of_scalar(3 - cw)  # log(-1/c_w) = log(-c_w)
+            # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
+            lt = ctx.wrap(lv + lneg)
+            q = lt // g
+            tw = ((q * vinv) % (n // g))[:, None] + roots
+            # u-syndrome: c_w*pi^(u t_w) = -S_u, u*t_w + log(-c_w) = log S_u
+            # (never for S_u = 0, log -1); a root needs S_v != 0 and g | L
+            good = ctx.wrap((u * tw) % n + lneg) == lu[:, None]
+            good &= keep(tp[:, None], tw) & ((lv >= 0) & (q * g == lt))[:, None]
+            r, k = np.divmod(np.flatnonzero(good), g)
+            hits[cw].append((tp[r], tw[r, k]))
+    for cw in (1, 2):
+        for tps, tws in hits[cw]:
+            yield from ((a, cw, b) for a, b in zip(tps.tolist(), tws.tolist()))
+
+
+def _completions(code: CyclicCode, w: int):
+    """Weight-w codewords, w in (2, 4), with position 0 first and coefficient
+    1 there.
+
+    Every codeword is a cyclic shift of a scalar multiple of one of these.
+    For w = 4 the positions 0 < t_2 and c_2 are scanned, t_3 > t_2 is
+    vectorised in the blocks of ctx.line_logs, and _last_positions solves
+    t_4 > t_3; for w = 2, t_(w-1) is position 0 itself.  Hits come in the
+    order prefix, c_(w-1), c_w, then positions ascending, as dicts of
+    support and coefficients.
+    """
+    ctx = code.ctx
+    n, u, v = code.n, code.u, code.v
     # t_2 and c_2 come from a plain range: itertools.combinations would copy
     # range(1, n) into a tuple of about 60 MiB at m = 13
     prefixes = (
-        [((), ())] if w == 2 else [((0,), (1,))] if w == 3
-        else (((0, t2), (1, c2)) for t2 in range(1, n) for c2 in (1, 2))
+        [((), ())] if w == 2 else (((0, t2), (1, c2)) for t2 in range(1, n) for c2 in (1, 2))
     )
     for support, coeffs in prefixes:
         su, sv = (_log_syndrome(ctx, e, support, coeffs) for e in (u, v))
-        # for w = 2, t_(w-1) is position 0 itself, with coefficient 1
         lo, hi, cps = (support[-1] + 1, n, (1, 2)) if support else (0, 1, (1,))
         for cp in cps:
             lcp = ctx.log_of_scalar(cp)
-            hits = {1: [], 2: []}  # per c_w over all blocks, to keep the hit order
-            # logs of c_(w-1)*pi^(e t_(w-1)), then of the partial syndromes with it
-            for tp, (lu, lv) in ctx.line_logs(lo, hi, (u, lcp), (v, lcp)):
-                lu = lu if su < 0 else ctx.log_add(lu, su)
-                lv = lv if sv < 0 else ctx.log_add(lv, sv)
-                for cw in (1, 2):
-                    lneg = ctx.log_of_scalar(3 - cw)  # log(-1/c_w) = log(-c_w)
-                    # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
-                    lt = ctx.wrap(lv + lneg)
-                    q = lt // g
-                    tw = ((q * vinv) % (n // g))[:, None] + roots
-                    # u-syndrome: c_w*pi^(u t_w) = -S_u, u*t_w + log(-c_w) = log S_u
-                    # (never for S_u = 0, log -1); a root needs S_v != 0 and g | L
-                    good = ctx.wrap((u * tw) % n + lneg) == lu[:, None]
-                    good &= (tw > tp[:, None]) & ((lv >= 0) & (q * g == lt))[:, None]
-                    r, k = np.divmod(np.flatnonzero(good), g)
-                    hits[cw].append((tp[r], tw[r, k]))
-            for cw in (1, 2):
-                for tps, tws in hits[cw]:
-                    for a, b in zip(tps.tolist(), tws.tolist()):
-                        yield {
-                            "support": [*support, a, b],
-                            "coefficients": [*coeffs, cp, cw],
-                        }
+            # logs of c_(w-1)*pi^(e t_(w-1)) for e = u, v
+            blocks = ctx.line_logs(lo, hi, (u, lcp), (v, lcp))
+            for a, cw, b in _last_positions(code, su, sv, blocks, np.less):  # b > a
+                yield {"support": [*support, a, b], "coefficients": [*coeffs, cp, cw]}
+
+
+def _weight3_words(code: CyclicCode):
+    """Weight-3 codewords with coefficient 1 at position 0 and c_p, c_w at
+    t_p, t_w, for t_p a Frobenius orbit representative (ctx.orbit_reps).
+
+    Every cyclic code over GF(3) is fixed by the multiplier t -> 3t mod n,
+    since c(pi^e)^3 = c(pi^(3e)); a word on {0, t_p, t_w} maps to one on
+    {0, 3t_p, 3t_w} with the same coefficients.  So some word of this form
+    exists iff any weight-3 codeword does.  t_w is any root of
+    _last_positions outside {0, t_p}.  Hits come in the order c_p, c_w,
+    then t_p ascending, with the support sorted.
+    """
+    ctx = code.ctx
+    u, v = code.u, code.v
+    for cp in (1, 2):
+        lcp = ctx.log_of_scalar(cp)
+        blocks = ctx.orbit_logs(1, code.n, (u, lcp), (v, lcp))
+        hits = _last_positions(code, 0, 0, blocks, lambda tp, tw: (tw != 0) & (tw != tp))
+        for a, cw, b in hits:
+            (a, ca), (b, cb) = sorted([(a, cp), (b, cw)])
+            yield {"support": [0, a, b], "coefficients": [1, ca, cb]}
 
 
 def weight2_search(code: CyclicCode) -> dict | None:
@@ -117,8 +154,8 @@ def weight2_search(code: CyclicCode) -> dict | None:
 
 
 def weight3_search(code: CyclicCode) -> dict | None:
-    """First weight-3 codeword of _completions, or None."""
-    return next(_completions(code, 3), None)
+    """First weight-3 codeword of _weight3_words, or None."""
+    return next(_weight3_words(code), None)
 
 
 def _key(rows: np.ndarray) -> np.ndarray:

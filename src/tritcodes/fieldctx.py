@@ -3,21 +3,25 @@
 Elements are plain Python ints in [0, 3^m): the base-3 digits of the int
 are the coefficients of the residue class, digit i holding the
 coefficient of x^i.  The primitive element pi is always the residue
-class of x.  All tables are materialized at construction (m <= 13,
-about 1.6M entries at the top), after which every operation is a pure
-function of (inputs, ctx) and the context is safe to share.  The exp, log
-and Zech tables are int32; arithmetic on their entries runs in int64 or ints.
+class of x.  The exp, log and Zech tables are built at construction
+(m <= 13, about 1.6M entries at the top); the trace table, which only the
+dual-spectrum paths read, and the Frobenius orbit representatives are
+built on first use.  Every operation is a pure function of (inputs, ctx)
+and the context is safe to share.  The exp, log and Zech tables are int32;
+arithmetic on their entries runs in int64 or ints.
 
 Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
 h = (3^m - 1)/2, -1 = pi^h, so negation adds h to a log and the scalar
 c in {1, 2} adds (c - 1)*h.  The log of zero is -1 in both tables:
-log[0] = -1 and zech[h] = -1.
+log[0] = -1 and zech[h] = -1.  Only zech[0..h] is gathered from the log
+table; 1 + pi^-k = pi^-k (1 + pi^k) gives zech[n - k] = zech[k] - k (mod n)
+for the rest.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -44,16 +48,49 @@ class FieldCtx:
         self.log = np.full(self.size, -1, dtype=np.int32)
         self.log[self.exp] = np.arange(self.order, dtype=np.int32)
         # zech[k] = log(1 + pi^k), -1 at k = h where pi^h = -1: adding 1
-        # changes only digit 0 of the packed element exp[k].  Built in blocks
-        # of gf3m.BLOCK, so no temporary holds n entries.
-        block = gf3m.BLOCK
-        self.zech = np.empty(self.order, dtype=np.int32)
-        for lo in range(0, self.order, block):
-            part = slice(lo, lo + block)
+        # changes only digit 0 of the packed element exp[k].  Gathered for
+        # k <= h; for k > h, zech[k] = zech[n - k] + k (mod n) reads the first
+        # half backwards.  Built in blocks of gf3m.BLOCK, so no temporary
+        # holds n entries.
+        n, h, block = self.order, self.half, gf3m.BLOCK
+        self.zech = np.empty(n, dtype=np.int32)
+        for lo in range(0, h + 1, block):
+            part = slice(lo, min(lo + block, h + 1))
             one_plus = self.exp[part] + 1
             np.subtract(one_plus, 3, out=one_plus, where=digit0[part] == 2)
             self.zech[part] = self.log[one_plus]
-        self.trace_by_log = _build_trace_table(self)
+        for lo in range(h + 1, n, block):
+            hi = min(lo + block, n)
+            mirror = self.zech[n - hi + 1 : n - lo + 1][::-1] + np.arange(lo, hi)
+            self.zech[lo:hi] = self.wrap(mirror)
+
+    @cached_property
+    def trace_by_log(self) -> np.ndarray:
+        """Absolute trace of pi^j, indexed by j (int8): see _build_trace_table."""
+        return _build_trace_table(self)
+
+    @cached_property
+    def orbit_reps(self) -> np.ndarray:
+        """The least t of each orbit {t*3^k mod n} of the Frobenius multiplier
+        on [0, n), ascending (int64): 0 first, 122,642 of them at m = 13.
+
+        Multiplying t by 3 mod n rotates its m base-3 digits, so t is the
+        least of its orbit iff no rotation is smaller.  Each block of
+        gf3m.BLOCK uint32 candidates is rotated m - 1 times by 3t and two
+        wraps (3t < 3n); a candidate is dropped as soon as a rotation
+        undercuts it."""
+        n, block = self.order, gf3m.BLOCK
+        reps = []
+        for lo in range(0, n, block):
+            cand = np.arange(lo, min(lo + block, n), dtype=np.uint32)
+            rot = cand.copy()
+            for _ in range(self.m - 1):
+                rot *= 3
+                self.wrap(self.wrap(rot))
+                keep = cand <= rot
+                cand, rot = cand[keep], rot[keep]
+            reps.append(cand)
+        return np.concatenate(reps).astype(np.int64)
 
     # -- scalar operations ----------------------------------------------
 
@@ -97,9 +134,10 @@ class FieldCtx:
         return out
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        """x mod n in place for an int64 array x in [0, 2n): as uint64, x - n
-        is huge exactly where x < n, so the minimum is the residue."""
-        np.minimum(x.view(np.uint64), (x - self.order).view(np.uint64), out=x.view(np.uint64))
+        """x mod n in place for an integer array x in [0, 2n): as unsigned,
+        x - n is huge exactly where x < n, so the minimum is the residue."""
+        u = x.view(f"u{x.itemsize}")
+        np.minimum(u, u - self.order, out=u)
         return x
 
     def line_logs(self, lo: int, hi: int, *terms):
@@ -114,6 +152,15 @@ class FieldCtx:
             size = min(block, hi - start)
             logs = [self.wrap(st[:size] + (e * start + c) % n) for st, e, c in steps]
             yield offsets[:size] + start, logs
+
+    def orbit_logs(self, lo: int, hi: int, *terms):
+        """(t, logs) as line_logs, for t the orbit_reps in [lo, hi) only, per
+        block of at most gf3m.BLOCK of them."""
+        n, block, reps = self.order, gf3m.BLOCK, self.orbit_reps
+        first, last = np.searchsorted(reps, (lo, hi))
+        for start in range(first, last, block):
+            t = reps[start : min(start + block, last)]
+            yield t, [(e * t + c) % n for e, c in terms]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -1,10 +1,14 @@
 """Exhaustive confirmation that (x^(3^ell) + eps)(x^(3^ell) - x) = 1 has
 no solution in GF(3^m)* for eps in GF(3)*.
 
-Brute force is the point: an O(3^m) scan is exact, fast even at m = 13,
-and independent of any square/nonsquare argument.  The preimage-count
-sweep over every right-hand side guards against an evaluator bug that
-reports "no solutions" for everything.
+Brute force is the point, one Frobenius orbit at a time: the left-hand
+side has GF(3) coefficients, so lhs(x^3) = lhs(x)^3, and a c in GF(3) has
+c^3 = c.  Each solution set of lhs = c is therefore a union of orbits of
+x -> x^3, and evaluating at x = pi^t for the least t of each orbit
+(ctx.orbit_reps, about 3^m/m of them) decides it exactly, independent of
+any square/nonsquare argument.  The preimage-count sweep over every
+right-hand side scans every x with the same kernel; it guards against an
+evaluator bug that reports "no solutions" for everything.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polyring
 from .fieldctx import FieldCtx
 
 
@@ -36,31 +41,44 @@ class LemmaReport:
         }
 
 
-def _lhs_logs(ctx: FieldCtx, epsilon: int):
-    """(start, logs) per block of ctx.line_logs, logs[i] the log of the
-    left-hand side at x = pi^(start + i), -1 where it is 0: x^(3^ell) has the
-    log j*3^ell mod n, -x the log j + h, the sums go through the Zech table,
-    and the product adds logs."""
+def _lhs_logs(ctx: FieldCtx, epsilon: int, scan):
+    """(t, logs) per block of scan, ctx.line_logs (every x) or ctx.orbit_logs
+    (one x per orbit) over [0, n): logs[i] is the log of the left-hand side
+    at x = pi^t[i], -1 where it is 0.  x^(3^ell) has the log t*3^ell mod n,
+    -x the log t + h, the sums go through the Zech table, and the product
+    adds logs."""
     if epsilon not in (1, 2):
         raise ValueError(f"epsilon must be 1 or 2, got {epsilon}")
-    for j, (x3l, minus_x) in ctx.line_logs(0, ctx.order, (3**ctx.ell, 0), (1, ctx.half)):
+    for t, (x3l, minus_x) in scan(0, ctx.order, (3**ctx.ell, 0), (1, ctx.half)):
         la = ctx.log_add(x3l, ctx.log_of_scalar(epsilon))
         lb = ctx.log_add(x3l, minus_x)
         logs = ctx.wrap(la + lb)
         np.copyto(logs, -1, where=(la < 0) | (lb < 0))
-        yield int(j[0]), logs
+        yield t, logs
+
+
+def _solution_logs(ctx: FieldCtx, epsilon: int, c: int) -> list[int]:
+    """Ascending logs t of every x = pi^t with lhs(x) = c, for c in GF(3):
+    the hits among the orbit representatives, each expanded to its orbit."""
+    target = ctx.log_of_scalar(c) if c else -1
+    blocks = _lhs_logs(ctx, epsilon, ctx.orbit_logs)
+    reps = [int(r) for t, logs in blocks for r in t[logs == target]]
+    return sorted(j for r in reps for j in polyring.cyclotomic_coset(r, ctx.m))
 
 
 def lemma_check(ctx: FieldCtx, epsilon: int) -> LemmaReport:
-    """Collect every x in GF(3^m)* where the left-hand side equals 1 (log 0)."""
-    blocks = _lhs_logs(ctx, epsilon)
-    sols = [int(ctx.exp[s + j]) for s, logs in blocks for j in np.flatnonzero(logs == 0)]
+    """Collect every x in GF(3^m)* where the left-hand side equals 1, in
+    ascending log order.  scanned is 3^m - 1, the number of elements the
+    orbit scan covers: every x lies in the orbit of one representative."""
+    sols = [int(ctx.exp[j]) for j in _solution_logs(ctx, epsilon, 1)]
     return LemmaReport(m=ctx.m, epsilon=epsilon, solutions=sols, scanned=ctx.order)
 
 
 def lemma_preimage_counts(ctx: FieldCtx, epsilon: int) -> np.ndarray:
     """Solution count of lhs(x) = c for every c in GF(3^m), indexed by element,
-    from the logs lemma_check reads: the map is total on GF(3^m)*, so the
-    counts sum to 3^m - 1, and some c != 1 must have a nonempty preimage."""
-    values = [np.where(logs < 0, 0, ctx.exp[logs]) for _, logs in _lhs_logs(ctx, epsilon)]
+    by the lemma's kernel at every x in GF(3^m)*: the map is total on
+    GF(3^m)*, so the counts sum to 3^m - 1, and some c != 1 must have a
+    nonempty preimage."""
+    blocks = _lhs_logs(ctx, epsilon, ctx.line_logs)
+    values = [np.where(logs < 0, 0, ctx.exp[logs]) for _, logs in blocks]
     return np.bincount(np.concatenate(values), minlength=ctx.size)

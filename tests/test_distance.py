@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from math import comb
@@ -6,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from tritcodes import distance, gf3m, polyring
+from tritcodes import distance, fieldctx, gf3m, polyring
 from tritcodes.distance import (
     brute_force_min_weight,
     conclude_distance,
@@ -52,6 +53,29 @@ def naive_min_weight(code, wmax):
     return None
 
 
+def scalar_weight3_words(code):
+    """Every (a, c_a, b, c_b) such that 1 at position 0, c_a at a and c_b at b
+    form a codeword, by scalar ctx.add and ctx.smul: each word once per order
+    of a and b.  Every weight-3 word is a cyclic shift of a scalar multiple
+    of one of these.  For each (a, c_a) the last term c_b*pi^(e b) must be
+    -(1 + c_a*pi^(e a)) for e = u and v; it is looked up among all (b, c_b)
+    with b != 0."""
+    ctx = code.ctx
+    last = {}
+    for b in range(1, code.n):
+        for cb in (1, 2):
+            key = tuple(ctx.smul(cb, ctx.exp_of(e * b)) for e in (code.u, code.v))
+            last.setdefault(key, []).append((b, cb))
+    words = []
+    for a in range(1, code.n):
+        for ca in (1, 2):
+            need = tuple(
+                ctx.neg(ctx.add(1, ctx.smul(ca, ctx.exp_of(e * a)))) for e in (code.u, code.v)
+            )
+            words += [(a, ca, b, cb) for b, cb in last.get(need, ()) if b != a]
+    return words
+
+
 def _syndrome(ctx, e, support, coeffs):
     acc = 0
     for t, c in zip(support, coeffs):
@@ -93,6 +117,49 @@ class TestWeight3:
                     assert support == sorted(set(support))
                     for e in (variant.u, variant.v):
                         assert _syndrome(variant.ctx, e, support, coeffs) == 0
+
+    @staticmethod
+    def check_orbit_scan(code):
+        """weight3_search finds a word exactly when a scalar scan of all
+        weight-3 words does.  The orbit scan lists each scalar word once for
+        each of its two positions that is an orbit representative, with the
+        other position on either side of it."""
+        reps = set(code.ctx.orbit_reps.tolist())
+        words = scalar_weight3_words(code)
+        assert (weight3_search(code) is not None) == bool(words)
+        want = Counter()
+        for a, ca, b, cb in words:
+            if a in reps:
+                (a, ca), (b, cb) = sorted([(a, ca), (b, cb)])
+                want[(0, a, b), (1, ca, cb)] += 1
+        got = Counter(
+            (tuple(hit["support"]), tuple(hit["coefficients"]))
+            for hit in distance._weight3_words(code)
+        )
+        assert got == want
+
+    def test_orbit_scan_every_v_m3(self, code3):
+        for v in range(1, code3.n):
+            self.check_orbit_scan(replace(code3, v=v))
+
+    @pytest.mark.parametrize("v", ["code", "u", 1])
+    def test_orbit_scan_m5(self, code5, v):
+        self.check_orbit_scan(replace(code5, v={"code": code5.v, "u": code5.u}.get(v, v)))
+
+    def test_memory_m13(self):
+        """The orbit representatives and the scan over them are built in blocks:
+        on a context without cached representatives, the tracemalloc peak of
+        the m = 13 search stays a few MiB (an unblocked build holds several
+        arrays of n int64 entries, 12 MiB each)."""
+        code = build_code(make_field(13))
+        code = replace(code, ctx=fieldctx.FieldCtx(13, code.ctx.modulus))
+        tracemalloc.start()
+        try:
+            assert weight3_search(code) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_candidate_logic_exhaustive(self, ctx3):
         """Solutions of y^u = s are exactly {s, -s} for squares, else empty."""
@@ -328,13 +395,18 @@ class TestBlockedCompletions:
     @pytest.mark.parametrize("variant", ["v=u", "v=1"])
     def test_block_size_does_not_change_hits(self, m, block, variant, monkeypatch):
         """Blocks of a few positions give the default (single-block) hit lists,
-        in the same order, for weights 2, 3 and 4."""
+        in the same order, for weights 2 and 4 and for the weight-3 orbit scan."""
         code = build_code(make_field(m))
         code = relaxed(code) if variant == "v=u" else replace(code, v=1)
-        want = {w: list(distance._completions(code, w)) for w in (2, 3, 4)}
+
+        def hits():
+            words = {w: list(distance._completions(code, w)) for w in (2, 4)}
+            return {**words, 3: list(distance._weight3_words(code))}
+
+        want = hits()
         assert want[3] and want[4]
         monkeypatch.setattr(gf3m, "BLOCK", block)
-        assert {w: list(distance._completions(code, w)) for w in (2, 3, 4)} == want
+        assert hits() == want
 
     def test_every_hit_has_zero_syndromes_m3(self, code3):
         """For every v' in [1, n), each weight-4 hit of C_(u,v') has zero u- and
@@ -353,12 +425,13 @@ class TestBlockedCompletions:
 
     @pytest.mark.parametrize("variant", ["v=u", "v=1"])
     def test_hits_near_the_end_m13(self, variant):
-        """Weight-3 hits of the relaxed m = 13 codes, those with t_3 nearest
-        n - 1 among the first 300, have zero syndromes by GF(3)[x] arithmetic
-        on Python ints: a log product computed in int32 would wrap silently."""
+        """Weight-3 hits of the orbit scan of the relaxed m = 13 codes, those
+        with t_3 nearest n - 1 among the first 300, have zero syndromes by
+        GF(3)[x] arithmetic on Python ints: a log product computed in int32
+        would wrap silently."""
         code = build_code(make_field(13))
         code = relaxed(code) if variant == "v=u" else replace(code, v=1)
-        hits = list(itertools.islice(distance._completions(code, 3), 300))
+        hits = list(itertools.islice(distance._weight3_words(code), 300))
         hits.sort(key=lambda hit: -hit["support"][2])
         assert hits[0]["support"][2] > code.n - 2**16
         for hit in hits[:12]:

@@ -273,15 +273,49 @@ class TestInvariants:
             logs = np.concatenate([logs[i] for _, logs in blocks] or [[]])
             assert logs.tolist() == [(e * j + c) % 26 for j in range(lo, hi)]
 
-    def test_zech_block_size_does_not_change_the_tables(self, monkeypatch):
-        """The Zech table is built in blocks of gf3m.BLOCK; 7 does not divide
-        n = 242, so the last block is short."""
+    @pytest.mark.parametrize("block", [7, 37])
+    def test_block_size_does_not_change_the_tables(self, block, monkeypatch):
+        """The Zech table and the orbit representatives are built in blocks of
+        gf3m.BLOCK; neither 7 nor 37 divides n = 242 or h + 1 = 122, so blocks
+        are short at the end of each Zech half and of the rotation filter."""
         custom = (1, 1, 1, 1, 2, 1)  # not the default, so not cached
         whole = gf3m.make_field(5, custom)
-        monkeypatch.setattr(gf3m, "BLOCK", 7)
+        monkeypatch.setattr(gf3m, "BLOCK", block)
         blocked = gf3m.make_field(5, custom)
-        for table in ("exp", "log", "zech", "trace_by_log"):
+        for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
             assert np.array_equal(getattr(blocked, table), getattr(whole, table)), table
+
+    @pytest.mark.parametrize("m", sorted(gf3m.DEFAULT_MODULI))
+    def test_zech_against_direct_reference(self, m):
+        """zech[k] = log(1 + pi^k) at every k, the sum taken on digit 0 of
+        exp[k]: the mirrored half k > h is built from the other half."""
+        ctx = gf3m.make_field(m)
+        elem = ctx.exp.astype(np.int64)
+        digit0 = elem % 3
+        one_plus = elem - digit0 + (digit0 + 1) % 3
+        assert np.array_equal(ctx.zech, ctx.log[one_plus])
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_orbit_reps_are_the_least_of_each_orbit(self, m):
+        """orbit_reps against the brute-force min(t*3^k mod n), and the orbits
+        of the representatives cover [0, n) once each."""
+        ctx = gf3m.make_field(m)
+        n = ctx.order
+        t = least = np.arange(n, dtype=np.int64)
+        for _ in range(m):
+            t = t * 3 % n
+            least = np.minimum(least, t)
+        assert ctx.orbit_reps.dtype == np.int64
+        assert np.array_equal(ctx.orbit_reps, np.unique(least))
+        orbits = [j for r in ctx.orbit_reps.tolist() for j in polyring.cyclotomic_coset(r, m)]
+        assert sorted(orbits) == list(range(n))
+
+    def test_orbit_reps_m13(self):
+        """One representative per necklace of 13 trits but 22...2 (t = n), by
+        Burnside: 13 is prime, so (3^13 + 12*3)/13 - 1 = 122,642."""
+        reps = gf3m.make_field(13).orbit_reps
+        assert len(reps) == (3**13 + 12 * 3) // 13 - 1 == 122642
+        assert reps[0] == 0 and np.all(np.diff(reps) > 0)
 
     @settings(max_examples=300, deadline=None)
     @given(ctx=primitive_fields(), data=st.data())

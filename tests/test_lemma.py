@@ -61,6 +61,28 @@ def test_frobenius_power_representations_agree(m):
         assert cubed == ctx.exp_of(j * 3**ctx.ell)
 
 
+@pytest.mark.parametrize("m", [5, 7])
+def test_orbit_hits_expand_to_whole_orbits(m, monkeypatch):
+    """The lemma's solutions of lhs = c in GF(3) are x = 1 and x = -1 only,
+    whose orbits are single points.  A stand-in kernel that is 0 exactly
+    where the base-3 digit sum of t is m (a rotation invariant) hits orbits
+    of every size: the orbit scan must return every such t, ascending."""
+    ctx = make_field(m)
+
+    def digit_sum(t):
+        return sum(t // 3**i % 3 for i in range(m))
+
+    def stand_in(ctx, epsilon, scan):
+        for t, _ in scan(0, ctx.order):
+            yield t, np.where(digit_sum(t) == m, 0, -1)
+
+    monkeypatch.setattr(lemma, "_lhs_logs", stand_in)
+    t = np.arange(ctx.order)
+    want = t[digit_sum(t) == m].tolist()
+    assert len(want) > len(set(want) & set(ctx.orbit_reps.tolist())) > 1
+    assert lemma._solution_logs(ctx, 1, 1) == want
+
+
 def test_json_shape(ctx3):
     doc = lemma_check(ctx3, 2).to_json_dict()
     assert doc == {"m": 3, "epsilon": 2, "solution_count": 0, "scanned": 26}
@@ -68,18 +90,19 @@ def test_json_shape(ctx3):
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_block_size_does_not_change_the_scan(m, monkeypatch):
-    """Blocks of 7 positions give the default (single-block) logs, solutions
-    and preimage counts."""
+    """Blocks of 7 positions give the default (single-block) logs, orbit-scan
+    solutions and preimage counts."""
     ctx = make_field(m)
 
     def scan():
         out = []
         for eps in (1, 2):
             logs = np.full(ctx.order, -2)
-            for start, block in lemma._lhs_logs(ctx, eps):
-                logs[start : start + len(block)] = block
+            for t, block in lemma._lhs_logs(ctx, eps, ctx.line_logs):
+                logs[t] = block
             counts = lemma_preimage_counts(ctx, eps)
-            out.append((logs.tolist(), lemma_check(ctx, eps).solutions, counts.tolist()))
+            sols = [lemma._solution_logs(ctx, eps, c) for c in (0, 1, 2)]
+            out.append((logs.tolist(), sols, counts.tolist()))
         return out
 
     want = scan()
@@ -87,21 +110,37 @@ def test_block_size_does_not_change_the_scan(m, monkeypatch):
     assert scan() == want
 
 
+@pytest.mark.parametrize("scan", ["line_logs", "orbit_logs"])
 @pytest.mark.parametrize("epsilon", [1, 2])
-def test_kernel_logs_near_the_end_m13(epsilon):
-    """The last positions of the m = 13 scan against GF(3)[x] arithmetic on
-    Python ints: an index or log product computed in int32 would wrap silently."""
+def test_kernel_logs_near_the_end_m13(epsilon, scan):
+    """The last 48 positions of the m = 13 full and orbit scans against
+    GF(3)[x] arithmetic on Python ints: an index or log product computed in
+    int32 would wrap silently."""
     ctx = make_field(13)
-    n, f = ctx.order, ctx.modulus
-    for start, logs in lemma._lhs_logs(ctx, epsilon):
+    f = ctx.modulus
+    for t, logs in lemma._lhs_logs(ctx, epsilon, getattr(ctx, scan)):
         pass  # keep the last block
-    for j in range(n - 48, n):
+    for j, log in zip(t[-48:].tolist(), logs[-48:].tolist()):
         x = polyring.poly_pow_mod(polyring.X, j, f)
         x3l = polyring.poly_pow_mod(polyring.X, j * 3**ctx.ell, f)
         lhs = polyring.poly_mul(polyring.poly_add(x3l, (epsilon,)), polyring.poly_sub(x3l, x))
         want = sum(c * 3**i for i, c in enumerate(polyring.poly_mod(lhs, f)))
-        log = int(logs[j - start])
         assert (int(ctx.exp[log]) if log >= 0 else 0) == want
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+def test_orbit_scan_matches_the_full_scan(m):
+    """Positive control of the orbit expansion: for both epsilon and every c
+    in GF(3), the orbit scan's solutions of lhs = c are the full scan's.
+    lhs = 0 has the two roots x = 1 and x = -1 (x^(3^ell) = x or -eps)."""
+    ctx = make_field(m)
+    for eps in (1, 2):
+        for c in (0, 1, 2):
+            target = ctx.log_of_scalar(c) if c else -1
+            blocks = lemma._lhs_logs(ctx, eps, ctx.line_logs)
+            want = [j for t, logs in blocks for j in t[logs == target].tolist()]
+            assert lemma._solution_logs(ctx, eps, c) == want, (eps, c)
+        assert lemma._solution_logs(ctx, eps, 0) == [0, ctx.half]
 
 
 def test_scan_memory_m13():
