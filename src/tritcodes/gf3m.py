@@ -34,7 +34,7 @@ _FIELD_CACHE: dict[int, FieldCtx] = {}
 
 
 def make_field(m: int, modulus=None) -> FieldCtx:
-    """Build a fully populated GF(3^m) context.
+    """Build a GF(3^m) context with its exp, log and Zech tables.
 
     Validates that the modulus is monic of degree m, irreducible, and
     that x is primitive, all in GF(3)[x]; only a modulus that passes
