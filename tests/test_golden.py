@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the exact stdout bytes and exit code of seven commands.
+"""Golden CLI outputs: the exact stdout bytes and exit code of nine commands.
 
 Byte-identical default output is part of the CLI contract, and --out writes
 the same bytes to its file.  Each file under tests/golden/ is the stdout of
@@ -24,6 +24,10 @@ README = Path(__file__).parents[1] / "README.md"
 
 # golden file stem -> (argv, exit code)
 CASES = {
+    "construct_m13": (["construct", "--m", "13"], 0),
+    "construct_m13_modulus": (
+        ["construct", "--m", "13", "--modulus", "1,0,0,2,0,0,1,1,2,2,1,0,0,1"], 0
+    ),
     "report_m3_both": (["report", "--m", "3", "--method", "both"], 0),
     "report_m5_both": (["report", "--m", "5", "--method", "both"], 0),
     "verify_distance_m7": (["verify-distance", "--m", "7"], 0),
