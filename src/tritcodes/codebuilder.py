@@ -2,46 +2,54 @@
 
 The code of interest has length n = 3^m - 1, nonzeros pi^u and pi^v with
 u = (3^m + 1)/2 and v = 2*3^ell + 1 (m = 2*ell + 1), and generator
-polynomial m_u(x) * m_v(x).  The code object stores the generator
-polynomial only; membership is polynomial divisibility, which keeps
-n = 3^13 - 1 instances cheap.
+polynomial m_u(x) * m_v(x), built in GF(3)[x] without numpy or field tables.
+The code object stores the generator polynomial only; membership
+(distance.is_codeword) is polynomial divisibility, which keeps n = 3^13 - 1
+instances cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import polyring
-from .exceptions import CosetCollision, LengthMismatch
-from .fieldctx import FieldCtx
+from .exceptions import CosetCollision
+
+if TYPE_CHECKING:
+    from .fieldctx import FieldCtx
 
 
 @dataclass(frozen=True)
-class CyclicCode:
+class Construction:
+    """C_(u,v) as GF(3)[x] data: what `construct` prints, no field tables."""
+
+    m: int
+    modulus: tuple[int, ...]
     n: int
     u: int
     v: int
     gen: tuple[int, ...]
     k: int
-    ctx: FieldCtx
-
-    @property
-    def m(self) -> int:
-        return self.ctx.m
 
     def to_json_dict(self) -> dict:
         return {
-            "m": self.ctx.m,
+            "m": self.m,
             "n": self.n,
             "k": self.k,
             "u": self.u,
             "v": self.v,
-            "modulus": polyring.format_poly(self.ctx.modulus),
+            "modulus": polyring.format_poly(self.modulus),
             "generator": polyring.format_poly(self.gen),
         }
+
+
+@dataclass(frozen=True)
+class CyclicCode(Construction):
+    """The construction with the field context the distance searches read."""
+
+    ctx: FieldCtx
 
 
 def exponent_pair(m: int) -> tuple[int, int]:
@@ -50,10 +58,10 @@ def exponent_pair(m: int) -> tuple[int, int]:
     return (3**m + 1) // 2, 2 * 3**ell + 1
 
 
-def build_code(ctx: FieldCtx) -> CyclicCode:
-    """Construct C_(u,v) over the given field context."""
-    m = ctx.m
-    n = ctx.order
+def construct(m: int, modulus: tuple[int, ...]) -> Construction:
+    """C_(u,v) over GF(3)[x]/(modulus), a modulus that gf3m.check_modulus
+    accepted: gen = m_u * m_v, computed and checked without numpy."""
+    n = 3**m - 1
     u, v = exponent_pair(m)
     cos_u = polyring.cyclotomic_coset(u, m)
     cos_v = polyring.cyclotomic_coset(v, m)
@@ -64,7 +72,7 @@ def build_code(ctx: FieldCtx) -> CyclicCode:
     if set(cos_u) & set(cos_v):
         raise CosetCollision(f"C_{u} and C_{v} intersect mod {n}")
     gen = polyring.poly_mul(
-        polyring.minimal_polynomial(u, ctx), polyring.minimal_polynomial(v, ctx)
+        polyring.minimal_polynomial(u, modulus), polyring.minimal_polynomial(v, modulus)
     )
     k = n - polyring.degree(gen)
     if k != n - 2 * m or gen[-1] != 1:
@@ -72,23 +80,12 @@ def build_code(ctx: FieldCtx) -> CyclicCode:
     # g | x^n - 1, checked via x^n mod g == 1 (square-and-multiply)
     if polyring.poly_pow_mod(polyring.X, n, gen) != polyring.ONE:
         raise CosetCollision("generator polynomial does not divide x^n - 1")
-    return CyclicCode(n=n, u=u, v=v, gen=gen, k=k, ctx=ctx)
+    return Construction(m=m, modulus=modulus, n=n, u=u, v=v, gen=gen, k=k)
 
 
-def is_codeword(word, code: CyclicCode) -> bool:
-    """True iff the polynomial of the length-n word is divisible by gen.
-
-    Only nonzero terms are reduced: sum(c_t * (x^t mod gen)) must vanish, so
-    a weight-4 word at n = 3^13 - 1 costs four square-and-multiply powers.
-    """
-    if len(word) != code.n:
-        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
-    coeffs = np.asarray(word) % 3
-    rem = polyring.ZERO
-    for t in np.flatnonzero(coeffs):
-        term = polyring.poly_pow_mod(polyring.X, int(t), code.gen)
-        rem = polyring.poly_add(rem, polyring.poly_mul((int(coeffs[t]),), term))
-    return rem == polyring.ZERO
+def build_code(ctx: FieldCtx) -> CyclicCode:
+    """Construct C_(u,v) over the given field context."""
+    return CyclicCode(**vars(construct(ctx.m, ctx.modulus)), ctx=ctx)
 
 
 def hamming_ball_volume(n: int, r: int) -> int:

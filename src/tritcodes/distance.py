@@ -23,10 +23,11 @@ from math import comb, gcd
 
 import numpy as np
 
-from .codebuilder import CyclicCode, is_codeword, sphere_packing_max_d
+from . import polyring
+from .codebuilder import CyclicCode, sphere_packing_max_d
 from .dualspectrum import WeightEnumerator
-from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, NonIntegerOutput
-from .exceptions import check_budget
+from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, LengthMismatch
+from .exceptions import NonIntegerOutput, check_budget
 
 
 @dataclass
@@ -215,6 +216,22 @@ def brute_force_min_weight(
                 support, coeffs = min(hits)
                 return (w, support, coeffs)
     return None
+
+
+def is_codeword(word, code: CyclicCode) -> bool:
+    """True iff the polynomial of the length-n word is divisible by gen.
+
+    Only nonzero terms are reduced: sum(c_t * (x^t mod gen)) must vanish, so
+    a weight-4 word at n = 3^13 - 1 costs four square-and-multiply powers.
+    """
+    if len(word) != code.n:
+        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
+    coeffs = np.asarray(word) % 3
+    rem = polyring.ZERO
+    for t in np.flatnonzero(coeffs):
+        term = polyring.poly_pow_mod(polyring.X, int(t), code.gen)
+        rem = polyring.poly_add(rem, polyring.poly_mul((int(coeffs[t]),), term))
+    return rem == polyring.ZERO
 
 
 def weight4_witness(code: CyclicCode) -> dict | None:

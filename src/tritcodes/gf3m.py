@@ -1,5 +1,5 @@
-"""GF(3^m) for odd m: modulus validation, without numpy, and the cache of
-default-modulus contexts; the contexts and their tables live in fieldctx."""
+"""GF(3^m) for odd m: modulus validation (check_modulus), without numpy, and
+the cache of default-modulus contexts; contexts and tables live in fieldctx."""
 
 from __future__ import annotations
 
@@ -33,23 +33,14 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
 _FIELD_CACHE: dict[int, FieldCtx] = {}
 
 
-def make_field(m: int, modulus=None) -> FieldCtx:
-    """Build a GF(3^m) context with its exp, log and Zech tables.
-
-    Validates that the modulus is monic of degree m, irreducible, and
-    that x is primitive, all in GF(3)[x]; only a modulus that passes
-    imports fieldctx (and so numpy) and builds tables.  When no modulus is
-    given the built-in default for that m is used.  Default-modulus
-    contexts are cached; any other modulus gets a fresh context on each call.
-    """
+def check_modulus(m: int, modulus=None) -> polyring.Poly:
+    """The modulus of GF(3^m), the default for m when None, checked in GF(3)[x]
+    without numpy: m odd and supported, monic of degree m, irreducible, x primitive."""
     if m % 2 == 0 or m < 3:
         raise EvenDegree(f"m must be odd and >= 3, got {m}")
     if m > MAX_M:
         raise UnsupportedDegree(f"m={m} exceeds the supported maximum {MAX_M}")
     mod = DEFAULT_MODULI[m] if modulus is None else polyring.normalize(modulus)
-    default = mod == DEFAULT_MODULI[m]
-    if default and m in _FIELD_CACHE:
-        return _FIELD_CACHE[m]
     text = polyring.format_poly(mod)
     if polyring.degree(mod) != m or mod[-1] != 1:
         raise NotIrreducible(f"modulus must be monic of degree {m}: {text}")
@@ -57,6 +48,20 @@ def make_field(m: int, modulus=None) -> FieldCtx:
         raise NotIrreducible(f"modulus factors over GF(3): {text}")
     if not polyring.is_primitive(mod):
         raise NotPrimitive(f"x generates a subgroup of order < {3**m - 1} modulo {text}")
+    return mod
+
+
+def make_field(m: int, modulus=None) -> FieldCtx:
+    """Build a GF(3^m) context with its exp, log and Zech tables.
+
+    Only a modulus that passes check_modulus (None: the default for m)
+    imports fieldctx, and so numpy, and builds tables.  Default-modulus
+    contexts are cached; any other modulus gets a fresh context on each call.
+    """
+    mod = check_modulus(m, modulus)
+    default = mod == DEFAULT_MODULI[m]
+    if default and m in _FIELD_CACHE:
+        return _FIELD_CACHE[m]
     from .fieldctx import FieldCtx
 
     ctx = FieldCtx(m, mod)

@@ -9,12 +9,9 @@ surfaces.  A cyclotomic coset is the ascending tuple of its members.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .exceptions import CoefficientNotInBaseField, DivisionByZeroPoly, OutOfRange
-
-if TYPE_CHECKING:
-    from .fieldctx import FieldCtx
 
 Poly = tuple[int, ...]
 
@@ -171,25 +168,26 @@ def cyclotomic_coset(j: int, m: int) -> tuple[int, ...]:
     return tuple(sorted({j * 3**k % n for k in range(m)}))  # 3^m = 1 mod n
 
 
-def minimal_polynomial(j: int, ctx: "FieldCtx") -> Poly:
-    """Minimal polynomial of pi^j over GF(3): prod over the coset of (X - pi^i).
+def minimal_polynomial(j: int, modulus: Sequence[int]) -> Poly:
+    """Minimal polynomial over GF(3) of pi^j, pi = x in GF(3)[x]/(modulus).
 
-    Expanded with field-element coefficients, then checked to lie in the
-    base field.  Monic of degree |C_j|, with pi^j as a root.
+    prod (X - r) over the conjugates r = x^(j*3^k) mod f, expanded with
+    coefficients in GF(3)[x]/(f); each next conjugate is the cube of the last,
+    and cubing in GF(3)[x] spreads the coefficients: (sum c_i x^i)^3 =
+    sum c_i x^(3i).  Every coefficient must be a constant.  Monic of degree
+    |C_j|, with pi^j as a root.
     """
-    # coefficients ascending, as field elements (packed ints); start with 1
-    coeffs = [1]
-    for i in cyclotomic_coset(j, ctx.m):
-        root = ctx.exp_of(i)
-        neg_root = ctx.neg(root)
-        new = [0] * (len(coeffs) + 1)
+    coset = cyclotomic_coset(j, degree(modulus))
+    root = poly_pow_mod(X, j, modulus)
+    coeffs = [ONE]  # ascending in X, each a residue mod f
+    for _ in coset:
+        new = [ZERO, *coeffs]  # times X, then minus root times
         for t, c in enumerate(coeffs):
-            new[t] = ctx.add(new[t], ctx.mul(c, neg_root))
-            new[t + 1] = ctx.add(new[t + 1], c)
+            new[t] = poly_sub(new[t], poly_mod(poly_mul(c, root), modulus))
         coeffs = new
-    for c in coeffs:
-        if c not in (0, 1, 2):
-            raise CoefficientNotInBaseField(
-                f"minimal polynomial of {j} has a coefficient outside GF(3)"
-            )
-    return normalize(coeffs)
+        root = poly_mod(tuple(c for a in root for c in (a, 0, 0)), modulus)
+    if any(len(c) > 1 for c in coeffs):
+        raise CoefficientNotInBaseField(
+            f"minimal polynomial of {j} has a coefficient outside GF(3)"
+        )
+    return normalize(c[0] if c else 0 for c in coeffs)

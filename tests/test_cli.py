@@ -280,13 +280,26 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
     ]
 
 
+def test_construct_loads_no_numpy_and_no_field_tables():
+    """construct builds m_u * m_v in GF(3)[x]/(f), for the default and for a
+    dense m = 13 modulus: neither numpy nor tritcodes.fieldctx is imported."""
+    proc = _fresh_python(
+        "import os, sys\n"
+        "from tritcodes.cli import main\n"
+        "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
+        "    print(main(['construct', '--m', '13', '--out', os.devnull, *extra]))\n"
+        "print('numpy' in sys.modules, 'tritcodes.fieldctx' in sys.modules)\n"
+    )
+    assert proc.stdout.split() == ["0", "0", "False", "False"], proc.stderr
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_starts_no_blas_threads():
     """Importing tritcodes.cli caps numpy's OpenBLAS pool at one thread before
     numpy loads, when OPENBLAS_NUM_THREADS is unset: for a command run by main,
     and for the layers imported next, as perfbench's tracer does."""
     for script in (
-        "from tritcodes.cli import main\nmain(['construct', '--m', '5', '--out', os.devnull])\n",
+        "from tritcodes.cli import main\nmain(['lemma-check', '--m', '5', '--out', os.devnull])\n",
         "import tritcodes.cli\nimport tritcodes.distance\n",
     ):
         proc = _fresh_python(

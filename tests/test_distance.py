@@ -11,6 +11,7 @@ from tritcodes import distance, fieldctx, gf3m, polyring
 from tritcodes.distance import (
     brute_force_min_weight,
     conclude_distance,
+    is_codeword,
     macwilliams,
     weight2_search,
     weight3_search,
@@ -18,7 +19,7 @@ from tritcodes.distance import (
 )
 from tritcodes.dualspectrum import WeightEnumerator, spectral_enumerator
 from tritcodes.exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
-from tritcodes.codebuilder import build_code, exponent_pair, is_codeword
+from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
 from conftest import ENUM_M5

@@ -55,7 +55,7 @@ def primitive_fields(draw, ms=(3, 5, 7)):
     m = draw(st.sampled_from(ms))
     base = gf3m.make_field(m)
     k = draw(st.integers(1, base.order - 1).filter(lambda k: math.gcd(k, base.order) == 1))
-    return gf3m.make_field(m, polyring.minimal_polynomial(k, base))
+    return gf3m.make_field(m, polyring.minimal_polynomial(k, base.modulus))
 
 
 def ref_trace(ctx, a):

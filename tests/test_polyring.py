@@ -3,9 +3,9 @@ import random
 import pytest
 
 from tritcodes import polyring
-from tritcodes.codebuilder import build_code
+from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import DEFAULT_MODULI, make_field
-from tritcodes.exceptions import DivisionByZeroPoly, OutOfRange
+from tritcodes.exceptions import CoefficientNotInBaseField, DivisionByZeroPoly, OutOfRange
 from tritcodes.polyring import (
     ONE,
     X,
@@ -40,7 +40,7 @@ def test_poly_mul_trivia():
 
 def test_poly_mul_generator_example(ctx5):
     # m_122 * m_19 is the generator polynomial of the m=5 code
-    got = poly_mul(minimal_polynomial(122, ctx5), minimal_polynomial(19, ctx5))
+    got = poly_mul(minimal_polynomial(122, ctx5.modulus), minimal_polynomial(19, ctx5.modulus))
     assert got == GEN_M5
 
 
@@ -95,21 +95,22 @@ def test_coset_sizes_divide_m():
 
 
 def test_minimal_polynomial_of_one_is_x_minus_1(ctx5):
-    assert minimal_polynomial(0, ctx5) == (2, 1)  # x - 1 == x + 2
+    assert minimal_polynomial(0, ctx5.modulus) == (2, 1)  # x - 1 == x + 2
 
 
 def test_minimal_polynomial_of_pi_is_modulus(ctx5):
-    assert minimal_polynomial(1, ctx5) == ctx5.modulus
+    assert minimal_polynomial(1, ctx5.modulus) == ctx5.modulus
 
 
 def test_minimal_polynomial_coset_invariance(ctx5):
     for j in (1, 19, 122):
-        assert minimal_polynomial(j, ctx5) == minimal_polynomial(j * 3 % 242, ctx5)
+        want = minimal_polynomial(j, ctx5.modulus)
+        assert minimal_polynomial(j * 3 % 242, ctx5.modulus) == want
 
 
 def test_minimal_polynomial_irreducible_and_roots(ctx5):
     for j in (1, 19, 122):
-        mp = minimal_polynomial(j, ctx5)
+        mp = minimal_polynomial(j, ctx5.modulus)
         assert polyring.is_irreducible(mp)
         assert mp[-1] == 1
         for i in cyclotomic_coset(j, 5):
@@ -120,13 +121,49 @@ def test_minimal_polynomial_irreducible_and_roots(ctx5):
             assert acc == 0
 
 
+def _seeded_primitive_moduli(m, count, seed):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        f = (*(rng.randrange(3) for _ in range(m)), 1)
+        if f not in found and polyring.is_primitive(f):
+            found.append(f)
+    return found
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
+    """The GF(3)[x] minimal polynomials of pi^u and pi^v, under the default
+    modulus and 5 seeded primitive ones for m <= 9 (all 4 at m = 3), are monic,
+    irreducible, of degree |C_j|, and vanish at pi^j by FieldCtx arithmetic."""
+    moduli = [DEFAULT_MODULI[m]]
+    if m <= 9:
+        moduli += _seeded_primitive_moduli(m, 4 if m == 3 else 5, seed=m)
+    for modulus in moduli:
+        ctx = make_field(m, modulus)
+        for j in exponent_pair(m):
+            mp = minimal_polynomial(j, modulus)
+            assert mp[-1] == 1 and polyring.is_irreducible(mp), (modulus, j)
+            assert polyring.degree(mp) == len(cyclotomic_coset(j, m)), (modulus, j)
+            root, acc = ctx.exp_of(j), 0
+            for c in reversed(mp):  # Horner over the field
+                acc = ctx.add(ctx.mul(acc, root), c)
+            assert acc == 0, (modulus, j)
+
+
+def test_minimal_polynomial_refuses_a_reducible_modulus():
+    # x^3 + x = x (x^2 + 1): the conjugates of x are not roots of one
+    # GF(3) polynomial, so the product has non-constant coefficients
+    with pytest.raises(CoefficientNotInBaseField):
+        minimal_polynomial(1, (0, 1, 0, 1))
+
+
 @pytest.mark.parametrize("m", [3, 5, 7])
 def test_product_of_all_minimal_polynomials(m):
-    ctx = make_field(m)
     n = 3**m - 1
     prod = ONE
     for j in sorted({cyclotomic_coset(i, m)[0] for i in range(n)}):
-        prod = poly_mul(prod, minimal_polynomial(j, ctx))
+        prod = poly_mul(prod, minimal_polynomial(j, DEFAULT_MODULI[m]))
     assert prod == normalize((-1,) + (0,) * (n - 1) + (1,))
 
 
@@ -172,8 +209,8 @@ def test_sympy_confirms_moduli_minimal_polynomials_and_generators():
         for p in sympy.factorint(n):
             assert gf_pow_mod([1, 0], n // p, list(modulus[::-1]), 3, ZZ) != [1], (m, p)
         code = build_code(make_field(m))
-        assert irreducible(minimal_polynomial(code.u, code.ctx)), m
-        assert irreducible(minimal_polynomial(code.v, code.ctx)), m
+        assert irreducible(minimal_polynomial(code.u, modulus)), m
+        assert irreducible(minimal_polynomial(code.v, modulus)), m
         assert gf_pow_mod([1, 0], n, list(code.gen[::-1]), 3, ZZ) == [1], m
 
 
