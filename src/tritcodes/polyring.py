@@ -181,7 +181,7 @@ def minimal_polynomial(j: int, modulus: Sequence[int]) -> Poly:
     root = poly_pow_mod(X, j, modulus)
     coeffs = [ONE]  # ascending in X, each a residue mod f
     for _ in coset:
-        new = [ZERO, *coeffs]  # times X, then minus root times
+        new = [ZERO, *coeffs]  # X * coeffs; the loop subtracts root * coeffs
         for t, c in enumerate(coeffs):
             new[t] = poly_sub(new[t], poly_mod(poly_mul(c, root), modulus))
         coeffs = new
