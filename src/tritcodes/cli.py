@@ -52,13 +52,16 @@ FIXTURE_SHAPE = {
 
 
 def _load_fixture(m: int) -> dict | None:
-    """The m{m}.json fixture, None when absent; ValueError when malformed."""
+    """The m{m}.json fixture, None when absent; ValueError when malformed or unreadable."""
     override = os.environ.get("TRITCODES_FIXTURES")
     base = Path(override) if override else resources.files("tritcodes") / "fixtures"
     ref = base / f"m{m}.json"
-    if not ref.is_file():
-        return None
-    doc = json.loads(ref.read_text(encoding="utf-8"))
+    try:
+        if not ref.is_file():
+            return None
+        doc = json.loads(ref.read_text(encoding="utf-8"))
+    except OSError as exc:  # e.g. a path too long or unreadable: invalid input, exit 2
+        raise ValueError(f"cannot read fixture: {exc}") from None
     ok = isinstance(doc, dict) and all(
         isinstance(doc.get(key), kind) for key, kind in FIXTURE_SHAPE.items()
     )

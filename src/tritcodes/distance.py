@@ -4,11 +4,13 @@ third path.
 
 The weight-2 and weight-3 searches and the weight-4 witness all solve the
 last position of a word with _last_positions, from the v-syndrome, and
-check the u-syndrome in the log domain of the field tables.  The weight-3
-search scans its middle position over the Frobenius orbit representatives
-only, about n/m positions; the weight-2 search and the weight-4 witness
-scan every position in order.  The oracle is kept independent of them: it
-completes words over the parity-check matrix H, whose row t holds the
+check the u-syndrome in the log domain of the field tables.  It yields the
+hits of each block of positions once the block is scanned, so a search
+stops at the block of its first hit.  The weight-3 search scans its middle
+position over the Frobenius orbit representatives only, about n/m
+positions; the weight-4 witness scans t_2, then t_3, in order; the weight-2
+search is one block, position 0.  The oracle is kept independent of them:
+it completes words over the parity-check matrix H, whose row t holds the
 base-3 digits of pi^(u t) and pi^(v t), using only digit sums mod 3, in
 O(n*m) memory and under the same budget gate.  It uses no logs, no cyclic
 normalisation and no orbits.  The oracle and MacWilliams must agree with
@@ -49,18 +51,10 @@ class DistanceReport:
         }
 
 
-def _log_syndrome(ctx, e: int, support, coeffs) -> int:
-    """log of sum(c * pi^(e t)) over the (t, c) pairs; -1 when it is 0."""
-    acc = -1
-    for t, c in zip(support, coeffs):
-        term = (e * t + ctx.log_of_scalar(c)) % ctx.order
-        acc = term if acc < 0 else int(ctx.log_add(acc, term))
-    return acc
-
-
 def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
-    """(t_(w-1), c_w, t_w) for every last term that completes a word, by c_w
-    and then in block order.
+    """(t_(w-1), c_w, t_w) for every last term that completes a word, yielded
+    block by block as soon as each block is scanned, in the order of these
+    triples within a block; so the order does not depend on the block size.
 
     blocks yields positions tp of c_(w-1), an int64 array, with the logs lu,
     lv of c_(w-1)*pi^(e tp) for e = u, v; su, sv are the logs of the
@@ -70,17 +64,18 @@ def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
     t0 + k*n/g when g divides L and none otherwise.  Only those roots are
     tested against the u-syndrome, all in the log domain, where logs in
     [0, 2n) are reduced by ctx.wrap, and keep(tp, tw) masks the allowed
-    last positions.
+    last positions.  block_hits returns plain ints and starmap keeps no
+    block, so the kernel holds no block array while suspended at a hit.
     """
     ctx = code.ctx
     n, u, v = code.n, code.u, code.v
     g = gcd(v, n)
     vinv = pow(v // g, -1, n // g)
     roots = np.arange(g, dtype=np.int64) * (n // g)
-    hits = {1: [], 2: []}
-    for tp, (lu, lv) in blocks:
-        lu = lu if su < 0 else ctx.log_add(lu, su)
-        lv = lv if sv < 0 else ctx.log_add(lv, sv)
+
+    def block_hits(tp, logs):
+        lu, lv = (lg if s < 0 else ctx.log_add(lg, s) for lg, s in zip(logs, (su, sv)))
+        found = []
         for cw in (1, 2):
             lneg = ctx.log_of_scalar(3 - cw)  # log(-1/c_w) = log(-c_w)
             # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
@@ -92,39 +87,34 @@ def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
             good = ctx.wrap((u * tw) % n + lneg) == lu[:, None]
             good &= keep(tp[:, None], tw) & ((lv >= 0) & (q * g == lt))[:, None]
             r, k = np.divmod(np.flatnonzero(good), g)
-            hits[cw].append((tp[r], tw[r, k]))
-    for cw in (1, 2):
-        for tps, tws in hits[cw]:
-            yield from ((a, cw, b) for a, b in zip(tps.tolist(), tws.tolist()))
+            found += zip(tp[r].tolist(), [cw] * len(r), tw[r, k].tolist())
+        return sorted(found)
+
+    for hits in itertools.starmap(block_hits, blocks):
+        yield from hits
 
 
-def _completions(code: CyclicCode, w: int):
-    """Weight-w codewords, w in (2, 4), with position 0 first and coefficient
-    1 there.
+def _completions(code: CyclicCode):
+    """Weight-4 codewords with position 0 first and coefficient 1 there.
 
-    Every codeword is a cyclic shift of a scalar multiple of one of these.
-    For w = 4 the positions 0 < t_2 and c_2 are scanned, t_3 > t_2 is
+    Every weight-4 codeword is a cyclic shift of a scalar multiple of one of
+    these.  The positions 0 < t_2, c_2 and c_3 are looped over, t_3 > t_2 is
     vectorised in the blocks of ctx.line_logs, and _last_positions solves
-    t_4 > t_3; for w = 2, t_(w-1) is position 0 itself.  Hits come in the
-    order prefix, c_(w-1), c_w, then positions ascending, as dicts of
-    support and coefficients.
+    t_4 > t_3.  Hits come in the order t_2, c_2, c_3, then block by block by
+    (t_3, c_4, t_4), as dicts of support and coefficients; a caller that
+    stops at the first hit scans no block after the one that holds it.
     """
     ctx = code.ctx
     n, u, v = code.n, code.u, code.v
-    # t_2 and c_2 come from a plain range: itertools.combinations would copy
-    # range(1, n) into a tuple of about 60 MiB at m = 13
-    prefixes = (
-        [((), ())] if w == 2 else (((0, t2), (1, c2)) for t2 in range(1, n) for c2 in (1, 2))
-    )
-    for support, coeffs in prefixes:
-        su, sv = (_log_syndrome(ctx, e, support, coeffs) for e in (u, v))
-        lo, hi, cps = (support[-1] + 1, n, (1, 2)) if support else (0, 1, (1,))
-        for cp in cps:
-            lcp = ctx.log_of_scalar(cp)
-            # logs of c_(w-1)*pi^(e t_(w-1)) for e = u, v
-            blocks = ctx.line_logs(lo, hi, (u, lcp), (v, lcp))
-            for a, cw, b in _last_positions(code, su, sv, blocks, np.less):  # b > a
-                yield {"support": [*support, a, b], "coefficients": [*coeffs, cp, cw]}
+    for t2 in range(1, n):
+        for c2 in (1, 2):
+            # logs of the syndromes 1 + c_2*pi^(e t_2), -1 where they vanish
+            su, sv = (int(ctx.log_add(0, (e * t2 + ctx.log_of_scalar(c2)) % n)) for e in (u, v))
+            for c3 in (1, 2):
+                lc3 = ctx.log_of_scalar(c3)
+                blocks = ctx.line_logs(t2 + 1, n, (u, lc3), (v, lc3))
+                for t3, c4, t4 in _last_positions(code, su, sv, blocks, np.less):  # t4 > t3
+                    yield {"support": [0, t2, t3, t4], "coefficients": [1, c2, c3, c4]}
 
 
 def _weight3_words(code: CyclicCode):
@@ -135,8 +125,8 @@ def _weight3_words(code: CyclicCode):
     since c(pi^e)^3 = c(pi^(3e)); a word on {0, t_p, t_w} maps to one on
     {0, 3t_p, 3t_w} with the same coefficients.  So some word of this form
     exists iff any weight-3 codeword does.  t_w is any root of
-    _last_positions outside {0, t_p}.  Hits come in the order c_p, c_w,
-    then t_p ascending, with the support sorted.
+    _last_positions outside {0, t_p}.  Hits come in the order c_p, then
+    block by block by (t_p, c_w, t_w), with the support sorted.
     """
     ctx = code.ctx
     u, v = code.u, code.v
@@ -150,8 +140,11 @@ def _weight3_words(code: CyclicCode):
 
 
 def weight2_search(code: CyclicCode) -> dict | None:
-    """First weight-2 codeword of _completions, or None."""
-    return next(_completions(code, 2), None)
+    """First weight-2 codeword with 1 at position 0, by c_2 and then t_2, or
+    None: _last_positions on the one-position block t_1 = 0."""
+    blocks = code.ctx.line_logs(0, 1, (code.u, 0), (code.v, 0))
+    hit = next(_last_positions(code, -1, -1, blocks, np.less), None)  # t_2 > 0
+    return hit and {"support": [0, hit[2]], "coefficients": [1, hit[1]]}
 
 
 def weight3_search(code: CyclicCode) -> dict | None:
@@ -235,8 +228,9 @@ def is_codeword(word, code: CyclicCode) -> bool:
 
 
 def weight4_witness(code: CyclicCode) -> dict | None:
-    """First weight-4 codeword of _completions that is_codeword confirms, or None."""
-    for hit in _completions(code, 4):
+    """First weight-4 codeword of _completions that is_codeword confirms, or
+    None; the scan stops at the block that holds it."""
+    for hit in _completions(code):
         word = np.zeros(code.n, dtype=np.int8)
         word[hit["support"]] = hit["coefficients"]
         if is_codeword(word, code):

@@ -244,6 +244,16 @@ def test_malformed_fixture_exit_2(tmp_path, capsys, monkeypatch, name):
     assert "malformed fixture" in err
 
 
+def test_unreadable_fixture_exit_2(capsys, monkeypatch):
+    """An OSError from the fixture lookup (here a name longer than the OS
+    allows) is invalid input: exit 2 and one error line, no traceback."""
+    monkeypatch.setenv("TRITCODES_FIXTURES", "/" + "a" * 5000)
+    code, out, err = run_cli(capsys, "report", "--m", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read fixture: ") and err.count("\n") == 1
+
+
 def test_empty_modulus_exit_2(capsys):
     code, out, err = run_cli(capsys, "construct", "--m", "5", "--modulus", "")
     assert code == 2

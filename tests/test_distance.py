@@ -147,19 +147,22 @@ class TestWeight3:
     def test_orbit_scan_m5(self, code5, v):
         self.check_orbit_scan(replace(code5, v={"code": code5.v, "u": code5.u}.get(v, v)))
 
-    def test_memory_m13(self):
-        """The orbit representatives and the scan over them are built in blocks:
-        on a context without cached representatives, the tracemalloc peak of
-        the m = 13 search stays a few MiB (an unblocked build holds several
-        arrays of n int64 entries, 12 MiB each)."""
+    @pytest.mark.parametrize("search", [weight3_search, weight4_witness])
+    def test_memory_m13(self, search):
+        """The orbit representatives and the scans are built in blocks: on a
+        context without cached representatives, the tracemalloc peak of the
+        m = 13 weight-3 search and weight-4 witness stays a few MiB (an
+        unblocked build holds several arrays of n int64 entries, 12 MiB
+        each; a kernel that kept its last block across a yield, over 8 MiB)."""
         code = build_code(make_field(13))
         code = replace(code, ctx=fieldctx.FieldCtx(13, code.ctx.modulus))
         tracemalloc.start()
         try:
-            assert weight3_search(code) is None
+            found = search(code)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert found == (None if search is weight3_search else TestWeight4Witness.PINNED[13])
         assert peak < 8 * 2**20
 
     def test_candidate_logic_exhaustive(self, ctx3):
@@ -401,8 +404,12 @@ class TestBlockedCompletions:
         code = relaxed(code) if variant == "v=u" else replace(code, v=1)
 
         def hits():
-            words = {w: list(distance._completions(code, w)) for w in (2, 4)}
-            return {**words, 3: list(distance._weight3_words(code))}
+            line = code.ctx.line_logs(0, 1, (code.u, 0), (code.v, 0))
+            return {
+                2: list(distance._last_positions(code, -1, -1, line, np.less)),
+                3: list(distance._weight3_words(code)),
+                4: list(distance._completions(code)),
+            }
 
         want = hits()
         assert want[3] and want[4]
@@ -410,19 +417,39 @@ class TestBlockedCompletions:
         assert hits() == want
 
     def test_every_hit_has_zero_syndromes_m3(self, code3):
-        """For every v' in [1, n), each weight-4 hit of C_(u,v') has zero u- and
-        v-syndromes by scalar field arithmetic.  Where the partial v-syndrome
-        S_v vanishes no last position fits; without the S_v != 0 condition of
-        the root mask, some such prefixes pass the u-check (v' = 4 gives the
-        spurious support [0, 2, 7, 16])."""
-        ctx = code3.ctx
+        """For every v' in [1, n), weight2_search on C_(u,v') finds a word
+        exactly when the naive search finds one of weight 2, and that word and
+        each weight-4 hit have zero u- and v-syndromes by scalar field
+        arithmetic.  Where the partial v-syndrome S_v vanishes no last
+        position fits; without the S_v != 0 condition of the root mask, some
+        such prefixes pass the u-check (v' = 4 gives the spurious weight-4
+        support [0, 2, 7, 16])."""
         for v in range(1, code3.n):
-            for hit in distance._completions(replace(code3, v=v), 4):
-                for e in (code3.u, v):
-                    syndrome = 0
-                    for t, c in zip(hit["support"], hit["coefficients"]):
-                        syndrome = ctx.add(syndrome, ctx.smul(c, ctx.exp_of(e * t)))
-                    assert syndrome == 0, (v, hit)
+            code = replace(code3, v=v)
+            wit2 = weight2_search(code)
+            assert (wit2 is not None) == (naive_min_weight(code, 2) is not None), v
+            for hit in [*filter(None, [wit2]), *distance._completions(code)]:
+                support, coeffs = hit["support"], hit["coefficients"]
+                for e in (code.u, v):
+                    assert _syndrome(code.ctx, e, support, coeffs) == 0, (v, hit)
+
+    def test_witness_stops_at_its_first_hit(self, monkeypatch):
+        """With blocks of 37 positions at m = 7 the witness [0, 1, 211, 443]
+        lies in the sixth block of its t_3 line: the scan pulls no block after
+        it, where draining the line takes 60."""
+        pulled = []
+        line_logs = fieldctx.FieldCtx.line_logs
+
+        def counted(ctx, *args):
+            for block in line_logs(ctx, *args):
+                pulled.append(len(block[0]))
+                yield block
+
+        code = build_code(make_field(7))
+        monkeypatch.setattr(fieldctx.FieldCtx, "line_logs", counted)
+        monkeypatch.setattr(gf3m, "BLOCK", 37)
+        assert weight4_witness(code)["support"] == [0, 1, 211, 443]
+        assert len(pulled) < 10
 
     @pytest.mark.parametrize("variant", ["v=u", "v=1"])
     def test_hits_near_the_end_m13(self, variant):
