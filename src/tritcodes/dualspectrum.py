@@ -3,9 +3,9 @@
 Delsarte's theorem presents the dual as trace codewords c(a,b) indexed by
 field pairs.  The direct path loops every (a,b) and counts nonzero trace
 coordinates (small m only).  The spectral path gets the Fourier transform
-of the power function x^v at every point from one exact ternary Walsh
-transform (m*3^m operations, every supported m; the single-point fhat is
-its test reference) and turns two spectrum values into a codeword weight.
+of the power function x^v, fhat(lam) = sum over x of chi(x^v - lam*x), at
+every point from one exact ternary Walsh transform (m*3^m operations,
+every supported m) and turns two spectrum values into a codeword weight.
 All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
@@ -53,38 +53,6 @@ def weight_value_set(m: int) -> set[int]:
     mid = 2 * 3 ** (m - 1)
     step = 3**ell
     return {0, mid, mid - 2 * step, mid + 2 * step, mid - step, mid + step}
-
-
-def dual_codeword_weight(a: int, b: int, ctx: FieldCtx) -> int:
-    """Hamming weight of the trace codeword (tr(a*pi^(-ui) + b*pi^(-vi)))_i."""
-    u, v = exponent_pair(ctx.m)
-    n = ctx.order
-    zeros = 0
-    for i in range(n):
-        x = ctx.add(
-            ctx.mul(a, ctx.exp_of(-u * i)),
-            ctx.mul(b, ctx.exp_of(-v * i)),
-        )
-        if ctx.trace(x) == 0:
-            zeros += 1
-    return n - zeros
-
-
-def fhat(lam: int, ctx: FieldCtx) -> tuple[int, int]:
-    """Fourier transform of x^v at lam, sum over x of chi(x^v - lam*x), as the
-    Eisenstein pair (N0 - N2, N1 - N2), Nk counting the x of trace value k."""
-    _, v = exponent_pair(ctx.m)
-    n = ctx.order
-    j = np.arange(n, dtype=np.int64)
-    trv = ctx.trace_by_log[(v * j) % n]
-    if lam == 0:
-        d = trv
-    else:
-        s = ctx.log_of(lam)
-        d = (trv.astype(np.int16) - ctx.trace_by_log[(s + j) % n]) % 3
-    counts = np.bincount(np.asarray(d, dtype=np.int64), minlength=3)
-    n0 = int(counts[0]) + 1  # x = 0 contributes chi(0)
-    return n0 - int(counts[2]), int(counts[1]) - int(counts[2])
 
 
 def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:

@@ -22,14 +22,6 @@ class NotPrimitive(TritcodesError):
     """x generates a proper subgroup of GF(3^m)*."""
 
 
-class ZeroInverse(TritcodesError):
-    """Multiplicative inverse of zero requested."""
-
-
-class ZeroInput(TritcodesError):
-    """Logarithm of zero requested."""
-
-
 class DivisionByZeroPoly(TritcodesError):
     """Polynomial division by the zero polynomial."""
 

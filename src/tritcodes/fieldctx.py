@@ -1,13 +1,12 @@
-"""Exact GF(3^m) arithmetic for odd m from precomputed exp/log/Zech/trace tables.
+"""Exact GF(3^m) tables for odd m: exp/log/Zech/trace, all read in the log domain.
 
-Elements are plain Python ints in [0, 3^m): the base-3 digits of the int
-are the coefficients of the residue class, digit i holding the
-coefficient of x^i.  The primitive element pi is always the residue
-class of x.  The exp, log and Zech tables are built at construction
-(m <= 13, about 1.6M entries at the top); the trace table, which only the
-dual-spectrum paths read, and the Frobenius orbit representatives are
-built on first use.  Every operation is a pure function of (inputs, ctx)
-and the context is safe to share.  The exp, log and Zech tables are int32;
+The exp table maps a log j to the packed element pi^j, an int in [0, 3^m)
+whose base-3 digit i is the coefficient of x^i; the log table inverts it.
+The primitive element pi is always the residue class of x.  The exp, log
+and Zech tables are built at construction (m <= 13, about 1.6M entries at
+the top); the trace table, which only the dual-spectrum paths read, and
+the Frobenius orbit representatives are built on first use.  The context
+is immutable and safe to share.  The exp, log and Zech tables are int32;
 arithmetic on their entries runs in int64 or ints.
 
 Addition runs in the log domain through the Zech table
@@ -21,12 +20,12 @@ for the rest.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from . import gf3m, polyring
-from .exceptions import NotIrreducible, ZeroInput, ZeroInverse
+from .exceptions import NotIrreducible
 
 
 class FieldCtx:
@@ -92,33 +91,6 @@ class FieldCtx:
             reps.append(cand)
         return np.concatenate(reps).astype(np.int64)
 
-    # -- scalar operations ----------------------------------------------
-
-    def exp_of(self, j: int) -> int:
-        """pi^j for any integer j (reduced mod 3^m - 1)."""
-        return int(self.exp[j % self.order])
-
-    def log_of(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInput("log of zero")
-        return int(self.log[a])
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return a or b
-        la = self.log_add(int(self.log[a]), int(self.log[b]))
-        return 0 if la < 0 else int(self.exp[la])
-
-    def neg(self, a: int) -> int:
-        return self.smul(2, a)
-
-    def smul(self, c: int, a: int) -> int:
-        """Scalar multiple by c in GF(3)."""
-        c %= 3
-        if c == 0 or a == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + self.log_of_scalar(c)) % self.order])
-
     # -- log-domain helpers (ints or numpy arrays of logs) ---------------
 
     def log_of_scalar(self, c: int) -> int:
@@ -143,15 +115,11 @@ class FieldCtx:
     def line_logs(self, lo: int, hi: int, *terms):
         """(t, logs) per block of at most gf3m.BLOCK positions t in [lo, hi): t
         an int64 array, logs one int64 array (e*t + c) mod n, the log of
-        pi^(e t + c), per (e, c) in terms.  e*t mod n comes from one table of
-        e*i mod n for i < BLOCK, and every sum is reduced by wrap."""
+        pi^(e t + c), per (e, c) in terms."""
         n, block = self.order, gf3m.BLOCK
-        offsets = np.arange(min(block, hi - lo), dtype=np.int64)
-        steps = [((e * offsets) % n, e, c) for e, c in terms]
         for start in range(lo, hi, block):
-            size = min(block, hi - start)
-            logs = [self.wrap(st[:size] + (e * start + c) % n) for st, e, c in steps]
-            yield offsets[:size] + start, logs
+            t = np.arange(start, min(start + block, hi), dtype=np.int64)
+            yield t, [(e * t + c) % n for e, c in terms]
 
     def orbit_logs(self, lo: int, hi: int, *terms):
         """(t, logs) as line_logs, for t the orbit_reps in [lo, hi) only, per
@@ -161,23 +129,6 @@ class FieldCtx:
         for start in range(first, last, block):
             t = reps[start : min(start + block, last)]
             yield t, [(e * t + c) % n for e, c in terms]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.order])
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise ZeroInverse("negative power of zero")
-        return int(self.exp[(int(self.log[a]) * e) % self.order])
-
-    def trace(self, a: int) -> int:
-        return int(self.trace_by_log[self.log[a]]) if a else 0
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
@@ -238,10 +189,12 @@ def _lincomb3(coeffs, rows) -> np.ndarray:
 
 def _build_trace_table(ctx: FieldCtx) -> np.ndarray:
     """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j: a _recurring
-    sequence (Tr is linear) started by Tr(x^i), the sum of the conjugates
-    x^(i*3^k), for i < m; each must be a constant."""
-    m = ctx.m
-    basis_tr = [reduce(ctx.add, [ctx.exp_of(i * 3**k) for k in range(m)]) for i in range(m)]
-    if max(basis_tr) > 2:
+    sequence (Tr is linear) started by Tr(x^i), the digit-wise sum mod 3 of
+    the conjugates x^(i*3^k) read from the exp table, for i < m; each must
+    be a constant."""
+    m, powers = ctx.m, 3 ** np.arange(ctx.m)
+    conjugates = ctx.exp[np.outer(np.arange(m), powers) % ctx.order, None] // powers % 3
+    basis_tr = conjugates.sum(axis=1) % 3  # row i: the digits of Tr(x^i)
+    if basis_tr[:, 1:].any():
         raise NotIrreducible("trace of a basis element is not in GF(3); modulus is invalid")
-    return _recurring(basis_tr, ctx.modulus, ctx.order)
+    return _recurring(basis_tr[:, 0], ctx.modulus, ctx.order)

@@ -6,9 +6,7 @@ side has GF(3) coefficients, so lhs(x^3) = lhs(x)^3, and a c in GF(3) has
 c^3 = c.  Each solution set of lhs = c is therefore a union of orbits of
 x -> x^3, and evaluating at x = pi^t for the least t of each orbit
 (ctx.orbit_reps, about 3^m/m of them) decides it exactly, independent of
-any square/nonsquare argument.  The preimage-count sweep over every
-right-hand side scans every x with the same kernel; it guards against an
-evaluator bug that reports "no solutions" for everything.
+any square/nonsquare argument.
 """
 
 from __future__ import annotations
@@ -73,12 +71,3 @@ def lemma_check(ctx: FieldCtx, epsilon: int) -> LemmaReport:
     sols = [int(ctx.exp[j]) for j in _solution_logs(ctx, epsilon, 1)]
     return LemmaReport(m=ctx.m, epsilon=epsilon, solutions=sols, scanned=ctx.order)
 
-
-def lemma_preimage_counts(ctx: FieldCtx, epsilon: int) -> np.ndarray:
-    """Solution count of lhs(x) = c for every c in GF(3^m), indexed by element,
-    by the lemma's kernel at every x in GF(3^m)*: the map is total on
-    GF(3^m)*, so the counts sum to 3^m - 1, and some c != 1 must have a
-    nonempty preimage."""
-    blocks = _lhs_logs(ctx, epsilon, ctx.line_logs)
-    values = [np.where(logs < 0, 0, ctx.exp[logs]) for _, logs in blocks]
-    return np.bincount(np.concatenate(values), minlength=ctx.size)

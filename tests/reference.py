@@ -1,0 +1,93 @@
+"""Test references: one scalar GF(3^m) arithmetic on packed elements, and the
+definition-level forms of the dual spectrum and of the lemma's kernel.
+
+An element is an int in [0, 3^m) whose base-3 digit i is the coefficient of
+x^i, as in ctx.exp.  add, neg and smul work digit by digit and never read
+ctx.zech, so they check the log-domain kernels independently; exp_of, mul,
+power and trace read only ctx.exp, ctx.log and ctx.trace_by_log, which
+test_gf3m checks entry by entry against the modulus.  Tests import this
+module as they import conftest.
+"""
+
+import numpy as np
+
+from tritcodes import lemma
+from tritcodes.codebuilder import exponent_pair
+
+
+def add(ctx, a, b):
+    out, p = 0, 1
+    for _ in range(ctx.m):
+        a, da = divmod(a, 3)
+        b, db = divmod(b, 3)
+        out += (da + db) % 3 * p
+        p *= 3
+    return out
+
+
+def smul(ctx, c, a):
+    """c*a for c in GF(3), given as any int."""
+    out, p = 0, 1
+    for _ in range(ctx.m):
+        a, d = divmod(a, 3)
+        out += c * d % 3 * p
+        p *= 3
+    return out
+
+
+def neg(ctx, a):
+    return smul(ctx, 2, a)
+
+
+def exp_of(ctx, j):
+    """pi^j for any integer j."""
+    return int(ctx.exp[j % ctx.order])
+
+
+def mul(ctx, a, b):
+    return exp_of(ctx, int(ctx.log[a]) + int(ctx.log[b])) if a and b else 0
+
+
+def power(ctx, a, e):
+    """a^e for e >= 0, 0^0 = 1; the exponent product is a Python int."""
+    return exp_of(ctx, int(ctx.log[a]) * e) if a else int(e == 0)
+
+
+def trace(ctx, a):
+    return int(ctx.trace_by_log[ctx.log[a]]) if a else 0
+
+
+def dual_codeword_weight(a, b, ctx):
+    """Hamming weight of the trace codeword (tr(a*pi^(-ui) + b*pi^(-vi)))_i."""
+    u, v = exponent_pair(ctx.m)
+    weight = 0
+    for i in range(ctx.order):
+        x = add(ctx, mul(ctx, a, exp_of(ctx, -u * i)), mul(ctx, b, exp_of(ctx, -v * i)))
+        weight += trace(ctx, x) != 0
+    return weight
+
+
+def fhat(lam, ctx):
+    """Fourier transform of x^v at lam, sum over x of chi(x^v - lam*x), as the
+    Eisenstein pair (N0 - N2, N1 - N2), Nk counting the x of trace value k."""
+    _, v = exponent_pair(ctx.m)
+    n = ctx.order
+    j = np.arange(n, dtype=np.int64)
+    trv = ctx.trace_by_log[(v * j) % n]
+    if lam == 0:
+        d = trv
+    else:
+        d = (trv.astype(np.int16) - ctx.trace_by_log[(int(ctx.log[lam]) + j) % n]) % 3
+    counts = np.bincount(np.asarray(d, dtype=np.int64), minlength=3)
+    n0 = int(counts[0]) + 1  # x = 0 contributes chi(0)
+    return n0 - int(counts[2]), int(counts[1]) - int(counts[2])
+
+
+def lemma_preimage_counts(ctx, epsilon):
+    """Solution count of lhs(x) = c for every c in GF(3^m), indexed by element,
+    by the lemma's kernel at every x in GF(3^m)* (ctx.line_logs): the map is
+    total on GF(3^m)*, so the counts sum to 3^m - 1, and some c != 1 must
+    have a nonempty preimage."""
+    blocks = lemma._lhs_logs(ctx, epsilon, ctx.line_logs)
+    values = [np.where(logs < 0, 0, ctx.exp[logs]) for _, logs in blocks]
+    return np.bincount(np.concatenate(values), minlength=ctx.size)

@@ -19,16 +19,12 @@ from tritcodes.distance import (
     weight2_search,
     weight3_search,
 )
-from tritcodes.dualspectrum import (
-    direct_enumerator,
-    fhat,
-    spectral_enumerator,
-    weight_value_set,
-)
+from tritcodes.dualspectrum import direct_enumerator, spectral_enumerator, weight_value_set
 from tritcodes.gf3m import make_field
-from tritcodes.lemma import lemma_check, lemma_preimage_counts
+from tritcodes.lemma import lemma_check
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9, GEN_M5, GEN_M7, GEN_M9
+from reference import fhat, lemma_preimage_counts
 
 
 def _report(criterion, ok, detail=""):

@@ -23,6 +23,7 @@ from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
 from conftest import ENUM_M5
+from reference import add, exp_of, neg, power, smul
 
 
 def relaxed(code):
@@ -33,14 +34,15 @@ def relaxed(code):
 def u_power_solutions(s, ctx):
     """All y with y^u = s, by brute-force scan (oracle for the candidate logic)."""
     u, _ = exponent_pair(ctx.m)
-    return [y for y in range(1, ctx.size) if ctx.pow(y, u) == s]
+    return [y for y in range(1, ctx.size) if power(ctx, y, u) == s]
 
 
 def naive_min_weight(code, wmax):
     """Lexicographically first codeword of weight <= wmax, one word at a time.
 
     Supports in itertools order, leading coefficient 1, syndromes
-    sum(c_i * pi^(e t_i)) for e in {u, v} from scalar ctx.add / ctx.smul.
+    sum(c_i * pi^(e t_i)) for e in {u, v} by the digit-wise reference add
+    and smul, which read no Zech table.
     """
     ctx = code.ctx
     for w in range(1, wmax + 1):
@@ -56,22 +58,22 @@ def naive_min_weight(code, wmax):
 
 def scalar_weight3_words(code):
     """Every (a, c_a, b, c_b) such that 1 at position 0, c_a at a and c_b at b
-    form a codeword, by scalar ctx.add and ctx.smul: each word once per order
-    of a and b.  Every weight-3 word is a cyclic shift of a scalar multiple
-    of one of these.  For each (a, c_a) the last term c_b*pi^(e b) must be
-    -(1 + c_a*pi^(e a)) for e = u and v; it is looked up among all (b, c_b)
-    with b != 0."""
+    form a codeword, by the digit-wise reference add and smul: each word once
+    per order of a and b.  Every weight-3 word is a cyclic shift of a scalar
+    multiple of one of these.  For each (a, c_a) the last term c_b*pi^(e b)
+    must be -(1 + c_a*pi^(e a)) for e = u and v; it is looked up among all
+    (b, c_b) with b != 0."""
     ctx = code.ctx
     last = {}
     for b in range(1, code.n):
         for cb in (1, 2):
-            key = tuple(ctx.smul(cb, ctx.exp_of(e * b)) for e in (code.u, code.v))
+            key = tuple(smul(ctx, cb, exp_of(ctx, e * b)) for e in (code.u, code.v))
             last.setdefault(key, []).append((b, cb))
     words = []
     for a in range(1, code.n):
         for ca in (1, 2):
             need = tuple(
-                ctx.neg(ctx.add(1, ctx.smul(ca, ctx.exp_of(e * a)))) for e in (code.u, code.v)
+                neg(ctx, add(ctx, 1, smul(ctx, ca, exp_of(ctx, e * a)))) for e in (code.u, code.v)
             )
             words += [(a, ca, b, cb) for b, cb in last.get(need, ()) if b != a]
     return words
@@ -80,7 +82,7 @@ def scalar_weight3_words(code):
 def _syndrome(ctx, e, support, coeffs):
     acc = 0
     for t, c in zip(support, coeffs):
-        acc = ctx.add(acc, ctx.smul(c, ctx.exp_of(e * t)))
+        acc = add(ctx, acc, smul(ctx, c, exp_of(ctx, e * t)))
     return acc
 
 
@@ -97,8 +99,8 @@ class TestWeight2:
         ctx = code3.ctx
         t2 = wit["support"][1]
         c2 = wit["coefficients"][1]
-        delta_u = ctx.pow(ctx.exp_of(t2), code3.u)
-        assert ctx.smul(c2, delta_u) == ctx.neg(1)
+        delta_u = power(ctx, exp_of(ctx, t2), code3.u)
+        assert smul(ctx, c2, delta_u) == neg(ctx, 1)
 
 
 class TestWeight3:
@@ -169,8 +171,8 @@ class TestWeight3:
         """Solutions of y^u = s are exactly {s, -s} for squares, else empty."""
         for s in range(1, ctx3.size):
             brute = set(u_power_solutions(s, ctx3))
-            if ctx3.log_of(s) % 2 == 0:
-                assert brute == {s, ctx3.neg(s)}
+            if ctx3.log[s] % 2 == 0:
+                assert brute == {s, neg(ctx3, s)}
             else:
                 assert brute == set()
 
@@ -223,7 +225,7 @@ class TestOracle:
         found = False
         for t2 in range(1, code3.n):
             for c2 in (1, 2):
-                s = ctx.add(ctx.exp_of(0), ctx.smul(c2, ctx.exp_of(code3.u * t2)))
+                s = add(ctx, 1, smul(ctx, c2, exp_of(ctx, code3.u * t2)))
                 if s == 0:
                     found = True
         assert found

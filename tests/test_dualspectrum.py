@@ -8,8 +8,6 @@ from tritcodes.codebuilder import exponent_pair
 from tritcodes.dualspectrum import (
     _fhat_all,
     direct_enumerator,
-    dual_codeword_weight,
-    fhat,
     spectral_enumerator,
     weight_value_set,
 )
@@ -17,6 +15,7 @@ from tritcodes.exceptions import BudgetExceeded
 from tritcodes.gf3m import make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9
+from reference import dual_codeword_weight, exp_of, fhat, neg
 
 
 class TestCodewordWeight:
@@ -26,8 +25,8 @@ class TestCodewordWeight:
     def test_boundary_pairs(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
             mid = 2 * 3 ** (ctx.m - 1)
-            assert dual_codeword_weight(0, ctx.exp_of(5), ctx) == mid
-            assert dual_codeword_weight(ctx.exp_of(9), 0, ctx) == mid
+            assert dual_codeword_weight(0, exp_of(ctx, 5), ctx) == mid
+            assert dual_codeword_weight(exp_of(ctx, 9), 0, ctx) == mid
 
 
 class TestFhat:
@@ -50,7 +49,7 @@ class TestFhat:
     def test_value_set_m7(self, ctx7):
         allowed = {0, 81, -81}
         for j in range(ctx7.order):
-            p, q = fhat(ctx7.exp_of(j), ctx7)
+            p, q = fhat(exp_of(ctx7, j), ctx7)
             assert q == 0 and p in allowed
 
     @pytest.mark.parametrize("m", [3, 5, 7])
@@ -58,7 +57,7 @@ class TestFhat:
         ctx = make_field(m)
         values = _fhat_all(ctx, exponent_pair(m)[1])
         assert [(int(p), 0) for p in values] == [
-            fhat(ctx.exp_of(s), ctx) for s in range(ctx.order)
+            fhat(exp_of(ctx, s), ctx) for s in range(ctx.order)
         ]
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
@@ -80,7 +79,7 @@ class TestFhat:
         values = _fhat_all(ctx, exponent_pair(m)[1])
         rng = random.Random(m)
         for s in [0, ctx.half] + [rng.randrange(ctx.order) for _ in range(16)]:
-            assert fhat(ctx.exp_of(s), ctx) == (int(values[s]), 0), s
+            assert fhat(exp_of(ctx, s), ctx) == (int(values[s]), 0), s
 
 
 class TestEnumerators:
@@ -149,8 +148,8 @@ class TestStructuralProperties:
     def test_fhat_pair_sums_divisible_by_three(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
             for j in range(ctx.order):
-                lam = ctx.exp_of(j)
-                (p1, q1), (p2, q2) = fhat(lam, ctx), fhat(ctx.neg(lam), ctx)
+                lam = exp_of(ctx, j)
+                (p1, q1), (p2, q2) = fhat(lam, ctx), fhat(neg(ctx, lam), ctx)
                 assert q1 + q2 == 0 and (p1 + p2) % 3 == 0
 
     def test_spectral_matches_per_pair_weights(self, ctx3):
@@ -163,9 +162,8 @@ class TestStructuralProperties:
         for _ in range(20):
             a = rng.randrange(1, ctx3.size)
             b = rng.randrange(1, ctx3.size)
-            lam_log = (ctx3.log_of(a) - vinv * ctx3.log_of(b)) % n
-            lam = ctx3.exp_of(lam_log)
-            pair_sum = fhat(lam, ctx3)[0] + fhat(ctx3.neg(lam), ctx3)[0]
+            lam = exp_of(ctx3, int(ctx3.log[a]) - vinv * int(ctx3.log[b]))
+            pair_sum = fhat(lam, ctx3)[0] + fhat(neg(ctx3, lam), ctx3)[0]
             assert dual_codeword_weight(a, b, ctx3) == mid - pair_sum // 3
 
 

@@ -21,6 +21,7 @@ from tritcodes.polyring import (
 )
 
 from conftest import GEN_M5
+from reference import add, exp_of, mul
 
 
 def test_parse_format_round_trip():
@@ -114,10 +115,10 @@ def test_minimal_polynomial_irreducible_and_roots(ctx5):
         assert polyring.is_irreducible(mp)
         assert mp[-1] == 1
         for i in cyclotomic_coset(j, 5):
-            root = ctx5.exp_of(i)
+            root = exp_of(ctx5, i)
             acc = 0
             for c in reversed(mp):  # Horner over the field
-                acc = ctx5.add(ctx5.mul(acc, root), c)
+                acc = add(ctx5, mul(ctx5, acc, root), c)
             assert acc == 0
 
 
@@ -135,7 +136,7 @@ def _seeded_primitive_moduli(m, count, seed):
 def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
     """The GF(3)[x] minimal polynomials of pi^u and pi^v, under the default
     modulus and 5 seeded primitive ones for m <= 9 (all 4 at m = 3), are monic,
-    irreducible, of degree |C_j|, and vanish at pi^j by FieldCtx arithmetic."""
+    irreducible, of degree |C_j|, and vanish at pi^j by the reference arithmetic."""
     moduli = [DEFAULT_MODULI[m]]
     if m <= 9:
         moduli += _seeded_primitive_moduli(m, 4 if m == 3 else 5, seed=m)
@@ -145,9 +146,9 @@ def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
             mp = minimal_polynomial(j, modulus)
             assert mp[-1] == 1 and polyring.is_irreducible(mp), (modulus, j)
             assert polyring.degree(mp) == len(cyclotomic_coset(j, m)), (modulus, j)
-            root, acc = ctx.exp_of(j), 0
+            root, acc = exp_of(ctx, j), 0
             for c in reversed(mp):  # Horner over the field
-                acc = ctx.add(ctx.mul(acc, root), c)
+                acc = add(ctx, mul(ctx, acc, root), c)
             assert acc == 0, (modulus, j)
 
 
