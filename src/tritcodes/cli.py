@@ -6,8 +6,9 @@ check_modulus's modulus for construct (no numpy), make_field's FieldCtx for
 the rest.  main alone writes doc and maps passed to the exit code.
 All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
-diffing works.  Exit codes: 0 = all checks pass, 1 = mathematical
-mismatch, 2 = invalid input (an unwritable --out path included).
+diffing works.  Exit codes: 0 = all checks pass, 1 = a check failed (the
+doc is written) or a self-check raised Inconsistent (nothing is written),
+2 = invalid input (an unwritable --out path included).
 
 The report command diffs against the shipped fixtures for m in {5, 7, 9}
 (TRITCODES_FIXTURES overrides the directory): fixture_match compares the
@@ -27,13 +28,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import polyring
-from .exceptions import (
-    DEFAULT_BUDGET,
-    Inconsistent,
-    NonIntegerOutput,
-    NonIntegralWeight,
-    TritcodesError,
-)
+from .exceptions import DEFAULT_BUDGET, TritcodesError
 from .gf3m import MAX_M, check_modulus, make_field
 
 # tritcodes computes in exact integers and never calls BLAS, so numpy's
@@ -222,13 +217,9 @@ def main(argv=None) -> int:
         doc, passed = args.func(args.field(args.m, modulus), args)
         _emit(doc, args.out)
         return 0 if passed else 1
-    except (Inconsistent, NonIntegerOutput, NonIntegralWeight) as exc:
-        # internal mathematical inconsistency, not bad input
+    except TritcodesError as exc:  # Inconsistent exits 1, invalid input 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except TritcodesError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

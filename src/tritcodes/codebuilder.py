@@ -15,7 +15,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from . import polyring
-from .exceptions import CosetCollision
+from .exceptions import Inconsistent
 
 if TYPE_CHECKING:
     from .fieldctx import FieldCtx
@@ -66,20 +66,18 @@ def construct(m: int, modulus: tuple[int, ...]) -> Construction:
     cos_u = polyring.cyclotomic_coset(u, m)
     cos_v = polyring.cyclotomic_coset(v, m)
     if len(cos_u) != m or len(cos_v) != m:
-        raise CosetCollision(
-            f"coset sizes |C_u|={len(cos_u)}, |C_v|={len(cos_v)}, expected {m}"
-        )
+        raise Inconsistent(f"coset sizes |C_u|={len(cos_u)}, |C_v|={len(cos_v)}, expected {m}")
     if set(cos_u) & set(cos_v):
-        raise CosetCollision(f"C_{u} and C_{v} intersect mod {n}")
+        raise Inconsistent(f"C_{u} and C_{v} intersect mod {n}")
     gen = polyring.poly_mul(
         polyring.minimal_polynomial(u, modulus), polyring.minimal_polynomial(v, modulus)
     )
     k = n - polyring.degree(gen)
     if k != n - 2 * m or gen[-1] != 1:
-        raise CosetCollision(f"generator degree {polyring.degree(gen)} != 2m")
+        raise Inconsistent(f"generator degree {polyring.degree(gen)} != 2m")
     # g | x^n - 1, checked via x^n mod g == 1 (square-and-multiply)
     if polyring.poly_pow_mod(polyring.X, n, gen) != polyring.ONE:
-        raise CosetCollision("generator polynomial does not divide x^n - 1")
+        raise Inconsistent("generator polynomial does not divide x^n - 1")
     return Construction(m=m, modulus=modulus, n=n, u=u, v=v, gen=gen, k=k)
 
 

@@ -28,8 +28,7 @@ import numpy as np
 from . import polyring
 from .codebuilder import CyclicCode, sphere_packing_max_d
 from .dualspectrum import WeightEnumerator
-from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, LengthMismatch
-from .exceptions import NonIntegerOutput, check_budget
+from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, check_budget
 
 
 @dataclass
@@ -218,7 +217,7 @@ def is_codeword(word, code: CyclicCode) -> bool:
     a weight-4 word at n = 3^13 - 1 costs four square-and-multiply powers.
     """
     if len(word) != code.n:
-        raise LengthMismatch(f"word length {len(word)} != n={code.n}")
+        raise ValueError(f"word length {len(word)} != n={code.n}")
     coeffs = np.asarray(word) % 3
     rem = polyring.ZERO
     for t in np.flatnonzero(coeffs):
@@ -241,13 +240,13 @@ def weight4_witness(code: CyclicCode) -> dict | None:
 def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> WeightEnumerator:
     """Dual weight enumerator via the Krawtchouk/MacWilliams transform over GF(3).
 
-    Exact integer arithmetic; raises NonIntegerOutput when the input is
+    Exact integer arithmetic; raises Inconsistent when the input is
     not the enumerator of a linear code.  max_weight truncates the output
     to low weights, which keeps the A_1..A_4 checks cheap at n ~ 2*10^4.
     """
     n, total = enum.n, enum.total
     if total <= 0 or pow(3, n, total):
-        raise NonIntegerOutput(f"total count {total} does not divide 3^{n}")
+        raise Inconsistent(f"total count {total} does not divide 3^{n}")
     jmax = n if max_weight is None else min(max_weight, n)
     items = sorted(enum.counts.items())
     counts: dict[int, int] = {}
@@ -260,10 +259,10 @@ def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> Weight
             )
             acc += a_i * k_ji
         if acc % total:
-            raise NonIntegerOutput(f"A'_{j} = {acc}/{total} is not an integer")
+            raise Inconsistent(f"A'_{j} = {acc}/{total} is not an integer")
         val = acc // total
         if val < 0:
-            raise NonIntegerOutput(f"A'_{j} = {val} is negative")
+            raise Inconsistent(f"A'_{j} = {val} is negative")
         counts[j] = val
     return WeightEnumerator(n=n, counts=counts)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebuilder import exponent_pair
-from .exceptions import DEFAULT_BUDGET, NonIntegralWeight, check_budget
+from .exceptions import DEFAULT_BUDGET, Inconsistent, check_budget
 from .fieldctx import FieldCtx
 
 
@@ -82,7 +82,7 @@ def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
     index = sum(tr[i : i + n] * 3**i for i in range(m))
     bad = np.flatnonzero(q.reshape(-1)[index])
     if bad.size:
-        raise NonIntegralWeight(f"fhat(pi^{bad[0]}) is not real")
+        raise Inconsistent(f"fhat(pi^{bad[0]}) is not real")
     return p.reshape(-1)[index]
 
 
@@ -121,7 +121,7 @@ def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEn
     fr = _fhat_all(ctx, v)
     pair_sum = fr + np.roll(fr, -ctx.half)  # fhat(lam) + fhat(-lam), lam = pi^s
     if np.any(pair_sum % 3):
-        raise NonIntegralWeight("fhat(lam) + fhat(-lam) not divisible by 3")
+        raise Inconsistent("fhat(lam) + fhat(-lam) not divisible by 3")
     mid = 2 * 3 ** (ctx.m - 1)
     weights = mid - pair_sum // 3
     hist = np.bincount(weights)  # at most six weights occur

@@ -1,9 +1,18 @@
 """Exception hierarchy for tritcodes, and the one budget gate that raises
-BudgetExceeded for the oracle and both enumerators."""
+BudgetExceeded for the oracle and both enumerators.
+
+Each class carries the CLI exit code it maps to.  TritcodesError and its
+input errors exit 2 (invalid input).  Inconsistent exits 1: a self-check
+failed, because two paths disagree or a computed value breaks an identity
+that it must satisfy.  Library misuse raises the built-in ValueError or
+ZeroDivisionError instead.
+"""
 
 
 class TritcodesError(Exception):
-    """Base class for all tritcodes errors."""
+    """Base class for all tritcodes errors; invalid input, exit code 2."""
+
+    exit_code = 2
 
 
 class EvenDegree(TritcodesError):
@@ -22,26 +31,6 @@ class NotPrimitive(TritcodesError):
     """x generates a proper subgroup of GF(3^m)*."""
 
 
-class DivisionByZeroPoly(TritcodesError):
-    """Polynomial division by the zero polynomial."""
-
-
-class OutOfRange(TritcodesError):
-    """Exponent outside [0, 3^m - 2]."""
-
-
-class CoefficientNotInBaseField(TritcodesError):
-    """Minimal-polynomial expansion produced a coefficient outside GF(3)."""
-
-
-class CosetCollision(TritcodesError):
-    """The cyclotomic cosets of u and v intersect or have the wrong size."""
-
-
-class LengthMismatch(TritcodesError):
-    """Word length does not match the code length."""
-
-
 class BudgetExceeded(TritcodesError):
     """Estimated work exceeds the configured operation budget."""
 
@@ -56,13 +45,8 @@ def check_budget(what: str, work: int, unit: str, budget: int) -> None:
         raise BudgetExceeded(f"{what} needs ~{work:.2e} {unit} (budget {budget:.0e})")
 
 
-class NonIntegerOutput(TritcodesError):
-    """MacWilliams transform produced a non-integer count."""
-
-
-class NonIntegralWeight(TritcodesError):
-    """Spectral weight formula produced a non-integral or complex value."""
-
-
 class Inconsistent(TritcodesError):
-    """Structured search and independent oracle disagree."""
+    """A self-check failed, exit code 1: two paths disagree, or a computed
+    value breaks an identity that it must satisfy."""
+
+    exit_code = 1

@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from . import gf3m, polyring
-from .exceptions import NotIrreducible
 
 
 class FieldCtx:
@@ -189,12 +188,11 @@ def _lincomb3(coeffs, rows) -> np.ndarray:
 
 def _build_trace_table(ctx: FieldCtx) -> np.ndarray:
     """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j: a _recurring
-    sequence (Tr is linear) started by Tr(x^i), the digit-wise sum mod 3 of
-    the conjugates x^(i*3^k) read from the exp table, for i < m; each must
-    be a constant."""
-    m, powers = ctx.m, 3 ** np.arange(ctx.m)
-    conjugates = ctx.exp[np.outer(np.arange(m), powers) % ctx.order, None] // powers % 3
-    basis_tr = conjugates.sum(axis=1) % 3  # row i: the digits of Tr(x^i)
-    if basis_tr[:, 1:].any():
-        raise NotIrreducible("trace of a basis element is not in GF(3); modulus is invalid")
-    return _recurring(basis_tr[:, 0], ctx.modulus, ctx.order)
+    sequence (Tr is linear) started by Tr(x^k) for k < m, the power sums of
+    the roots of the modulus f, by Newton's identities: Tr(1) = m and
+    Tr(x^k) = -(k*f_(m-k) + sum_(0<i<k) f_(m-i)*Tr(x^(k-i))), all mod 3."""
+    m, f = ctx.m, ctx.modulus
+    p = [m % 3]
+    for k in range(1, m):
+        p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
+    return _recurring(p, f, ctx.order)

@@ -13,8 +13,8 @@ if TYPE_CHECKING:
 
 MAX_M = 13
 
-# Positions per block of FieldCtx.line_logs and of the Zech build, read at
-# each call: a few MiB of block arrays at m = 13.
+# Positions per block of FieldCtx.line_logs, orbit_logs and orbit_reps and of
+# the Zech build, read at each call: a few MiB of block arrays at m = 13.
 BLOCK = 1 << 16
 
 # Monic primitive polynomials used when no modulus is supplied, ascending

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exceptions import CoefficientNotInBaseField, DivisionByZeroPoly, OutOfRange
+from .exceptions import Inconsistent
 
 Poly = tuple[int, ...]
 
@@ -81,7 +81,7 @@ def poly_mod(f: Sequence[int], g: Sequence[int]) -> Poly:
     """Remainder of f divided by g over GF(3)."""
     g = normalize(g)
     if not g:
-        raise DivisionByZeroPoly("polynomial division by zero")
+        raise ZeroDivisionError("polynomial division by zero")
     rem = list(normalize(f))
     dg = degree(g)
     # the leading coefficient is its own inverse in GF(3): 1*1 = 2*2 = 1
@@ -164,7 +164,7 @@ def cyclotomic_coset(j: int, m: int) -> tuple[int, ...]:
     """Ascending members of the orbit of j under x -> 3x modulo 3^m - 1."""
     n = 3**m - 1
     if not 0 <= j <= n - 1:
-        raise OutOfRange(f"j={j} outside [0, {n - 1}]")
+        raise ValueError(f"j={j} outside [0, {n - 1}]")
     return tuple(sorted({j * 3**k % n for k in range(m)}))  # 3^m = 1 mod n
 
 
@@ -187,7 +187,5 @@ def minimal_polynomial(j: int, modulus: Sequence[int]) -> Poly:
         coeffs = new
         root = poly_mod(tuple(c for a in root for c in (a, 0, 0)), modulus)
     if any(len(c) > 1 for c in coeffs):
-        raise CoefficientNotInBaseField(
-            f"minimal polynomial of {j} has a coefficient outside GF(3)"
-        )
+        raise Inconsistent(f"minimal polynomial of {j} has a coefficient outside GF(3)")
     return normalize(c[0] if c else 0 for c in coeffs)

@@ -9,6 +9,8 @@ test_gf3m checks entry by entry against the modulus.  Tests import this
 module as they import conftest.
 """
 
+import functools
+
 import numpy as np
 
 from tritcodes import lemma
@@ -67,17 +69,22 @@ def dual_codeword_weight(a, b, ctx):
     return weight
 
 
+@functools.cache
+def _trace_of_v_power(ctx):
+    """Tr(x^v) at x = pi^j, indexed by j (int16): the same at every lam of fhat."""
+    _, v = exponent_pair(ctx.m)
+    j = np.arange(ctx.order, dtype=np.int64)
+    return ctx.trace_by_log[(v * j) % ctx.order].astype(np.int16)
+
+
 def fhat(lam, ctx):
     """Fourier transform of x^v at lam, sum over x of chi(x^v - lam*x), as the
     Eisenstein pair (N0 - N2, N1 - N2), Nk counting the x of trace value k."""
-    _, v = exponent_pair(ctx.m)
-    n = ctx.order
-    j = np.arange(n, dtype=np.int64)
-    trv = ctx.trace_by_log[(v * j) % n]
+    trv = _trace_of_v_power(ctx)
     if lam == 0:
         d = trv
-    else:
-        d = (trv.astype(np.int16) - ctx.trace_by_log[(int(ctx.log[lam]) + j) % n]) % 3
+    else:  # Tr(lam*x) at x = pi^j is trace_by_log[(log(lam) + j) mod n]
+        d = (trv - np.roll(ctx.trace_by_log, -int(ctx.log[lam]))) % 3
     counts = np.bincount(np.asarray(d, dtype=np.int64), minlength=3)
     n0 = int(counts[0]) + 1  # x = 0 contributes chi(0)
     return n0 - int(counts[2]), int(counts[1]) - int(counts[2])

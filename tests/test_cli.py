@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tritcodes
+from tritcodes import polyring
 from tritcodes.cli import main
 
 
@@ -117,6 +118,14 @@ def test_report_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["mismatch"] is None
+
+
+def test_failed_self_check_exit_1(capsys, monkeypatch):
+    """A self-check that raises Inconsistent exits 1, not 2, and writes no JSON."""
+    monkeypatch.setattr(polyring, "cyclotomic_coset", lambda j, m: (0,))
+    code, out, err = run_cli(capsys, "construct", "--m", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: Inconsistent: coset sizes |C_u|=1, |C_v|=1, expected 5\n"
 
 
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):

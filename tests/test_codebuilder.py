@@ -5,8 +5,8 @@ import pytest
 from tritcodes import codebuilder as cb
 from tritcodes import polyring
 from tritcodes.distance import is_codeword
-from tritcodes.gf3m import make_field
-from tritcodes.exceptions import LengthMismatch
+from tritcodes.exceptions import Inconsistent
+from tritcodes.gf3m import DEFAULT_MODULI, make_field
 
 from conftest import GEN_M5, GEN_M7
 from reference import add, exp_of, mul, smul
@@ -43,11 +43,40 @@ def test_generator_roots(code5):
         assert acc == 0
 
 
+U5, _ = cb.exponent_pair(5)
+COSET, MINPOLY = polyring.cyclotomic_coset, polyring.minimal_polynomial
+
+
+@pytest.mark.parametrize(
+    "attr, fake, message",
+    [
+        ("cyclotomic_coset", lambda j, m: COSET(j, m)[1:], r"coset sizes \|C_u\|=4, \|C_v\|=4"),
+        ("cyclotomic_coset", lambda j, m: COSET(U5, m), "C_122 and C_19 intersect mod 242"),
+        (
+            "minimal_polynomial",
+            lambda j, f: MINPOLY(j, f) if j == U5 else polyring.ONE,
+            "generator degree 5 != 2m",
+        ),
+        (
+            "minimal_polynomial",
+            lambda j, f: MINPOLY(j, f) if j == U5 else (0,) * 5 + (1,),  # m_u * x^5
+            r"generator polynomial does not divide x\^n - 1",
+        ),
+    ],
+    ids=["coset-size", "cosets-intersect", "generator-degree", "generator-divides"],
+)
+def test_construct_guards_raise_inconsistent(monkeypatch, attr, fake, message):
+    """Each self-check of construct fires when polyring returns a wrong part."""
+    monkeypatch.setattr(polyring, attr, fake)
+    with pytest.raises(Inconsistent, match=message):
+        cb.construct(5, DEFAULT_MODULI[5])
+
+
 def test_is_codeword_trivia(code5):
     assert is_codeword((0,) * code5.n, code5)
     padded = tuple(code5.gen) + (0,) * (code5.n - len(code5.gen))
     assert is_codeword(padded, code5)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match=r"word length 10 != n=242"):
         is_codeword((0,) * 10, code5)
 
 

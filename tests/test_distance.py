@@ -18,7 +18,7 @@ from tritcodes.distance import (
     weight4_witness,
 )
 from tritcodes.dualspectrum import WeightEnumerator, spectral_enumerator
-from tritcodes.exceptions import BudgetExceeded, Inconsistent, NonIntegerOutput
+from tritcodes.exceptions import BudgetExceeded, Inconsistent
 from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
@@ -296,7 +296,7 @@ class TestMacWilliams:
 
     def test_invalid_enumerator_rejected(self):
         bad = WeightEnumerator(n=8, counts={0: 1, 3: 5})
-        with pytest.raises(NonIntegerOutput):
+        with pytest.raises(Inconsistent, match=r"total count 6 does not divide 3\^8"):
             macwilliams(bad)
 
     def test_low_weight_transform_of_computed_enums(self, enum5, enum7, enum9):
@@ -354,7 +354,8 @@ class TestConcludeDistance:
 
     def test_disagreement_raises_inconsistent(self, code3, monkeypatch):
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
-        with pytest.raises(Inconsistent):
+        msg = "oracle found weight 3, structured searches found None"
+        with pytest.raises(Inconsistent, match=msg):
             conclude_distance(replace(code3, v=1))
 
     def test_macwilliams_disagreement_raises_both_ways(self, ctx3, code3, monkeypatch):
@@ -373,10 +374,12 @@ class TestConcludeDistance:
         dual = WeightEnumerator(n=code.n, counts=dict(weights))
         # budget=1 skips the oracle, so only MacWilliams can disagree
         assert conclude_distance(code, dual_enum=dual, budget=1).concluded_d is None
-        with pytest.raises(Inconsistent):  # searches find weight 3, MacWilliams none
+        # the searches find weight 3, MacWilliams none
+        with pytest.raises(Inconsistent, match="weight None, structured searches found 3"):
             conclude_distance(code, dual_enum=spectral_enumerator(ctx3), budget=1)
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
-        with pytest.raises(Inconsistent):  # MacWilliams finds weight 3, searches none
+        # MacWilliams finds weight 3, the searches none
+        with pytest.raises(Inconsistent, match="weight 3, structured searches found None"):
             conclude_distance(code, dual_enum=dual, budget=1)
 
     def test_dual_enumerator_of_another_length_rejected(self, code3, enum5):

@@ -5,7 +5,7 @@ import pytest
 from tritcodes import polyring
 from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import DEFAULT_MODULI, make_field
-from tritcodes.exceptions import CoefficientNotInBaseField, DivisionByZeroPoly, OutOfRange
+from tritcodes.exceptions import Inconsistent
 from tritcodes.polyring import (
     ONE,
     X,
@@ -49,7 +49,7 @@ def test_poly_mod_trivia():
     g = (1, 2, 0, 0, 0, 1)
     assert poly_mod(g, g) == ZERO
     assert poly_mod(g, ONE) == ZERO
-    with pytest.raises(DivisionByZeroPoly):
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
         poly_mod(g, ZERO)
 
 
@@ -61,9 +61,9 @@ def test_poly_mod_x_n_minus_1_by_generator():
 
 def test_cyclotomic_coset_trivia():
     assert cyclotomic_coset(0, 5) == (0,)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"j=242 outside \[0, 241\]"):
         cyclotomic_coset(242, 5)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match=r"j=-1 outside \[0, 241\]"):
         cyclotomic_coset(-1, 5)
 
 
@@ -155,7 +155,7 @@ def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
 def test_minimal_polynomial_refuses_a_reducible_modulus():
     # x^3 + x = x (x^2 + 1): the conjugates of x are not roots of one
     # GF(3) polynomial, so the product has non-constant coefficients
-    with pytest.raises(CoefficientNotInBaseField):
+    with pytest.raises(Inconsistent, match="minimal polynomial of 1 has a coefficient outside GF"):
         minimal_polynomial(1, (0, 1, 0, 1))
 
 
