@@ -10,12 +10,11 @@ diffing works.  Exit codes: 0 = all checks pass, 1 = a check failed (the
 doc is written) or a self-check raised Inconsistent (nothing is written),
 2 = invalid input (an unwritable --out path included).
 
-The report command diffs against the shipped fixtures for m in {5, 7, 9}
-(TRITCODES_FIXTURES overrides the directory): fixture_match compares the
-JSON of each key the run writes for the code and its dual enumerator with
-the JSON of that key of the fixture, so 122.0 does not match 122.  When the
-diff cannot run (no fixture file, or another modulus) fixture_match is null
-and a one-line note on stderr says why.
+The report command diffs against the fixtures shipped as package data for
+m in {5, 7, 9}, which hold what a run with the default modulus writes for
+the code and its dual enumerator: fixture_match is true when the file's text
+is those bytes.  When the diff cannot run (no fixture file, or another
+modulus) fixture_match is null and a one-line note on stderr says why.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 
 from . import polyring
 from .exceptions import DEFAULT_BUDGET, TritcodesError
-from .gf3m import MAX_M, check_modulus, make_field
+from .gf3m import DEFAULT_MODULI, MAX_M, check_modulus, make_field
 
 # tritcodes computes in exact integers and never calls BLAS, so numpy's
 # OpenBLAS needs no pool of nproc - 1 worker threads.  Set on import, before
@@ -38,41 +37,15 @@ from .gf3m import MAX_M, check_modulus, make_field
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 FIXTURE_MS = (5, 7, 9)
+FIXTURES = resources.files("tritcodes") / "fixtures"
 
 
-# Top-level fixture keys and their JSON types; counts maps ASCII decimal weights to ints.
-FIXTURE_SHAPE = {
-    "n": int, "k": int, "modulus": str, "generator": str, "dual_weight_enumerator": dict,
-}
-
-
-def _load_fixture(m: int) -> dict | None:
-    """The m{m}.json fixture, None when absent; ValueError when malformed or unreadable."""
-    override = os.environ.get("TRITCODES_FIXTURES")
-    base = Path(override) if override else resources.files("tritcodes") / "fixtures"
-    ref = base / f"m{m}.json"
-    try:
-        if not ref.is_file():
-            return None
-        doc = json.loads(ref.read_text(encoding="utf-8"))
-    except OSError as exc:  # e.g. a path too long or unreadable: invalid input, exit 2
-        raise ValueError(f"cannot read fixture: {exc}") from None
-    ok = isinstance(doc, dict) and all(
-        isinstance(doc.get(key), kind) for key, kind in FIXTURE_SHAPE.items()
-    )
-    counts = doc["dual_weight_enumerator"].get("counts") if ok else None
-    if not isinstance(counts, dict) or not all(
-        w.isascii() and w.isdigit() and type(c) is int for w, c in counts.items()
-    ):
-        raise ValueError(
-            f"malformed fixture {ref}: need {', '.join(FIXTURE_SHAPE)}"
-            " and dual_weight_enumerator.counts mapping ASCII decimal weights to int counts"
-        )
-    return doc
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _json(doc)
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
@@ -80,6 +53,24 @@ def _emit(doc: dict, out: str | None) -> None:
             raise ValueError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _fixture_match(written: dict) -> bool | None:
+    """Whether fixtures/m{m}.json holds written's bytes; None off FIXTURE_MS, and None
+    with a note on stderr when that file is missing or the modulus is not the default."""
+    m = written["m"]
+    if m not in FIXTURE_MS:
+        return None
+    ref = FIXTURES / f"m{m}.json"
+    modulus = polyring.format_poly(DEFAULT_MODULI[m])
+    if not ref.is_file():
+        why = f"no m{m}.json fixture found"
+    elif written["modulus"] != modulus:
+        why = f"modulus {written['modulus']} is not the fixture's {modulus}"
+    else:
+        return ref.read_text(encoding="utf-8") == _json(written)
+    print(f"note: fixture_match is null: {why}", file=sys.stderr)
+    return None
 
 
 def cmd_construct(modulus, args) -> tuple[dict, bool]:
@@ -134,27 +125,15 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
     enum = next(iter(enums.values()))
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
     lemma_docs, lemma_empty = _lemma_docs(ctx)
+    code_doc = code.to_json_dict()
+    written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
     checks = {
         "d_equals_4": dist_report.concluded_d == 4,
         "lemma_empty": lemma_empty,
         "weights_in_predicted_set": enum.support() <= dualspectrum.weight_value_set(ctx.m),
         "paths_agree": enums["spectral"] == enums["direct"] if args.method == "both" else None,
-        "fixture_match": None,
+        "fixture_match": _fixture_match(written),
     }
-    code_doc = code.to_json_dict()
-    written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
-    fixture = _load_fixture(ctx.m) if ctx.m in FIXTURE_MS else None
-    if fixture is not None and fixture["modulus"] == code_doc["modulus"]:
-        checks["fixture_match"] = all(
-            json.dumps(fixture.get(key), sort_keys=True) == json.dumps(val, sort_keys=True)
-            for key, val in written.items()
-        )
-    elif ctx.m in FIXTURE_MS:
-        why = (
-            f"no m{ctx.m}.json fixture found" if fixture is None
-            else f"modulus {code_doc['modulus']} is not the fixture's {fixture['modulus']}"
-        )
-        print(f"note: fixture_match is null: {why}", file=sys.stderr)
     mismatch = next((name for name, ok in checks.items() if ok is False), None)
     doc = {
         **code_doc,

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import tritcodes
-from tritcodes import polyring
+from tritcodes import cli, polyring
 from tritcodes.cli import main
+from tritcodes.codebuilder import build_code
+from tritcodes.gf3m import DEFAULT_MODULI
 
 
 def run_cli(capsys, *argv):
@@ -138,11 +140,19 @@ def test_out_to_missing_directory_exit_2(tmp_path, capsys):
 
 
 def test_fixture_missing_noted_on_stderr(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
+    monkeypatch.setattr(cli, "FIXTURES", tmp_path)
     code, out, err = run_cli(capsys, "report", "--m", "5")
     assert code == 0
     assert json.loads(out)["checks"]["fixture_match"] is None
     assert err == "note: fixture_match is null: no m5.json fixture found\n"
+
+
+def test_fixture_environment_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    """The fixtures are package data: no environment variable moves them."""
+    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
+    code, out, err = run_cli(capsys, "report", "--m", "5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"]["fixture_match"] is True
 
 
 def test_fixture_modulus_mismatch_noted_on_stderr(capsys):
@@ -155,42 +165,62 @@ def test_fixture_modulus_mismatch_noted_on_stderr(capsys):
     )
 
 
-def test_fixture_dir_override(tmp_path, capsys, monkeypatch):
-    # a deliberately wrong fixture must trip the mismatch path
-    bad = {
-        "m": 5,
-        "n": 242,
-        "k": 232,
-        "modulus": "1,2,0,0,0,1",
-        "generator": "1,0,0,0,0,0,0,0,0,0,1",
-        "dual_weight_enumerator": {"n": 242, "total": 1, "counts": {"0": 1}},
-    }
-    (tmp_path / "m5.json").write_text(json.dumps(bad), encoding="utf-8")
-    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
-    code, out, _ = run_cli(capsys, "report", "--m", "5")
-    assert code == 1
-    assert json.loads(out)["mismatch"] == "fixture_match"
+SHIPPED = Path(tritcodes.__file__).parent / "fixtures"
 
 
-# name -> (top-level keys, dual_weight_enumerator keys) replaced in the shipped
-# m5.json: equal to the run's ints under ==, yet not the JSON a run writes
-FLOAT_FIXTURE_VALUES = {
-    "u": ({"u": 122.0}, {}),
-    "total": ({}, {"total": 59049.0}),
-    "u_and_total": ({"u": 122.0}, {"total": 59049.0}),
+def _fixture_text(doc):
+    """The text report writes for doc, which a fixture must hold to match."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_shipped_fixture_is_what_report_writes(request, m):
+    """fixtures/m{m}.json holds, byte for byte, the code and dual enumerator
+    that report writes with the default modulus."""
+    ctx, enum = request.getfixturevalue(f"ctx{m}"), request.getfixturevalue(f"enum{m}")
+    written = {**build_code(ctx).to_json_dict(), "dual_weight_enumerator": enum.to_json_dict()}
+    assert written["modulus"] == polyring.format_poly(DEFAULT_MODULI[m])
+    assert (SHIPPED / f"m{m}.json").read_bytes() == _fixture_text(written).encode()
+
+
+def _m5_fixture_with(top=(), enum=(), weight0=None):
+    """The shipped m5.json with top-level and dual_weight_enumerator keys
+    replaced, and its weight-0 count entry replaced by weight0 = (key, count)."""
+    doc = json.loads((SHIPPED / "m5.json").read_text(encoding="utf-8"))
+    doc.update(top)
+    doc["dual_weight_enumerator"].update(enum)
+    if weight0 is not None:
+        counts = doc["dual_weight_enumerator"]["counts"]
+        del counts["0"]
+        counts[weight0[0]] = weight0[1]
+    return doc
+
+
+# name -> fixture text other than the bytes a run writes.  The floats equal the
+# run's ints under ==, as do the Arabic-Indic zero key and the boolean count
+# under int() and ==; the last is the shipped content without indentation.
+OTHER_FIXTURES = {
+    "wrong_generator": _fixture_text(_m5_fixture_with(top={"generator": "1,0,0,0,0,0,0,0,0,0,1"})),
+    "float_u": _fixture_text(_m5_fixture_with(top={"u": 122.0})),
+    "float_total": _fixture_text(_m5_fixture_with(enum={"total": 59049.0})),
+    "float_u_and_total": _fixture_text(
+        _m5_fixture_with(top={"u": 122.0}, enum={"total": 59049.0})
+    ),
+    "empty_object": _fixture_text({}),
+    "list": _fixture_text([1, 2]),
+    "counts_list": _fixture_text(_m5_fixture_with(enum={"counts": [1, 2420]})),
+    "arabic_indic_zero_key": _fixture_text(_m5_fixture_with(weight0=("\u0660", 1))),
+    "boolean_count": _fixture_text(_m5_fixture_with(weight0=("0", True))),
+    "shipped_without_indent": json.dumps(_m5_fixture_with()) + "\n",
 }
 
 
-@pytest.mark.parametrize("name", sorted(FLOAT_FIXTURE_VALUES))
-def test_fixture_with_float_values_does_not_match(tmp_path, capsys, monkeypatch, name):
-    doc = _shipped_m5_fixture()
-    top, enum = FLOAT_FIXTURE_VALUES[name]
-    doc.update(top)
-    doc["dual_weight_enumerator"].update(enum)
-    (tmp_path / "m5.json").write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
-    code, out, _ = run_cli(capsys, "report", "--m", "5")
-    assert code == 1
+@pytest.mark.parametrize("name", sorted(OTHER_FIXTURES))
+def test_fixture_other_than_the_run_bytes_does_not_match(tmp_path, capsys, monkeypatch, name):
+    (tmp_path / "m5.json").write_text(OTHER_FIXTURES[name], encoding="utf-8")
+    monkeypatch.setattr(cli, "FIXTURES", tmp_path)
+    code, out, err = run_cli(capsys, "report", "--m", "5")
+    assert (code, err) == (1, "")
     report = json.loads(out)
     assert report["checks"]["fixture_match"] is False
     assert report["mismatch"] == "fixture_match"
@@ -210,57 +240,6 @@ def test_budget_one_accepted(capsys):
     code, out, _ = run_cli(capsys, "verify-distance", "--m", "3", "--budget", "1")
     assert code == 0
     assert json.loads(out)["d"] == 4
-
-
-def _shipped_m5_fixture():
-    path = Path(tritcodes.__file__).parent / "fixtures" / "m5.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _m5_fixture_with_weight0(key, count):
-    """The shipped m5.json with its weight-0 entry replaced by key: count."""
-    doc = _shipped_m5_fixture()
-    counts = doc["dual_weight_enumerator"]["counts"]
-    del counts["0"]
-    counts[key] = count
-    return doc
-
-
-MALFORMED_FIXTURES = {
-    "empty_object": {},
-    "list": [1, 2],
-    "counts_list": {
-        "m": 5,
-        "n": 242,
-        "k": 232,
-        "modulus": "1,2,0,0,0,1",
-        "generator": "2,2,0,1,0,2,2,0,2,1,1",
-        "dual_weight_enumerator": {"n": 242, "total": 59049, "counts": [1, 2420]},
-    },
-    # parsed as weight 0 with count 1 by int() and ==, yet not what a run writes
-    "arabic_indic_zero_key": _m5_fixture_with_weight0("\u0660", 1),
-    "boolean_count": _m5_fixture_with_weight0("0", True),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
-def test_malformed_fixture_exit_2(tmp_path, capsys, monkeypatch, name):
-    (tmp_path / "m5.json").write_text(json.dumps(MALFORMED_FIXTURES[name]), encoding="utf-8")
-    monkeypatch.setenv("TRITCODES_FIXTURES", str(tmp_path))
-    code, out, err = run_cli(capsys, "report", "--m", "5")
-    assert code == 2
-    assert out == ""
-    assert "malformed fixture" in err
-
-
-def test_unreadable_fixture_exit_2(capsys, monkeypatch):
-    """An OSError from the fixture lookup (here a name longer than the OS
-    allows) is invalid input: exit 2 and one error line, no traceback."""
-    monkeypatch.setenv("TRITCODES_FIXTURES", "/" + "a" * 5000)
-    code, out, err = run_cli(capsys, "report", "--m", "5")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: cannot read fixture: ") and err.count("\n") == 1
 
 
 def test_empty_modulus_exit_2(capsys):

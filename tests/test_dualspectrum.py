@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -29,6 +30,12 @@ class TestCodewordWeight:
             assert dual_codeword_weight(exp_of(ctx, 9), 0, ctx) == mid
 
 
+@cache
+def _transform(m):
+    """The Walsh transform at every pi^s under the default modulus, once per m."""
+    return _fhat_all(make_field(m), exponent_pair(m)[1])
+
+
 class TestFhat:
     def test_at_zero(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
@@ -55,8 +62,7 @@ class TestFhat:
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_transform_matches_single_point_everywhere(self, m):
         ctx = make_field(m)
-        values = _fhat_all(ctx, exponent_pair(m)[1])
-        assert [(int(p), 0) for p in values] == [
+        assert [(int(p), 0) for p in _transform(m)] == [
             fhat(exp_of(ctx, s), ctx) for s in range(ctx.order)
         ]
 
@@ -65,7 +71,7 @@ class TestFhat:
         """fhat takes 0, +3^(ell+1) and -3^(ell+1), with the frequencies of
         the three-valued ternary Welch-type cross-correlation."""
         ctx = make_field(m)
-        values, counts = np.unique(_fhat_all(ctx, exponent_pair(m)[1]), return_counts=True)
+        values, counts = np.unique(_transform(m), return_counts=True)
         top, third, low = 3 ** (ctx.ell + 1), 3 ** (m - 1), 3**ctx.ell
         assert dict(zip(values.tolist(), counts.tolist())) == {
             0: 2 * third - 1,
@@ -76,7 +82,7 @@ class TestFhat:
     @pytest.mark.parametrize("m", [11, 13])
     def test_transform_matches_single_point_sampled(self, m):
         ctx = make_field(m)
-        values = _fhat_all(ctx, exponent_pair(m)[1])
+        values = _transform(m)
         rng = random.Random(m)
         for s in [0, ctx.half] + [rng.randrange(ctx.order) for _ in range(16)]:
             assert fhat(exp_of(ctx, s), ctx) == (int(values[s]), 0), s

@@ -4,9 +4,9 @@ Byte-identical default output is part of the CLI contract, and --out writes
 the same bytes to its file.  Each file under tests/golden/ is the stdout of
 the command named in CASES, written by the CLI and committed unedited; a
 change that alters one of these bytes changes the contract.  The commands
-run in a fresh interpreter with the shipped fixtures (TRITCODES_FIXTURES
-unset).  The python block under "## Library" in README.md runs here too,
-so the documented import paths cannot go stale.
+run in a fresh interpreter with the shipped fixtures.  The python block
+under "## Library" in README.md runs here too, so the documented import
+paths cannot go stale.
 """
 
 import os
@@ -39,7 +39,7 @@ CASES = {
 
 
 def _run(argv):
-    env = {k: v for k, v in os.environ.items() if k != "TRITCODES_FIXTURES"}
+    env = dict(os.environ)
     src = str(Path(tritcodes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
