@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import polyring
-from .exceptions import DEFAULT_BUDGET, TritcodesError
+from .exceptions import DEFAULT_BUDGET, Inconsistent, TritcodesError
 from .gf3m import DEFAULT_MODULI, MAX_M, check_modulus, make_field
 
 # tritcodes computes in exact integers and never calls BLAS, so numpy's
@@ -106,15 +106,26 @@ def cmd_dual_spectrum(ctx, args) -> tuple[dict, bool]:
     return {**{name: e.to_json_dict() for name, e in enums.items()}, "agree": agree}, agree
 
 
-def _lemma_docs(ctx) -> tuple[list[dict], bool]:
-    """The epsilon = 1, 2 lemma reports as JSON, and whether both are empty."""
-    from . import lemma
-    docs = [lemma.lemma_check(ctx, eps).to_json_dict() for eps in (1, 2)]
-    return docs, all(d["solution_count"] == 0 for d in docs)
+def _lemma_docs(ctx, orbit_scan: bool) -> tuple[list[dict], bool]:
+    """The epsilon = 1, 2 lemma reports as JSON, from the root count (no field
+    table), and whether both are empty.  With orbit_scan, lemma.lemma_check
+    counts again, and a count that differs raises Inconsistent."""
+    from . import lemma, roots
+    reports = []
+    for eps in (1, 2):
+        count = roots.nonzero_root_count(roots.lemma_polynomial(ctx.m, eps, 1), ctx.m)
+        scan = lemma.lemma_check(ctx, eps).solution_count if orbit_scan else count
+        if scan != count:
+            raise Inconsistent(
+                f"lemma, epsilon={eps}: the root count finds {count} solutions,"
+                f" the orbit scan {scan}"
+            )
+        reports.append(lemma.LemmaReport(ctx.m, eps, count, ctx.order).to_json_dict())
+    return reports, all(d["solution_count"] == 0 for d in reports)
 
 
 def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
-    docs, empty = _lemma_docs(ctx)
+    docs, empty = _lemma_docs(ctx, orbit_scan=False)
     return {"m": ctx.m, "reports": docs}, empty
 
 
@@ -124,7 +135,7 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
     enums = _enumerators(ctx, args)
     enum = next(iter(enums.values()))
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
-    lemma_docs, lemma_empty = _lemma_docs(ctx)
+    lemma_docs, lemma_empty = _lemma_docs(ctx, orbit_scan=True)
     code_doc = code.to_json_dict()
     written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
     checks = {

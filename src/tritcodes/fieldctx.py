@@ -2,12 +2,14 @@
 
 The exp table maps a log j to the packed element pi^j, an int in [0, 3^m)
 whose base-3 digit i is the coefficient of x^i; the log table inverts it.
-The primitive element pi is always the residue class of x.  The exp, log
-and Zech tables are built at construction (m <= 13, about 1.6M entries at
-the top); the trace table, which only the dual-spectrum paths read, and
-the Frobenius orbit representatives are built on first use.  The context
-is immutable and safe to share.  The exp, log and Zech tables are int32;
-arithmetic on their entries runs in int64 or ints.
+The primitive element pi is always the residue class of x.  Every table is
+built on first read: the exp table, the log table from it, the Zech table
+from both (m <= 13, about 1.6M entries each at the top), the trace table,
+which only the dual-spectrum paths read, and the Frobenius orbit
+representatives.  So a new context holds no table, and each command builds
+only the tables it reads.  The context is immutable and safe to share.  The
+exp, log and Zech tables are int32; arithmetic on their entries runs in
+int64 or ints.
 
 Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
@@ -42,25 +44,38 @@ class FieldCtx:
         self.size = 3**m
         self.order = self.size - 1
         self.half = self.order // 2  # log of -1
-        self.exp, digit0 = _build_exp_table(m, modulus)
-        self.log = np.full(self.size, -1, dtype=np.int32)
-        self.log[self.exp] = np.arange(self.order, dtype=np.int32)
-        # zech[k] = log(1 + pi^k), -1 at k = h where pi^h = -1: adding 1
-        # changes only digit 0 of the packed element exp[k].  Gathered for
-        # k <= h; for k > h, zech[k] = zech[n - k] + k (mod n) reads the first
-        # half backwards.  Built in blocks of gf3m.BLOCK, so no temporary
-        # holds n entries.
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """The packed element pi^j, indexed by j (int32): see _build_exp_table."""
+        return _build_exp_table(self.m, self.modulus)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """The log of each packed element (int32), -1 at 0: exp inverted."""
+        log = np.full(self.size, -1, dtype=np.int32)
+        log[self.exp] = np.arange(self.order, dtype=np.int32)
+        return log
+
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """zech[k] = log(1 + pi^k) (int32), -1 at k = h where pi^h = -1: adding
+        1 changes only digit 0 of the packed element exp[k].  Gathered for
+        k <= h; for k > h, zech[k] = zech[n - k] + k (mod n) reads the first
+        half backwards.  Built in blocks of gf3m.BLOCK, so no temporary holds
+        n entries."""
         n, h, block = self.order, self.half, gf3m.BLOCK
-        self.zech = np.empty(n, dtype=np.int32)
+        zech = np.empty(n, dtype=np.int32)
         for lo in range(0, h + 1, block):
             part = slice(lo, min(lo + block, h + 1))
             one_plus = self.exp[part] + 1
-            np.subtract(one_plus, 3, out=one_plus, where=digit0[part] == 2)
-            self.zech[part] = self.log[one_plus]
+            np.subtract(one_plus, 3, out=one_plus, where=one_plus % 3 == 0)
+            zech[part] = self.log[one_plus]
         for lo in range(h + 1, n, block):
             hi = min(lo + block, n)
-            mirror = self.zech[n - hi + 1 : n - lo + 1][::-1] + np.arange(lo, hi)
-            self.zech[lo:hi] = self.wrap(mirror)
+            mirror = zech[n - hi + 1 : n - lo + 1][::-1] + np.arange(lo, hi)
+            zech[lo:hi] = self.wrap(mirror)
+        return zech
 
     @cached_property
     def trace_by_log(self) -> np.ndarray:
@@ -151,11 +166,10 @@ def _recurring(first, modulus: tuple[int, ...], length: int) -> np.ndarray:
     return s
 
 
-def _build_exp_table(m: int, modulus: tuple[int, ...]):
-    """exp table for pi = x (entry j is the packed element x^j, int32) and the
-    int8 digit 0 of every x^j.  The top digit s_j is a _recurring sequence;
-    row r - 1 is row r shifted plus f_r*s, since x^(j+1) = x * x^j, so row
-    r reads s up to entry n - 1 + r."""
+def _build_exp_table(m: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """exp table for pi = x: entry j is the packed element x^j (int32).  The
+    top digit s_j is a _recurring sequence; row r - 1 is row r shifted plus
+    f_r*s, since x^(j+1) = x * x^j, so row r reads s up to entry n - 1 + r."""
     order = 3**m - 1
     s = row = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
     exp = np.zeros(order, dtype=np.int32)
@@ -165,7 +179,7 @@ def _build_exp_table(m: int, modulus: tuple[int, ...]):
         if r:  # a shift alone where f_r = 0
             row = row[1:]
             row = _mod3(row + modulus[r] * s[: len(row)]) if modulus[r] else row
-    return exp, row[:order]
+    return exp
 
 
 def _mod3(x: np.ndarray) -> np.ndarray:

@@ -52,11 +52,11 @@ def check_modulus(m: int, modulus=None) -> polyring.Poly:
 
 
 def make_field(m: int, modulus=None) -> FieldCtx:
-    """Build a GF(3^m) context with its exp, log and Zech tables.
+    """A GF(3^m) context, whose tables are built on first read.
 
     Only a modulus that passes check_modulus (None: the default for m)
-    imports fieldctx, and so numpy, and builds tables.  Default-modulus
-    contexts are cached; any other modulus gets a fresh context on each call.
+    imports fieldctx, and so numpy.  Default-modulus contexts are cached;
+    any other modulus gets a fresh context on each call.
     """
     mod = check_modulus(m, modulus)
     default = mod == DEFAULT_MODULI[m]

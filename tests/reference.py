@@ -98,3 +98,16 @@ def lemma_preimage_counts(ctx, epsilon):
     blocks = lemma._lhs_logs(ctx, epsilon, ctx.line_logs)
     values = [np.where(logs < 0, 0, ctx.exp[logs]) for _, logs in blocks]
     return np.bincount(np.concatenate(values), minlength=ctx.size)
+
+
+def nonzero_root_logs(ctx, terms):
+    """Ascending logs j of the x = pi^j in GF(3^m)* with sum c*x^e = 0 over the
+    (e, c) of terms: each x^e read off the exp table and the sum taken digit
+    by digit, as add does, so no Zech table is read."""
+    j = np.arange(ctx.order, dtype=np.int64)
+    digits = np.zeros((ctx.m, ctx.order), dtype=np.int64)
+    for e, c in terms.items():
+        elem = ctx.exp[e * j % ctx.order].astype(np.int64)
+        for i in range(ctx.m):
+            digits[i] += c * (elem // 3**i % 3)
+    return j[(digits % 3 == 0).all(axis=0)].tolist()

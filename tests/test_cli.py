@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tritcodes
-from tritcodes import cli, polyring
+from tritcodes import cli, fieldctx, gf3m, polyring, roots
 from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
@@ -128,6 +128,33 @@ def test_failed_self_check_exit_1(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "construct", "--m", "5")
     assert (code, out) == (1, "")
     assert err == "error: Inconsistent: coset sizes |C_u|=1, |C_v|=1, expected 5\n"
+
+
+def test_lemma_paths_that_disagree_exit_1(capsys, monkeypatch):
+    """report runs the root count and the orbit scan: a count that differs
+    raises Inconsistent, so report exits 1 with one error line and no JSON."""
+    monkeypatch.setattr(roots, "nonzero_root_count", lambda p, m: 1)
+    code, out, err = run_cli(capsys, "report", "--m", "5")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: Inconsistent: lemma, epsilon=1: the root count finds 1 solutions,"
+        " the orbit scan 0"
+    ]
+
+
+def test_lemma_check_reads_no_field_table(capsys, monkeypatch):
+    """lemma-check decides the lemma by the root count: with every table of a
+    fresh m = 13 context raising on read, it prints its golden bytes."""
+
+    def no_table(ctx):
+        raise AssertionError("lemma-check read a field table")
+
+    monkeypatch.setattr(gf3m, "_FIELD_CACHE", {})
+    for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
+        monkeypatch.setattr(fieldctx.FieldCtx, table, property(no_table))
+    code, out, err = run_cli(capsys, "lemma-check", "--m", "13")
+    golden = Path(__file__).parent / "golden" / "lemma_check_m13.json"
+    assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), "")
 
 
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):

@@ -155,9 +155,12 @@ class TestWeight3:
         context without cached representatives, the tracemalloc peak of the
         m = 13 weight-3 search and weight-4 witness stays a few MiB (an
         unblocked build holds several arrays of n int64 entries, 12 MiB
-        each; a kernel that kept its last block across a yield, over 8 MiB)."""
+        each; a kernel that kept its last block across a yield, over 8 MiB).
+        The fresh context's exp, log and Zech tables, built on first read,
+        are read before the window opens."""
         code = build_code(make_field(13))
         code = replace(code, ctx=fieldctx.FieldCtx(13, code.ctx.modulus))
+        code.ctx.exp, code.ctx.log, code.ctx.zech
         tracemalloc.start()
         try:
             found = search(code)

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from tritcodes import fieldctx
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.dualspectrum import (
     _fhat_all,
@@ -13,7 +14,7 @@ from tritcodes.dualspectrum import (
     weight_value_set,
 )
 from tritcodes.exceptions import BudgetExceeded
-from tritcodes.gf3m import make_field
+from tritcodes.gf3m import DEFAULT_MODULI, make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9
 from reference import dual_codeword_weight, exp_of, fhat, neg
@@ -179,3 +180,12 @@ def test_weight_value_set_examples():
     assert weight_value_set(3) == {0, 12, 15, 18, 21, 24}
     with pytest.raises(ValueError):
         weight_value_set(4)
+
+
+def test_spectral_enumerator_builds_only_the_exp_and_trace_tables():
+    """On a fresh context the spectral path reads the exp and trace tables
+    only: the log and Zech tables, built on first read, stay unbuilt."""
+    ctx = fieldctx.FieldCtx(5, DEFAULT_MODULI[5])
+    assert spectral_enumerator(ctx).counts == ENUM_M5
+    tables = {"exp", "log", "zech", "trace_by_log", "orbit_reps"}
+    assert tables & set(vars(ctx)) == {"exp", "trace_by_log"}

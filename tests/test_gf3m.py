@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -120,6 +121,48 @@ class TestMakeField:
         for k in range(1, m):
             newton = tr[k] + sum(f[m - i] * tr[k - i] for i in range(1, k)) + k * f[m - k]
             assert newton % 3 == 0
+
+
+# exp, log and Zech table digests of the six default moduli and two seeded
+# primitive ones at each m = 3, 5, 7, 9 (the first two other than the default
+# drawn by random.Random(100 + m)), recorded when the tables were built at
+# construction: sha256 over each table's dtype string and bytes.
+TABLE_DIGESTS = {
+    "1,2,0,1": "6beff639c2370ef1",
+    "1,2,0,0,0,1": "2d3d5cb5eefa965b",
+    "1,0,2,0,0,0,0,1": "b9f53f3036563440",
+    "1,1,2,2,0,0,0,0,0,1": "6b9a153cc13d29ef",
+    "1,0,2,0,0,0,0,0,0,0,0,1": "05238c7b6478b574",
+    "1,2,0,0,0,0,0,0,0,0,0,0,0,1": "6f92e13dbb14e5c2",
+    "1,0,2,1": "3d3ccc8db78a5fa9",
+    "1,1,2,1": "c0154d38362078c2",
+    "1,2,2,0,2,1": "9ef8a464e33c9266",
+    "1,1,2,0,0,1": "d7e154b8bfbede10",
+    "1,2,2,1,2,2,2,1": "55381979b0d1b50f",
+    "1,0,1,1,0,1,0,1": "56ec69b6c766d2d2",
+    "1,0,1,1,2,0,0,0,2,1": "6e1ab17653720182",
+    "1,2,1,1,0,0,2,1,2,1": "7000add8d132df85",
+}
+
+
+@pytest.mark.parametrize("text", sorted(TABLE_DIGESTS, key=len))
+def test_tables_do_not_depend_on_the_order_of_first_reads(text):
+    """Each table is built on first read: on fresh contexts, reading the Zech
+    table first or the exp table first gives the same int32 tables, byte for
+    byte, as building all three at construction did."""
+    f = polyring.parse_poly(text)
+    assert gf3m.check_modulus(len(f) - 1, f) == f
+    for order in (("zech", "log", "exp"), ("exp", "zech", "log")):
+        ctx = fieldctx.FieldCtx(len(f) - 1, f)
+        assert not {"exp", "log", "zech"} & set(vars(ctx))
+        for table in order:
+            getattr(ctx, table)
+        digest = hashlib.sha256()
+        for table in (ctx.exp, ctx.log, ctx.zech):
+            assert table.dtype == np.int32
+            digest.update(table.dtype.str.encode())
+            digest.update(table.tobytes())
+        assert digest.hexdigest()[:16] == TABLE_DIGESTS[text], order
 
 
 class TestArithmetic:
