@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-Pair = tuple[int, int]
+_Pair = tuple[int, int]
 
-_X: Pair = (0b10, 0)
+_X: _Pair = (0b10, 0)
 
 # Byte b with bit j moved to bit 3j, as 3 little-endian bytes.
 _SPREAD = [sum((b >> j & 1) << 3 * j for j in range(8)).to_bytes(3, "little") for b in range(256)]
@@ -60,16 +60,16 @@ def _mask(coeffs: Mapping[int, int], c: int) -> int:
     return sum(1 << e for e, a in coeffs.items() if a == c)
 
 
-def _degree(a: Pair) -> int:
+def _degree(a: _Pair) -> int:
     """-1 for the zero polynomial."""
     return max(a[0].bit_length(), a[1].bit_length()) - 1
 
 
-def _neg(a: Pair) -> Pair:
+def _neg(a: _Pair) -> _Pair:
     return a[1], a[0]
 
 
-def _add(a: Pair, b: Pair) -> Pair:
+def _add(a: _Pair, b: _Pair) -> _Pair:
     (a1, a2), (b1, b2) = a, b
     t = (a1 | b2) ^ (a2 | b1)
     return (a2 | b2) ^ t, (a1 | b1) ^ t
@@ -80,11 +80,11 @@ def _spread(v: int) -> int:
     return int.from_bytes(b"".join(map(_SPREAD.__getitem__, data)), "little")
 
 
-def _cube(a: Pair) -> Pair:
+def _cube(a: _Pair) -> _Pair:
     return _spread(a[0]), _spread(a[1])
 
 
-def _fold(a: Pair, d: int, fold) -> Pair:
+def _fold(a: _Pair, d: int, fold) -> _Pair:
     """a mod P for a P of degree d, by replacing h*x^d with h*(-tail) until
     nothing is left above degree d - 1; fold holds -tail's (e, c), e < d."""
     low = (1 << d) - 1
@@ -98,7 +98,7 @@ def _fold(a: Pair, d: int, fold) -> Pair:
     return ones, twos
 
 
-def _rem(a: Pair, b: Pair) -> Pair:
+def _rem(a: _Pair, b: _Pair) -> _Pair:
     """a mod b for b != 0, one leading term at a time."""
     db = _degree(b)
     b_lead_one = b[0] >> db & 1
@@ -110,7 +110,7 @@ def _rem(a: Pair, b: Pair) -> Pair:
     return a
 
 
-def _gcd(a: Pair, b: Pair) -> Pair:
+def _gcd(a: _Pair, b: _Pair) -> _Pair:
     while any(b):
         a, b = b, _rem(a, b)
     return a
