@@ -110,10 +110,10 @@ def _lemma_docs(ctx, orbit_scan: bool) -> tuple[list[dict], bool]:
     """The epsilon = 1, 2 lemma reports as JSON, from the root count (no field
     table), and whether both are empty.  With orbit_scan, lemma.lemma_check
     counts again, and a count that differs raises Inconsistent."""
-    from . import lemma, roots
+    from . import lemma
     reports = []
     for eps in (1, 2):
-        count = roots.nonzero_root_count(roots.lemma_polynomial(ctx.m, eps, 1), ctx.m)
+        count = polyring.nonzero_root_count(polyring.lemma_polynomial(ctx.m, eps, 1), ctx.m)
         scan = lemma.lemma_check(ctx, eps).solution_count if orbit_scan else count
         if scan != count:
             raise Inconsistent(

@@ -1,6 +1,6 @@
 """Exhaustive confirmation that (x^(3^ell) + eps)(x^(3^ell) - x) = 1 has
 no solution in GF(3^m)* for eps in GF(3)*: the orbit scan, one of the
-lemma's two independent paths.  The other, roots.nonzero_root_count, reads
+lemma's two independent paths.  The other, polyring.nonzero_root_count, reads
 no field table; lemma-check reports its count, and report runs both and
 raises Inconsistent when they differ.
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tritcodes
-from tritcodes import cli, fieldctx, gf3m, polyring, roots
+from tritcodes import cli, fieldctx, gf3m, polyring
 from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
@@ -133,7 +133,7 @@ def test_failed_self_check_exit_1(capsys, monkeypatch):
 def test_lemma_paths_that_disagree_exit_1(capsys, monkeypatch):
     """report runs the root count and the orbit scan: a count that differs
     raises Inconsistent, so report exits 1 with one error line and no JSON."""
-    monkeypatch.setattr(roots, "nonzero_root_count", lambda p, m: 1)
+    monkeypatch.setattr(polyring, "nonzero_root_count", lambda p, m: 1)
     code, out, err = run_cli(capsys, "report", "--m", "5")
     assert (code, out) == (1, "")
     assert err.splitlines() == [

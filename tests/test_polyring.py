@@ -15,6 +15,7 @@ from tritcodes.polyring import (
     normalize,
     parse_poly,
     format_poly,
+    poly_add,
     poly_mod,
     poly_mul,
     poly_sub,
@@ -169,7 +170,8 @@ def test_product_of_all_minimal_polynomials(m):
 
 
 def test_poly_mod_matches_sympy():
-    """Seeded random pairs, with deg f < deg g and leading coefficient 2 among them."""
+    """Seeded random pairs, with deg f < deg g and leading coefficient 2 among
+    them: the remainder, product, sum and difference agree with sympy's."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(7)
@@ -179,8 +181,13 @@ def test_poly_mod_matches_sympy():
         g = normalize([*(rng.randrange(3) for _ in range(rng.randrange(8))), rng.choice((1, 2))])
         seen.add((len(f) < len(g), g[-1]))
         sf, sg = (sympy.Poly(p[::-1] or [0], x, modulus=3) for p in (f, g))
-        want = normalize(reversed(sympy.rem(sf, sg).all_coeffs()))
-        assert poly_mod(f, g) == want, (f, g)
+        for got, want in (
+            (poly_mod(f, g), sympy.rem(sf, sg)),
+            (poly_mul(f, g), sf * sg),
+            (poly_add(f, g), sf + sg),
+            (poly_sub(f, g), sf - sg),
+        ):
+            assert got == normalize(reversed(want.all_coeffs())), (f, g)
     assert seen == {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
@@ -216,10 +223,11 @@ def test_sympy_confirms_moduli_minimal_polynomials_and_generators():
 
 
 def test_is_primitive_matches_sympy_order_test():
-    """polyring.is_primitive against sympy's order test on every default
-    modulus, x^3 + 2x^2 + 2x + 2 (x of order 13), and seeded random monic
-    moduli at m = 3..9: irreducible ones of both kinds, and reducible ones,
-    which are never primitive."""
+    """polyring.is_primitive and is_irreducible against sympy's order and
+    irreducibility tests on every default modulus, x^3 + 2x^2 + 2x + 2 (x of
+    order 13), a product of three cubics, and seeded random monic moduli at
+    m = 3..9: irreducible ones of both kinds, and reducible ones, which are
+    never primitive."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
@@ -235,7 +243,10 @@ def test_is_primitive_matches_sympy_order_test():
 
     assert not polyring.is_primitive((2, 2, 2, 1))
     rng = random.Random(10)
-    moduli = [*DEFAULT_MODULI.values(), (2, 2, 2, 1)]
+    # x^(3^9) = x modulo a product of distinct irreducible cubics, so only
+    # the gcd step of the Rabin test refuses it
+    cubics = poly_mul(poly_mul((1, 0, 2, 1), (1, 1, 2, 1)), (1, 2, 0, 1))
+    moduli = [*DEFAULT_MODULI.values(), (2, 2, 2, 1), cubics]
     for m in range(3, 10):
         kinds = {}
         while len(kinds) < 3:
@@ -245,3 +256,4 @@ def test_is_primitive_matches_sympy_order_test():
         moduli += kinds.values()
     for f in moduli:
         assert polyring.is_primitive(f) == primitive(f), f
+        assert polyring.is_irreducible(f) == irreducible(f), f

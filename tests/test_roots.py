@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from tritcodes import lemma, roots
+from tritcodes import lemma, polyring
 from tritcodes.gf3m import make_field
-from tritcodes.roots import lemma_polynomial, nonzero_root_count
+from tritcodes.polyring import lemma_polynomial, nonzero_root_count
 
 from reference import nonzero_root_logs
 
@@ -89,13 +89,13 @@ def test_lemma_polynomial():
 
 
 def test_imports_no_numpy():
-    """A fresh interpreter that imports the module and counts the m = 13
+    """A fresh interpreter that imports tritcodes.polyring and counts the m = 13
     lemma's solutions loads no numpy."""
-    src = str(Path(roots.__file__).resolve().parents[1])
+    src = str(Path(polyring.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
-        "from tritcodes.roots import lemma_polynomial, nonzero_root_count\n"
+        "from tritcodes.polyring import lemma_polynomial, nonzero_root_count\n"
         "print(nonzero_root_count(lemma_polynomial(13, 1, 1), 13), 'numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
