@@ -1,17 +1,19 @@
 """Exact weight enumerator of the dual code by two independent paths.
 
-Delsarte's theorem presents the dual as trace codewords c(a,b) indexed by
-field pairs.  The direct path loops every (a,b) and counts nonzero trace
-coordinates (small m only).  The spectral path gets the Fourier transform
-of the power function x^v, fhat(lam) = sum over x of chi(x^v - lam*x), at
-every point from one exact ternary Walsh transform (m*3^m operations,
-every supported m) and turns two spectrum values into a codeword weight.
+Delsarte's theorem presents the dual as the trace codewords
+c(a,b)_t = Tr(a*pi^(ut) + b*pi^(vt)).  As 4n = 3(2*3^ell + 1)(2*3^ell - 1) - 1
+= -1 mod v, gcd(v, n) = 1, so each c(a, b != 0) is a cyclic shift of some
+c(a', 1): the direct path weighs c(a,0) and c(a,1) for every a by trace
+lookups.  The spectral path gets fhat(lam) = sum over x of chi(x^v - lam*x),
+the Fourier transform of x^v, at every point from one exact ternary Walsh
+transform (m*3^m operations) and turns two spectrum values into a weight.
 All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -87,21 +89,18 @@ def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
 
 
 def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
-    """Definition-level enumeration over all (a,b) pairs; oracle for small m."""
+    """Definition-level, from trace_by_log alone: c(a, pi^(vs)) is c(a*pi^(-us), 1)
+    shifted by s, so each a is weighed against b = 0 once and b = 1 n times."""
     n = ctx.order
-    check_budget("direct enumeration", (n + 1) ** 2 * n, "trace lookups", budget)
+    check_budget("direct enumeration", (n + 1) * n, "trace lookups", budget)
     u, v = exponent_pair(ctx.m)
-    i = np.arange(n, dtype=np.int64)
     t = np.arange(n, dtype=np.int64)
-    # row t: traces of pi^t * pi^(-u i); leading zero row is a = 0
-    tau = np.zeros((n + 1, n), dtype=np.int16)
-    tau[1:] = ctx.trace_by_log[(t[:, None] - (u * i) % n) % n]
-    tav = np.zeros((n + 1, n), dtype=np.int16)
-    tav[1:] = ctx.trace_by_log[(t[:, None] - (v * i) % n) % n]
+    ut, minus_b1 = u * t % n, -ctx.trace_by_log[v * t % n] % 3  # minus_b1 = -c(0,1)
+    rows = (ctx.trace_by_log.take(ut + s, mode="wrap") for s in range(n))  # a = pi^s, lazily
     hist = np.zeros(n + 1, dtype=np.int64)
-    for row in tau:
-        weights = n - np.count_nonzero((row[None, :] + tav) % 3 == 0, axis=1)
-        hist += np.bincount(weights, minlength=n + 1)
+    for row in chain([np.zeros_like(minus_b1)], rows):  # a = 0 first
+        hist[np.count_nonzero(row)] += 1
+        hist[np.count_nonzero(row != minus_b1)] += n
     return WeightEnumerator(n=n, counts=dict(enumerate(hist.tolist())))
 
 

@@ -140,7 +140,7 @@ def test_criterion_8_enumerator_structure(ctx3, enum5, enum7, enum9):
     _report(8, ok, "(Pless moments 0-3, support, class divisibility, m=3..13)")
 
 
-def test_criterion_9_worker_determinism(tmp_path):
+def test_criterion_9_report_determinism(tmp_path):
     outs = []
     for run in ("a", "b"):
         path = tmp_path / f"{run}.json"

@@ -12,6 +12,8 @@ from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
 
+from conftest import ENUM_M7
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -70,11 +72,17 @@ def test_dual_spectrum_both_m3(capsys):
     assert doc["spectral"]["total"] == 3**6
 
 
-def test_dual_spectrum_direct_budget_gate_m7(capsys):
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "direct")
+def test_dual_spectrum_direct_m7(capsys):
+    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "direct")
+    assert code == 0
+    assert json.loads(out)["counts"] == {str(w): c for w, c in ENUM_M7.items()}
+
+
+def test_dual_spectrum_direct_budget_gate_m11(capsys):
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "11", "--method", "direct")
     assert (code, out) == (2, "")
     assert err == (
-        "error: BudgetExceeded: direct enumeration needs ~1.05e+10 trace lookups"
+        "error: BudgetExceeded: direct enumeration needs ~3.14e+10 trace lookups"
         " (budget 1e+09)\n"
     )
 
@@ -254,7 +262,7 @@ def test_fixture_other_than_the_run_bytes_does_not_match(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--budget", "0")])
-def test_nonpositive_budget_or_workers_exit_2(capsys, flag, value):
+def test_nonpositive_budget_exit_2(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify-distance", "--m", "5", flag, value])
     assert exc.value.code == 2

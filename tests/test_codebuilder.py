@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -26,6 +27,13 @@ def test_build_code_m7(code7):
 def test_build_code_m3(code3):
     assert (code3.n, code3.k) == (26, 20)
     assert (code3.u, code3.v) == (14, 7)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+def test_v_is_prime_to_n(m):
+    """gcd(v, 3^m - 1) = 1, since 4n = -1 mod v: the direct dual enumerator's
+    cyclic shift takes every b != 0 to b = 1."""
+    assert gcd(cb.exponent_pair(m)[1], 3**m - 1) == 1
 
 
 def test_generator_degree_is_2m(code3, code5, code7):

@@ -90,14 +90,17 @@ class TestFhat:
 
 
 class TestEnumerators:
-    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("m", [3, 5, 7])
     def test_path_equivalence(self, m):
         ctx = make_field(m)
         assert direct_enumerator(ctx) == spectral_enumerator(ctx)
 
-    def test_direct_budget_gate(self, ctx7):
+    def test_direct_budget_gate(self):
+        ctx = fieldctx.FieldCtx(11, DEFAULT_MODULI[11])
         with pytest.raises(BudgetExceeded):
-            direct_enumerator(ctx7)
+            # (n + 1) * n = 3.1e10 trace lookups at m = 11
+            direct_enumerator(ctx)
+        assert "trace_by_log" not in vars(ctx)  # refused before any table is read
 
     def test_spectral_budget_gate(self, ctx9):
         with pytest.raises(BudgetExceeded):
