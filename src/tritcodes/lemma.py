@@ -14,7 +14,7 @@ any square/nonsquare argument.  The scan reads the Zech table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,12 +33,7 @@ class LemmaReport:
     scanned: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "epsilon": self.epsilon,
-            "solution_count": self.solution_count,
-            "scanned": self.scanned,
-        }
+        return asdict(self)
 
 
 def _lhs_logs(ctx: FieldCtx, epsilon: int, scan):

@@ -50,14 +50,15 @@ def degree(f: Sequence[int]) -> int:
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse the ascending trit-list format, e.g. "1,2,0,0,0,1"."""
+    """Parse the ascending trit-list format, e.g. "1,2,0,0,0,1": each part,
+    spaces around it stripped, is exactly 0, 1 or 2."""
     text = text.strip()
     if not text:
         return ZERO
-    coeffs = [int(part) for part in text.split(",")]
-    if any(c not in (0, 1, 2) for c in coeffs):
+    parts = [part.strip() for part in text.split(",")]
+    if any(part not in ("0", "1", "2") for part in parts):
         raise ValueError(f"trit list may only contain 0, 1, 2: {text!r}")
-    return normalize(coeffs)
+    return normalize([int(part) for part in parts])
 
 
 def format_poly(f: Sequence[int]) -> str:

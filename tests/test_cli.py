@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tritcodes
-from tritcodes import cli, fieldctx, gf3m, polyring
+from tritcodes import cli, dualspectrum, fieldctx, gf3m, polyring
 from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
@@ -114,8 +114,9 @@ def test_report_m3_both(capsys):
     assert doc["distance"]["d"] == 4
 
 
-def test_report_m5_matches_fixture(capsys):
-    code, out, _ = run_cli(capsys, "report", "--m", "5")
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_report_matches_fixture(capsys, m):
+    code, out, _ = run_cli(capsys, "report", "--m", str(m))
     assert code == 0
     doc = json.loads(out)
     assert doc["checks"]["fixture_match"] is True
@@ -150,19 +151,67 @@ def test_lemma_paths_that_disagree_exit_1(capsys, monkeypatch):
     ]
 
 
-def test_lemma_check_reads_no_field_table(capsys, monkeypatch):
-    """lemma-check decides the lemma by the root count: with every table of a
-    fresh m = 13 context raising on read, it prints its golden bytes."""
+@pytest.fixture
+def no_field_tables(monkeypatch):
+    """Fresh field contexts whose every table raises on read."""
 
     def no_table(ctx):
-        raise AssertionError("lemma-check read a field table")
+        raise AssertionError("a field table was read")
 
     monkeypatch.setattr(gf3m, "_FIELD_CACHE", {})
     for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
         monkeypatch.setattr(fieldctx.FieldCtx, table, property(no_table))
+
+
+def test_lemma_check_reads_no_field_table(capsys, no_field_tables):
+    """lemma-check decides the lemma by the root count: with every table of a
+    fresh m = 13 context raising on read, it prints its golden bytes."""
     code, out, err = run_cli(capsys, "lemma-check", "--m", "13")
     golden = Path(__file__).parent / "golden" / "lemma_check_m13.json"
     assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("command", ["dual-spectrum", "report"])
+def test_over_budget_both_reads_no_field_table(capsys, no_field_tables, command):
+    """--method both runs the direct path first, whose estimate is never below
+    the spectral one: a refused run exits 2 before any table is read."""
+    code, out, err = run_cli(capsys, command, "--m", "11", "--method", "both")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: BudgetExceeded: direct enumeration needs ~3.14e+10 trace lookups"
+        " (budget 1e+09)\n"
+    )
+
+
+@pytest.fixture
+def direct_one_off(monkeypatch):
+    """The direct enumerator with one more codeword of weight 0."""
+    direct = dualspectrum.direct_enumerator
+
+    def one_off(ctx, budget):
+        enum = direct(ctx, budget=budget)
+        return dualspectrum.WeightEnumerator(enum.n, {**enum.counts, 0: enum.counts[0] + 1})
+
+    monkeypatch.setattr(dualspectrum, "direct_enumerator", one_off)
+
+
+def test_dual_spectrum_paths_that_disagree_exit_1(capsys, direct_one_off):
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3", "--method", "both")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert list(doc) == ["spectral", "direct", "agree"]
+    assert doc["agree"] is False
+    assert doc["direct"]["counts"]["0"] == doc["spectral"]["counts"]["0"] + 1
+
+
+def test_report_paths_that_disagree_exit_1(capsys, direct_one_off):
+    code, out, err = run_cli(capsys, "report", "--m", "3", "--method", "both")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["checks"]["paths_agree"] is False
+    assert doc["mismatch"] == "paths_agree"
+    spectrum = doc["dual_spectrum"]
+    assert spectrum["direct"]["counts"]["0"] == spectrum["spectral"]["counts"]["0"] + 1
 
 
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):
@@ -284,9 +333,35 @@ def test_empty_modulus_exit_2(capsys):
     assert "NotIrreducible" in err
 
 
+def test_modulus_parts_may_be_spaced(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--m", "5", "--modulus", " 1, 2 ,0,0,0,1 ")
+    assert code == 0
+    assert json.loads(out)["modulus"] == "1,2,0,0,0,1"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u0661,2,0,0,0,1",  # Arabic-Indic one
+        "\uff11,2,0,0,0,1",  # fullwidth one
+        "01,2,0,0,0,1",
+        "+1,2,0,0,0,1",
+        "1_0,2,0,0,0,1",
+        ",1",
+        "1,2,,0,0,0,1",
+        "1,2,0,0,0,1,",
+    ],
+)
+def test_malformed_trit_list_exit_2(capsys, text):
+    """Each part of --modulus is exactly 0, 1 or 2: whatever else int() reads is refused."""
+    code, out, err = run_cli(capsys, "construct", "--m", "5", "--modulus", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: trit list may only contain 0, 1, 2: {text!r}\n"
+
+
 def _fresh_python(script, *drop_env):
-    """Run script in a new interpreter that imports tritcodes from this tree,
-    without the environment variables in drop_env."""
+    """Run script in a new interpreter that imports the tritcodes this process
+    imported, without the environment variables in drop_env."""
     env = {k: v for k, v in os.environ.items() if k not in drop_env}
     src = str(Path(tritcodes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

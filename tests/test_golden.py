@@ -68,16 +68,11 @@ def test_out_file_holds_the_stdout_bytes(name, tmp_path):
     assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def run_library_example() -> dict:
-    """Execute the python block under "## Library" in README.md; its globals."""
+def test_readme_library_example():
+    """The python block under "## Library" in README.md runs as written."""
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = re.search(r"^```python\n(.*?)^```$", section.split("\n## ", 1)[0], re.M | re.S)
     namespace = {}
     exec(block.group(1), namespace)
-    return namespace
-
-
-def test_readme_library_example():
-    namespace = run_library_example()
     assert namespace["report"].concluded_d == 4
     assert namespace["enum"].counts[144] == 2420
