@@ -191,10 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help=f"extension degree (odd, 3..{MAX_M})")
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument(
-            "--budget", type=_positive_int, default=DEFAULT_BUDGET,
-            help="operation-count ceiling gating expensive paths",
-        )
+        if name in ("verify-distance", "dual-spectrum", "report"):
+            p.add_argument(
+                "--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                help="operation-count ceiling gating expensive paths",
+            )
         if name in ("dual-spectrum", "report"):
             p.add_argument(
                 "--method", choices=("spectral", "direct", "both"), default="spectral"

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from tritcodes.codebuilder import build_code
@@ -40,19 +42,25 @@ def code7(ctx7):
     return build_code(ctx7)
 
 
-@pytest.fixture(scope="session")
-def enum5(ctx5):
-    return spectral_enumerator(ctx5)
+@functools.cache
+def spectral_enum(m):
+    """The spectral dual enumerator under the default modulus, once per m."""
+    return spectral_enumerator(make_field(m))
 
 
 @pytest.fixture(scope="session")
-def enum7(ctx7):
-    return spectral_enumerator(ctx7)
+def enum5():
+    return spectral_enum(5)
 
 
 @pytest.fixture(scope="session")
-def enum9(ctx9):
-    return spectral_enumerator(ctx9)
+def enum7():
+    return spectral_enum(7)
+
+
+@pytest.fixture(scope="session")
+def enum9():
+    return spectral_enum(9)
 
 
 # Paper fixture values, ascending trit lists.

@@ -122,15 +122,6 @@ def test_report_matches_fixture(capsys, m):
     assert doc["checks"]["fixture_match"] is True
 
 
-def test_report_out_file(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "report", "--m", "3", "--out", str(path))
-    assert code == 0
-    assert out == ""
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["mismatch"] is None
-
-
 def test_failed_self_check_exit_1(capsys, monkeypatch):
     """A self-check that raises Inconsistent exits 1, not 2, and writes no JSON."""
     monkeypatch.setattr(polyring, "cyclotomic_coset", lambda j, m: (0,))
@@ -267,34 +258,17 @@ def test_shipped_fixture_is_what_report_writes(request, m):
     assert (SHIPPED / f"m{m}.json").read_bytes() == _fixture_text(written).encode()
 
 
-def _m5_fixture_with(top=(), enum=(), weight0=None):
-    """The shipped m5.json with top-level and dual_weight_enumerator keys
-    replaced, and its weight-0 count entry replaced by weight0 = (key, count)."""
+def _m5_fixture_with(**top):
+    """The shipped m5.json with the given top-level keys replaced."""
     doc = json.loads((SHIPPED / "m5.json").read_text(encoding="utf-8"))
-    doc.update(top)
-    doc["dual_weight_enumerator"].update(enum)
-    if weight0 is not None:
-        counts = doc["dual_weight_enumerator"]["counts"]
-        del counts["0"]
-        counts[weight0[0]] = weight0[1]
-    return doc
+    return {**doc, **top}
 
 
-# name -> fixture text other than the bytes a run writes.  The floats equal the
-# run's ints under ==, as do the Arabic-Indic zero key and the boolean count
-# under int() and ==; the last is the shipped content without indentation.
+# name -> fixture text other than the bytes a run writes: other content, the
+# same content under == (122.0 for 122), and the same content unindented.
 OTHER_FIXTURES = {
-    "wrong_generator": _fixture_text(_m5_fixture_with(top={"generator": "1,0,0,0,0,0,0,0,0,0,1"})),
-    "float_u": _fixture_text(_m5_fixture_with(top={"u": 122.0})),
-    "float_total": _fixture_text(_m5_fixture_with(enum={"total": 59049.0})),
-    "float_u_and_total": _fixture_text(
-        _m5_fixture_with(top={"u": 122.0}, enum={"total": 59049.0})
-    ),
-    "empty_object": _fixture_text({}),
-    "list": _fixture_text([1, 2]),
-    "counts_list": _fixture_text(_m5_fixture_with(enum={"counts": [1, 2420]})),
-    "arabic_indic_zero_key": _fixture_text(_m5_fixture_with(weight0=("\u0660", 1))),
-    "boolean_count": _fixture_text(_m5_fixture_with(weight0=("0", True))),
+    "wrong_generator": _fixture_text(_m5_fixture_with(generator="1,0,0,0,0,0,0,0,0,0,1")),
+    "float_u": _fixture_text(_m5_fixture_with(u=122.0)),
     "shipped_without_indent": json.dumps(_m5_fixture_with()) + "\n",
 }
 
@@ -318,6 +292,16 @@ def test_nonpositive_budget_exit_2(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("command", ["construct", "lemma-check"])
+def test_budget_refused_where_it_is_not_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--m", "5", "--budget", "7"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 7" in captured.err
 
 
 def test_budget_one_accepted(capsys):

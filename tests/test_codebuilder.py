@@ -9,31 +9,31 @@ from tritcodes.distance import is_codeword
 from tritcodes.exceptions import Inconsistent
 from tritcodes.gf3m import DEFAULT_MODULI, make_field
 
-from conftest import GEN_M5, GEN_M7
+from conftest import GEN_M5, GEN_M7, GEN_M9
 from reference import add, exp_of, mul, smul
 
 
-def test_build_code_m5(code5):
-    assert (code5.n, code5.k) == (242, 232)
-    assert (code5.u, code5.v) == (122, 19)
-    assert code5.gen == GEN_M5
+# m -> (n, k, u, v, generator); m = 5, 7, 9 are the paper's Examples 1-3
+BUILDS = {
+    3: (26, 20, 14, 7, (2, 0, 0, 2, 1, 1, 1)),
+    5: (242, 232, 122, 19, GEN_M5),
+    7: (2186, 2172, 1094, 55, GEN_M7),
+    9: (19682, 19664, 9842, 163, GEN_M9),
+}
 
 
-def test_build_code_m7(code7):
-    assert (code7.n, code7.k) == (2186, 2172)
-    assert code7.gen == GEN_M7
-
-
-def test_build_code_m3(code3):
-    assert (code3.n, code3.k) == (26, 20)
-    assert (code3.u, code3.v) == (14, 7)
+@pytest.mark.parametrize("m", sorted(BUILDS))
+def test_build_code(request, m):
+    code = cb.build_code(request.getfixturevalue(f"ctx{m}"))
+    assert (code.n, code.k, code.u, code.v, code.gen) == BUILDS[m]
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
 def test_v_is_prime_to_n(m):
-    """gcd(v, 3^m - 1) = 1, since 4n = -1 mod v: the direct dual enumerator's
-    cyclic shift takes every b != 0 to b = 1."""
-    assert gcd(cb.exponent_pair(m)[1], 3**m - 1) == 1
+    """gcd(u, 3^m - 1) = 2 and gcd(v, 3^m - 1) = 1, since 4n = -1 mod v: the
+    direct dual enumerator's cyclic shift takes every b != 0 to b = 1."""
+    u, v = cb.exponent_pair(m)
+    assert (gcd(u, 3**m - 1), gcd(v, 3**m - 1)) == (2, 1)
 
 
 def test_generator_degree_is_2m(code3, code5, code7):

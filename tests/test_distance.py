@@ -22,7 +22,7 @@ from tritcodes.exceptions import BudgetExceeded, Inconsistent
 from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
-from conftest import ENUM_M5
+from conftest import ENUM_M5, spectral_enum
 from reference import add, exp_of, neg, power, smul
 
 
@@ -302,11 +302,13 @@ class TestMacWilliams:
         with pytest.raises(Inconsistent, match=r"total count 6 does not divide 3\^8"):
             macwilliams(bad)
 
-    def test_low_weight_transform_of_computed_enums(self, enum5, enum7, enum9):
-        for enum in (enum5, enum7, enum9):
-            mw = macwilliams(enum, max_weight=4)
-            assert all(mw.counts.get(j, 0) == 0 for j in (1, 2, 3))
-            assert mw.counts[4] > 0
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+    def test_low_weight_transform_of_computed_enums(self, m):
+        """C has no codeword of weight 1..3 and some of weight 4 (d = 4): at
+        m = 11 and 13, where no oracle runs, a check of the spectrum alone."""
+        mw = macwilliams(spectral_enum(m), max_weight=4)
+        assert all(mw.counts.get(j, 0) == 0 for j in (1, 2, 3))
+        assert mw.counts[4] > 0
 
 
 class TestConcludeDistance:

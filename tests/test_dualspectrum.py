@@ -16,7 +16,7 @@ from tritcodes.dualspectrum import (
 from tritcodes.exceptions import BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI, make_field
 
-from conftest import ENUM_M5, ENUM_M7, ENUM_M9
+from conftest import ENUM_M5, ENUM_M7, ENUM_M9, spectral_enum
 from reference import dual_codeword_weight, exp_of, fhat, neg
 
 
@@ -124,25 +124,26 @@ class TestEnumerators:
 
 
 class TestStructuralProperties:
-    def test_totals_and_moments(self, enum5, enum7, enum9):
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+    def test_totals_and_moments(self, m):
         """Pless power moments j = 0..3, which hold because C has no codeword
         of weight 1, 2 or 3; j = 0 is the total, j = 1 the first moment."""
-        for m, enum in ((5, enum5), (7, enum7), (9, enum9)):
-            n = 3**m - 1
-            assert enum.support() <= weight_value_set(m)
-            for j in range(4):
-                moment = sum(c * comb(n - w, j) for w, c in enum.counts.items())
-                assert moment == 3 ** (2 * m - j) * comb(n, j), j
+        enum = spectral_enum(m)
+        n = 3**m - 1
+        assert enum.support() <= weight_value_set(m)
+        for j in range(4):
+            moment = sum(c * comb(n - w, j) for w, c in enum.counts.items())
+            assert moment == 3 ** (2 * m - j) * comb(n, j), j
 
-    def test_class_counts_divisible(self, enum5, enum7, enum9):
-        for m, enum in ((5, enum5), (7, enum7), (9, enum9)):
-            n = 3**m - 1
-            mid = 2 * 3 ** (m - 1)
-            for w, c in enum.counts.items():
-                if w == 0:
-                    continue
-                boundary = 2 * n if w == mid else 0
-                assert (c - boundary) % n == 0
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+    def test_class_counts_divisible(self, m):
+        n = 3**m - 1
+        mid = 2 * 3 ** (m - 1)
+        for w, c in spectral_enum(m).counts.items():
+            if w == 0:
+                continue
+            boundary = 2 * n if w == mid else 0
+            assert (c - boundary) % n == 0
 
     def test_spectral_class_counts_m5(self, enum5):
         n = 242

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 
 import numpy as np
@@ -241,14 +240,6 @@ class TestInvariants:
                 for _ in range(ctx.m):
                     b = power(ctx, b, 3)
                 assert b == a
-
-    def test_exponent_gcds(self):
-        for m in (3, 5, 7, 9, 11, 13):
-            n = 3**m - 1
-            u = (3**m + 1) // 2
-            v = 2 * 3 ** ((m - 1) // 2) + 1
-            assert math.gcd(u, n) == 2
-            assert math.gcd(v, n) == 1
 
     def test_vectorized_helpers_match_scalar(self, ctx5):
         """Array log_add agrees with the digit-loop reference on every

@@ -58,7 +58,9 @@ def test_stdout_bytes_and_exit_code(name):
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# Every command writes through the same cli._emit, so one case covers --out;
+# with the stdout case, two fresh processes write the same report bytes.
+@pytest.mark.parametrize("name", ["report_m5_both"])
 def test_out_file_holds_the_stdout_bytes(name, tmp_path):
     argv, exit_code = CASES[name]
     path = tmp_path / f"{name}.json"

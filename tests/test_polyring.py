@@ -54,12 +54,6 @@ def test_poly_mod_trivia():
         poly_mod(g, ZERO)
 
 
-def test_poly_mod_x_n_minus_1_by_generator():
-    # the m=5 code is cyclic of length 242, so gen | x^242 - 1
-    xn_minus_1 = normalize((-1,) + (0,) * 241 + (1,))
-    assert poly_mod(xn_minus_1, GEN_M5) == ZERO
-
-
 def test_cyclotomic_coset_trivia():
     assert cyclotomic_coset(0, 5) == (0,)
     with pytest.raises(ValueError, match=r"j=242 outside \[0, 241\]"):
