@@ -22,13 +22,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import polyring
 from .codebuilder import CyclicCode, sphere_packing_max_d
-from .dualspectrum import WeightEnumerator
 from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, check_budget
+
+if TYPE_CHECKING:
+    from .dualspectrum import WeightEnumerator
 
 
 @dataclass
@@ -60,30 +63,36 @@ def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
     syndromes of the positions before it (-1 for none).  The last term
     c_w*pi^(v t_w) must cancel the partial v-syndrome S_v, so v*t_w = L
     (mod n) with L = log(-S_v / c_w): that has g = gcd(v, n) roots
-    t0 + k*n/g when g divides L and none otherwise.  Only those roots are
-    tested against the u-syndrome, all in the log domain, where logs in
-    [0, 2n) are reduced by ctx.wrap, and keep(tp, tw) masks the allowed
-    last positions.  block_hits returns plain ints and starmap keeps no
-    block, so the kernel holds no block array while suspended at a hit.
+    t0 + k*n/g when g divides L and none otherwise.  As the u-syndrome asks
+    u*t_w = log(-S_u / c_w), only positions with v*log S_u - u*log S_v =
+    (u - v)*log(-c_w) (mod n), a test free of t_w and exact when g = 1,
+    solve for t_w; its roots are tested against the u-syndrome, all in the
+    log domain, and keep(tp, tw) masks the allowed last positions.
+    block_hits returns plain ints and starmap keeps no block, so the kernel
+    holds no block array while suspended at a hit.
     """
     ctx = code.ctx
     n, u, v = code.n, code.u, code.v
     g = gcd(v, n)
     vinv = pow(v // g, -1, n // g)
     roots = np.arange(g, dtype=np.int64) * (n // g)
+    lnegs = [ctx.log_of_scalar(3 - cw) for cw in (1, 2)]  # log(-1/c_w) = log(-c_w)
+    r1, r2 = ((u - v) * lneg % n for lneg in lnegs)
 
     def block_hits(tp, logs):
         lu, lv = (lg if s < 0 else ctx.log_add(lg, s) for lg, s in zip(logs, (su, sv)))
+        d = ctx.mod(v * lu - u * lv)
+        passed = np.flatnonzero((d == r1) | (d == r2))
+        tp, lu, lv = tp[passed], lu[passed], lv[passed]
         found = []
-        for cw in (1, 2):
-            lneg = ctx.log_of_scalar(3 - cw)  # log(-1/c_w) = log(-c_w)
+        for cw, lneg in zip((1, 2), lnegs):
             # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
             lt = ctx.wrap(lv + lneg)
             q = lt // g
             tw = ((q * vinv) % (n // g))[:, None] + roots
             # u-syndrome: c_w*pi^(u t_w) = -S_u, u*t_w + log(-c_w) = log S_u
             # (never for S_u = 0, log -1); a root needs S_v != 0 and g | L
-            good = ctx.wrap((u * tw) % n + lneg) == lu[:, None]
+            good = ctx.mod(u * tw + lneg) == lu[:, None]
             good &= keep(tp[:, None], tw) & ((lv >= 0) & (q * g == lt))[:, None]
             r, k = np.divmod(np.flatnonzero(good), g)
             found += zip(tp[r].tolist(), [cw] * len(r), tw[r, k].tolist())
@@ -218,11 +227,12 @@ def is_codeword(word, code: CyclicCode) -> bool:
     """
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} != n={code.n}")
-    coeffs = np.asarray(word) % 3
+    word = np.asarray(word)
     rem = polyring.ZERO
-    for t in np.flatnonzero(coeffs):
-        term = polyring.poly_pow_mod(polyring.X, int(t), code.gen)
-        rem = polyring.poly_add(rem, polyring.poly_mul((int(coeffs[t]),), term))
+    for t in np.flatnonzero(word != 0).tolist():  # faster on bools than on int8
+        if word[t] % 3:
+            term = polyring.poly_pow_mod(polyring.X, t, code.gen)
+            rem = polyring.poly_add(rem, polyring.poly_mul((int(word[t]) % 3,), term))
     return rem == polyring.ZERO
 
 
@@ -244,6 +254,7 @@ def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> Weight
     not the enumerator of a linear code.  max_weight truncates the output
     to low weights, which keeps the A_1..A_4 checks cheap at n ~ 2*10^4.
     """
+    from .dualspectrum import WeightEnumerator
     n, total = enum.n, enum.total
     if total <= 0 or pow(3, n, total):
         raise Inconsistent(f"total count {total} does not divide 3^{n}")

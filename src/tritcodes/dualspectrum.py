@@ -114,10 +114,13 @@ def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEn
     All fhat values come from one ternary Walsh transform, m*3^m
     operations, which the budget gates.
     """
-    n = ctx.order
     check_budget("spectral transform", ctx.m * ctx.size, "operations", budget)
-    _, v = exponent_pair(ctx.m)
-    fr = _fhat_all(ctx, v)
+    return _from_transform(ctx, _fhat_all(ctx, exponent_pair(ctx.m)[1]))
+
+
+def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:
+    """The enumerator of spectral_enumerator from _fhat_all's values fr."""
+    n = ctx.order
     pair_sum = fr + np.roll(fr, -ctx.half)  # fhat(lam) + fhat(-lam), lam = pi^s
     if np.any(pair_sum % 3):
         raise Inconsistent("fhat(lam) + fhat(-lam) not divisible by 3")

@@ -9,7 +9,7 @@ which only the dual-spectrum paths read, and the Frobenius orbit
 representatives.  So a new context holds no table, and each command builds
 only the tables it reads.  The context is immutable and safe to share.  The
 exp, log and Zech tables are int32; arithmetic on their entries runs in
-int64 or ints.
+int64 or ints.  numpy is imported on the first table read, not before.
 
 Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
@@ -24,9 +24,17 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from . import gf3m, polyring
+
+
+class _Numpy:  # numpy, imported on the first attribute read, which rebinds np
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 
 class FieldCtx:
@@ -52,9 +60,11 @@ class FieldCtx:
 
     @cached_property
     def log(self) -> np.ndarray:
-        """The log of each packed element (int32), -1 at 0: exp inverted."""
+        """The log of each packed element (int32), -1 at 0: exp inverted, by blocks."""
         log = np.full(self.size, -1, dtype=np.int32)
-        log[self.exp] = np.arange(self.order, dtype=np.int32)
+        for lo in range(0, self.order, gf3m.BLOCK):
+            part = self.exp[lo : lo + gf3m.BLOCK]
+            np.put(log, part, np.arange(lo, lo + len(part), dtype=np.int32), mode="clip")
         return log
 
     @cached_property
@@ -62,19 +72,20 @@ class FieldCtx:
         """zech[k] = log(1 + pi^k) (int32), -1 at k = h where pi^h = -1: adding
         1 changes only digit 0 of the packed element exp[k].  Gathered for
         k <= h; for k > h, zech[k] = zech[n - k] + k (mod n) reads the first
-        half backwards.  Built in blocks of gf3m.BLOCK, so no temporary holds
-        n entries."""
+        half backwards.  Built in blocks of gf3m.BLOCK, through one reused
+        index buffer, so no temporary holds n entries."""
         n, h, block = self.order, self.half, gf3m.BLOCK
         zech = np.empty(n, dtype=np.int32)
+        index = np.empty(min(block, h + 1), dtype=np.intp)
         for lo in range(0, h + 1, block):
-            part = slice(lo, min(lo + block, h + 1))
-            one_plus = self.exp[part] + 1
-            np.subtract(one_plus, 3, out=one_plus, where=one_plus % 3 == 0)
-            zech[part] = self.log[one_plus]
+            hi = min(lo + block, h + 1)
+            one_plus = np.add(self.exp[lo:hi], 1, out=index[: hi - lo])
+            np.subtract(one_plus, 3, out=one_plus, where=one_plus // 3 * 3 == one_plus)
+            self.log.take(one_plus, out=zech[lo:hi], mode="clip")  # clip: unbuffered
         for lo in range(h + 1, n, block):
             hi = min(lo + block, n)
-            mirror = zech[n - hi + 1 : n - lo + 1][::-1] + np.arange(lo, hi)
-            zech[lo:hi] = self.wrap(mirror)
+            mirror = zech[n - hi + 1 : n - lo + 1][::-1]
+            self.wrap(np.add(mirror, np.arange(lo, hi, dtype=np.int32), out=zech[lo:hi]))
         return zech
 
     @cached_property
@@ -114,10 +125,15 @@ class FieldCtx:
     def log_add(self, la, lb):
         """log(pi^la + pi^lb) for logs in [0, n) (ints or int64 arrays) of
         nonzero elements; -1 where the sum is 0."""
-        z = self.zech[lb - la]  # a negative index wraps mod n
+        z = self.zech.take(lb - la, mode="wrap")  # a negative index wraps mod n
         out = self.wrap(np.asarray(la + z, dtype=np.int64))
-        np.copyto(out, -1, where=z < 0)
+        out[z < 0] = -1
         return out
+
+    def mod(self, x: np.ndarray) -> np.ndarray:
+        """x mod n in place for an int64 array x: numpy's // is ~5x faster than %."""
+        x -= x // self.order * self.order
+        return x
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """x mod n in place for an integer array x in [0, 2n): as unsigned,
@@ -133,7 +149,7 @@ class FieldCtx:
         n, block = self.order, gf3m.BLOCK
         for start in range(lo, hi, block):
             t = np.arange(start, min(start + block, hi), dtype=np.int64)
-            yield t, [(e * t + c) % n for e, c in terms]
+            yield t, [self.mod(e % n * t + c) for e, c in terms]
 
     def orbit_logs(self, lo: int, hi: int, *terms):
         """(t, logs) as line_logs, for t the orbit_reps in [lo, hi) only, per
@@ -142,7 +158,7 @@ class FieldCtx:
         first, last = np.searchsorted(reps, (lo, hi))
         for start in range(first, last, block):
             t = reps[start : min(start + block, last)]
-            yield t, [(e * t + c) % n for e, c in terms]
+            yield t, [self.mod(e % n * t + c) for e, c in terms]
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
@@ -169,16 +185,19 @@ def _recurring(first, modulus: tuple[int, ...], length: int) -> np.ndarray:
 def _build_exp_table(m: int, modulus: tuple[int, ...]) -> np.ndarray:
     """exp table for pi = x: entry j is the packed element x^j (int32).  The
     top digit s_j is a _recurring sequence; row r - 1 is row r shifted plus
-    f_r*s, since x^(j+1) = x * x^j, so row r reads s up to entry n - 1 + r."""
+    f_r*s, since x^(j+1) = x * x^j, so row r reads s up to entry n - 1 + r.
+    The rows are summed one block of gf3m.BLOCK entries at a time."""
     order = 3**m - 1
-    s = row = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
+    s = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
     exp = np.zeros(order, dtype=np.int32)
-    for r in range(m - 1, -1, -1):
-        exp *= 3
-        exp += row[:order]
-        if r:  # a shift alone where f_r = 0
-            row = row[1:]
-            row = _mod3(row + modulus[r] * s[: len(row)]) if modulus[r] else row
+    for lo in range(0, order, gf3m.BLOCK):
+        acc, row = exp[lo : lo + gf3m.BLOCK], s[lo : lo + gf3m.BLOCK + m - 1]
+        for r in range(m - 1, -1, -1):
+            acc *= 3
+            acc += row[: len(acc)]
+            if r:  # a shift alone where f_r = 0
+                row = row[1:]
+                row = _mod3(row + modulus[r] * s[lo : lo + len(row)]) if modulus[r] else row
     return exp
 
 

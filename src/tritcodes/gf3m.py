@@ -14,8 +14,8 @@ if TYPE_CHECKING:
 MAX_M = 13
 
 # Positions per block of FieldCtx.line_logs, orbit_logs and orbit_reps and of
-# the Zech build, read at each call: a few MiB of block arrays at m = 13.
-BLOCK = 1 << 16
+# the table builds, read at each call: int64 block arrays of 256 KiB, L2-sized.
+BLOCK = 1 << 15
 
 # Monic primitive polynomials used when no modulus is supplied, ascending
 # trit lists.  The m = 5, 7, 9 entries are pinned so that the generator

@@ -14,16 +14,13 @@ any square/nonsquare argument.  The scan reads the Zech table.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from . import polyring
 from .fieldctx import FieldCtx
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """How many x in GF(3^m)* solve lhs(x) = 1 for one epsilon, by either
     path; scanned is 3^m - 1, the nonzero elements the verdict covers."""
 
@@ -33,7 +30,7 @@ class LemmaReport:
     scanned: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _lhs_logs(ctx: FieldCtx, epsilon: int, scan):
@@ -48,7 +45,7 @@ def _lhs_logs(ctx: FieldCtx, epsilon: int, scan):
         la = ctx.log_add(x3l, ctx.log_of_scalar(epsilon))
         lb = ctx.log_add(x3l, minus_x)
         logs = ctx.wrap(la + lb)
-        np.copyto(logs, -1, where=(la < 0) | (lb < 0))
+        logs[(la < 0) | (lb < 0)] = -1
         yield t, logs
 
 

@@ -2,8 +2,8 @@ import functools
 
 import pytest
 
-from tritcodes.codebuilder import build_code
-from tritcodes.dualspectrum import spectral_enumerator
+from tritcodes import dualspectrum
+from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
 
@@ -43,9 +43,15 @@ def code7(ctx7):
 
 
 @functools.cache
+def transform(m):
+    """The Walsh transform at every pi^s under the default modulus, once per m."""
+    return dualspectrum._fhat_all(make_field(m), exponent_pair(m)[1])
+
+
+@functools.cache
 def spectral_enum(m):
-    """The spectral dual enumerator under the default modulus, once per m."""
-    return spectral_enumerator(make_field(m))
+    """The spectral dual enumerator under the default modulus, from transform(m)."""
+    return dualspectrum._from_transform(make_field(m), transform(m))
 
 
 @pytest.fixture(scope="session")

@@ -385,13 +385,39 @@ def test_construct_loads_no_numpy_and_no_field_tables():
     assert proc.stdout.split() == ["0", "0", "False", "False"], proc.stderr
 
 
+def test_lemma_check_loads_no_numpy():
+    """lemma-check validates the modulus with make_field and counts roots in
+    GF(3)[x]: at m = 13, for the default and for a dense modulus, it exits 0
+    with numpy never imported, though it imports tritcodes.fieldctx."""
+    proc = _fresh_python(
+        "import os, sys\n"
+        "from tritcodes.cli import main\n"
+        "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
+        "    print(main(['lemma-check', '--m', '13', '--out', os.devnull, *extra]))\n"
+        "print('numpy' in sys.modules, 'tritcodes.fieldctx' in sys.modules)\n"
+    )
+    assert proc.stdout.split() == ["0", "0", "False", "True"], proc.stderr
+
+
+def test_verify_distance_loads_no_dualspectrum():
+    """verify-distance runs MacWilliams only when given a dual enumerator,
+    which it never is: tritcodes.dualspectrum stays unimported."""
+    proc = _fresh_python(
+        "import os, sys\n"
+        "from tritcodes.cli import main\n"
+        "print(main(['verify-distance', '--m', '5', '--out', os.devnull]))\n"
+        "print('tritcodes.dualspectrum' in sys.modules)\n"
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_starts_no_blas_threads():
     """Importing tritcodes.cli caps numpy's OpenBLAS pool at one thread before
     numpy loads, when OPENBLAS_NUM_THREADS is unset: for a command run by main,
     and for the layers imported next, as perfbench's tracer does."""
     for script in (
-        "from tritcodes.cli import main\nmain(['lemma-check', '--m', '5', '--out', os.devnull])\n",
+        "from tritcodes.cli import main\nmain(['verify-distance', '--m', '5', '--out', os.devnull])\n",
         "import tritcodes.cli\nimport tritcodes.distance\n",
     ):
         proc = _fresh_python(

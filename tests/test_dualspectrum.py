@@ -1,5 +1,4 @@
 import random
-from functools import cache
 from math import comb
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from tritcodes import fieldctx
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.dualspectrum import (
-    _fhat_all,
     direct_enumerator,
     spectral_enumerator,
     weight_value_set,
@@ -16,7 +14,7 @@ from tritcodes.dualspectrum import (
 from tritcodes.exceptions import BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI, make_field
 
-from conftest import ENUM_M5, ENUM_M7, ENUM_M9, spectral_enum
+from conftest import ENUM_M5, ENUM_M7, ENUM_M9, spectral_enum, transform
 from reference import dual_codeword_weight, exp_of, fhat, neg
 
 
@@ -29,12 +27,6 @@ class TestCodewordWeight:
             mid = 2 * 3 ** (ctx.m - 1)
             assert dual_codeword_weight(0, exp_of(ctx, 5), ctx) == mid
             assert dual_codeword_weight(exp_of(ctx, 9), 0, ctx) == mid
-
-
-@cache
-def _transform(m):
-    """The Walsh transform at every pi^s under the default modulus, once per m."""
-    return _fhat_all(make_field(m), exponent_pair(m)[1])
 
 
 class TestFhat:
@@ -63,7 +55,7 @@ class TestFhat:
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_transform_matches_single_point_everywhere(self, m):
         ctx = make_field(m)
-        assert [(int(p), 0) for p in _transform(m)] == [
+        assert [(int(p), 0) for p in transform(m)] == [
             fhat(exp_of(ctx, s), ctx) for s in range(ctx.order)
         ]
 
@@ -72,7 +64,7 @@ class TestFhat:
         """fhat takes 0, +3^(ell+1) and -3^(ell+1), with the frequencies of
         the three-valued ternary Welch-type cross-correlation."""
         ctx = make_field(m)
-        values, counts = np.unique(_transform(m), return_counts=True)
+        values, counts = np.unique(transform(m), return_counts=True)
         top, third, low = 3 ** (ctx.ell + 1), 3 ** (m - 1), 3**ctx.ell
         assert dict(zip(values.tolist(), counts.tolist())) == {
             0: 2 * third - 1,
@@ -83,7 +75,7 @@ class TestFhat:
     @pytest.mark.parametrize("m", [11, 13])
     def test_transform_matches_single_point_sampled(self, m):
         ctx = make_field(m)
-        values = _transform(m)
+        values = transform(m)
         rng = random.Random(m)
         for s in [0, ctx.half] + [rng.randrange(ctx.order) for _ in range(16)]:
             assert fhat(exp_of(ctx, s), ctx) == (int(values[s]), 0), s
