@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: construct | verify-distance | dual-spectrum | lemma-check | report.
-Each is cmd_x(field, args) -> (doc, passed), field from --m and --modulus:
-check_modulus's modulus for construct (no numpy), make_field's FieldCtx for
-the rest.  main alone writes doc and maps passed to the exit code.
+Each is cmd_x(ctx, args) -> (doc, passed), ctx the make_field context of
+--m and --modulus: numpy loads on the first field table a command reads, so
+construct, lemma-check and a refused modulus never load it.  main alone
+builds ctx, writes doc and maps passed to the exit code.
 All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
 diffing works.  Exit codes: 0 = all checks pass, 1 = a check failed (the
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from . import polyring
 from .exceptions import DEFAULT_BUDGET, Inconsistent, TritcodesError
-from .gf3m import DEFAULT_MODULI, MAX_M, check_modulus, make_field
+from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 
 # tritcodes computes in exact integers and never calls BLAS, so numpy's
 # OpenBLAS needs no pool of nproc - 1 worker threads.  Set on import, before
@@ -73,9 +74,9 @@ def _fixture_match(written: dict) -> bool | None:
     return None
 
 
-def cmd_construct(modulus, args) -> tuple[dict, bool]:
+def cmd_construct(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder
-    return codebuilder.construct(args.m, modulus).to_json_dict(), True
+    return codebuilder.build_code(ctx).to_json_dict(), True
 
 
 def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--method", choices=("spectral", "direct", "both"), default="spectral"
             )
-        p.set_defaults(func=func, field=check_modulus if name == "construct" else make_field)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         modulus = None if args.modulus is None else polyring.parse_poly(args.modulus)
-        doc, passed = args.func(args.field(args.m, modulus), args)
+        doc, passed = args.func(make_field(args.m, modulus), args)
         _emit(doc, args.out)
         return 0 if passed else 1
     except TritcodesError as exc:  # Inconsistent exits 1, invalid input 2

@@ -3,9 +3,9 @@
 The code of interest has length n = 3^m - 1, nonzeros pi^u and pi^v with
 u = (3^m + 1)/2 and v = 2*3^ell + 1 (m = 2*ell + 1), and generator
 polynomial m_u(x) * m_v(x), built in GF(3)[x] without numpy or field tables.
-The code object stores the generator polynomial only; membership
-(distance.is_codeword) is polynomial divisibility, which keeps n = 3^13 - 1
-instances cheap.
+The code object stores the generator polynomial and the field context the
+distance searches read; membership (distance.is_codeword) is polynomial
+divisibility, which keeps n = 3^13 - 1 instances cheap.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from . import polyring
 from .exceptions import Inconsistent
 
 if TYPE_CHECKING:
-    from .fieldctx import FieldCtx
+    from .gf3m import FieldCtx
 
 
 @dataclass(frozen=True)
-class Construction:
-    """C_(u,v) as GF(3)[x] data: what `construct` prints, no field tables."""
+class CyclicCode:
+    """C_(u,v) over the field context ctx: its GF(3)[x] data, what `construct` prints."""
 
-    m: int
-    modulus: tuple[int, ...]
+    ctx: FieldCtx
     n: int
     u: int
     v: int
@@ -35,21 +34,14 @@ class Construction:
 
     def to_json_dict(self) -> dict:
         return {
-            "m": self.m,
+            "m": self.ctx.m,
             "n": self.n,
             "k": self.k,
             "u": self.u,
             "v": self.v,
-            "modulus": polyring.format_poly(self.modulus),
+            "modulus": polyring.format_poly(self.ctx.modulus),
             "generator": polyring.format_poly(self.gen),
         }
-
-
-@dataclass(frozen=True)
-class CyclicCode(Construction):
-    """The construction with the field context the distance searches read."""
-
-    ctx: FieldCtx
 
 
 def exponent_pair(m: int) -> tuple[int, int]:
@@ -58,10 +50,10 @@ def exponent_pair(m: int) -> tuple[int, int]:
     return (3**m + 1) // 2, 2 * 3**ell + 1
 
 
-def construct(m: int, modulus: tuple[int, ...]) -> Construction:
-    """C_(u,v) over GF(3)[x]/(modulus), a modulus that gf3m.check_modulus
-    accepted: gen = m_u * m_v, computed and checked without numpy."""
-    n = 3**m - 1
+def build_code(ctx: FieldCtx) -> CyclicCode:
+    """C_(u,v) over the field context: gen = m_u * m_v, computed and checked in
+    GF(3)[x]/(ctx.modulus), so no field table is read and numpy is not loaded."""
+    m, n = ctx.m, ctx.order
     u, v = exponent_pair(m)
     cos_u = polyring.cyclotomic_coset(u, m)
     cos_v = polyring.cyclotomic_coset(v, m)
@@ -70,7 +62,7 @@ def construct(m: int, modulus: tuple[int, ...]) -> Construction:
     if set(cos_u) & set(cos_v):
         raise Inconsistent(f"C_{u} and C_{v} intersect mod {n}")
     gen = polyring.poly_mul(
-        polyring.minimal_polynomial(u, modulus), polyring.minimal_polynomial(v, modulus)
+        polyring.minimal_polynomial(u, ctx.modulus), polyring.minimal_polynomial(v, ctx.modulus)
     )
     k = n - polyring.degree(gen)
     if k != n - 2 * m or gen[-1] != 1:
@@ -78,12 +70,7 @@ def construct(m: int, modulus: tuple[int, ...]) -> Construction:
     # g | x^n - 1, checked via x^n mod g == 1 (square-and-multiply)
     if polyring.poly_pow_mod(polyring.X, n, gen) != polyring.ONE:
         raise Inconsistent("generator polynomial does not divide x^n - 1")
-    return Construction(m=m, modulus=modulus, n=n, u=u, v=v, gen=gen, k=k)
-
-
-def build_code(ctx: FieldCtx) -> CyclicCode:
-    """Construct C_(u,v) over the given field context."""
-    return CyclicCode(**vars(construct(ctx.m, ctx.modulus)), ctx=ctx)
+    return CyclicCode(ctx=ctx, n=n, u=u, v=v, gen=gen, k=k)
 
 
 def hamming_ball_volume(n: int, r: int) -> int:

@@ -219,32 +219,27 @@ def brute_force_min_weight(
     return None
 
 
-def is_codeword(word, code: CyclicCode) -> bool:
-    """True iff the polynomial of the length-n word is divisible by gen.
-
-    Only nonzero terms are reduced: sum(c_t * (x^t mod gen)) must vanish, so
-    a weight-4 word at n = 3^13 - 1 costs four square-and-multiply powers.
-    """
-    if len(word) != code.n:
-        raise ValueError(f"word length {len(word)} != n={code.n}")
-    word = np.asarray(word)
+def is_codeword(support, coefficients, code: CyclicCode) -> bool:
+    """True iff the word with coefficient c at each position t of support, 0
+    elsewhere, is divisible by gen: sum(c * (x^t mod gen)) must vanish, so a
+    weight-4 word at n = 3^13 - 1 costs four square-and-multiply powers."""
     rem = polyring.ZERO
-    for t in np.flatnonzero(word != 0).tolist():  # faster on bools than on int8
-        if word[t] % 3:
-            term = polyring.poly_pow_mod(polyring.X, t, code.gen)
-            rem = polyring.poly_add(rem, polyring.poly_mul((int(word[t]) % 3,), term))
+    for t, c in zip(support, coefficients):
+        if not 0 <= t < code.n:
+            raise ValueError(f"position {t} outside [0, n={code.n})")
+        term = polyring.poly_pow_mod(polyring.X, t, code.gen)
+        rem = polyring.poly_add(rem, polyring.poly_mul((c % 3,), term))
     return rem == polyring.ZERO
 
 
 def weight4_witness(code: CyclicCode) -> dict | None:
-    """First weight-4 codeword of _completions that is_codeword confirms, or
-    None; the scan stops at the block that holds it."""
-    for hit in _completions(code):
-        word = np.zeros(code.n, dtype=np.int8)
-        word[hit["support"]] = hit["coefficients"]
-        if is_codeword(word, code):
-            return hit
-    return None
+    """The first weight-4 codeword of _completions, or None; the scan stops at
+    the block that holds it.  GF(3)[x] division confirms the hit: one that
+    is_codeword rejects is a fault of the log-domain kernel, Inconsistent."""
+    hit = next(_completions(code), None)
+    if hit is not None and not is_codeword(hit["support"], hit["coefficients"], code):
+        raise Inconsistent(f"weight-4 hit {hit} is not divisible by the generator")
+    return hit
 
 
 def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> WeightEnumerator:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codebuilder import exponent_pair
 from .exceptions import DEFAULT_BUDGET, Inconsistent, check_budget
-from .fieldctx import FieldCtx
+from .gf3m import FieldCtx
 
 
 @dataclass

@@ -1,15 +1,44 @@
-"""GF(3^m) for odd m: modulus validation (check_modulus), without numpy, and
-the cache of default-modulus contexts; contexts and tables live in fieldctx."""
+"""Exact GF(3^m) for odd m: modulus validation, contexts and their tables.
+
+check_modulus validates a modulus in GF(3)[x], without numpy; make_field
+wraps a valid one in a FieldCtx and caches the default-modulus contexts.
+The exp table maps a log j to the packed element pi^j, an int in [0, 3^m)
+whose base-3 digit i is the coefficient of x^i; the log table inverts it.
+The primitive element pi is always the residue class of x.  Every table is
+built on first read: the exp table, the log table from it, the Zech table
+from both (m <= 13, about 1.6M entries each at the top), the trace table,
+which only the dual-spectrum paths read, and the Frobenius orbit
+representatives.  So a new context holds no table, and each command builds
+only the tables it reads.  The context is immutable and safe to share.  The
+exp, log and Zech tables are int32; arithmetic on their entries runs in
+int64 or ints.  numpy is imported on the first table read, not before: a
+command that reads no table, or whose modulus is refused, never loads it.
+
+Addition runs in the log domain through the Zech table
+zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
+h = (3^m - 1)/2, -1 = pi^h, so negation adds h to a log and the scalar
+c in {1, 2} adds (c - 1)*h.  The log of zero is -1 in both tables:
+log[0] = -1 and zech[h] = -1.  Only zech[0..h] is gathered from the log
+table; 1 + pi^-k = pi^-k (1 + pi^k) gives zech[n - k] = zech[k] - k (mod n)
+for the rest.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 from . import polyring
 from .exceptions import EvenDegree, NotIrreducible, NotPrimitive, UnsupportedDegree
 
-if TYPE_CHECKING:
-    from .fieldctx import FieldCtx
+
+class _Numpy:  # numpy, imported on the first attribute read, which rebinds np
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 MAX_M = 13
 
@@ -52,19 +81,208 @@ def check_modulus(m: int, modulus=None) -> polyring.Poly:
 
 
 def make_field(m: int, modulus=None) -> FieldCtx:
-    """A GF(3^m) context, whose tables are built on first read.
-
-    Only a modulus that passes check_modulus (None: the default for m)
-    imports fieldctx, and so numpy.  Default-modulus contexts are cached;
-    any other modulus gets a fresh context on each call.
-    """
+    """A GF(3^m) context over a modulus that passes check_modulus (None: the
+    default for m), with no table built yet.  Default-modulus contexts are
+    cached; any other modulus gets a fresh context on each call."""
     mod = check_modulus(m, modulus)
     default = mod == DEFAULT_MODULI[m]
     if default and m in _FIELD_CACHE:
         return _FIELD_CACHE[m]
-    from .fieldctx import FieldCtx
-
     ctx = FieldCtx(m, mod)
     if default:
         _FIELD_CACHE[m] = ctx
     return ctx
+
+
+class FieldCtx:
+    """Immutable GF(3^m) context: modulus, primitive element pi = x, tables.
+
+    Do not instantiate directly; use make_field(), which validates the
+    modulus (x must be primitive modulo it, or the log table is wrong) and
+    caches the default-modulus contexts.
+    """
+
+    def __init__(self, m: int, modulus: tuple[int, ...]):
+        self.m = m
+        self.ell = (m - 1) // 2
+        self.modulus = modulus
+        self.size = 3**m
+        self.order = self.size - 1
+        self.half = self.order // 2  # log of -1
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """The packed element pi^j, indexed by j (int32): see _build_exp_table."""
+        return _build_exp_table(self.m, self.modulus)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """The log of each packed element (int32), -1 at 0: exp inverted, by blocks."""
+        log = np.full(self.size, -1, dtype=np.int32)
+        for lo in range(0, self.order, BLOCK):
+            part = self.exp[lo : lo + BLOCK]
+            np.put(log, part, np.arange(lo, lo + len(part), dtype=np.int32), mode="clip")
+        return log
+
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """zech[k] = log(1 + pi^k) (int32), -1 at k = h where pi^h = -1: adding
+        1 changes only digit 0 of the packed element exp[k].  Gathered for
+        k <= h; for k > h, zech[k] = zech[n - k] + k (mod n) reads the first
+        half backwards.  Built in blocks of BLOCK, through one reused
+        index buffer, so no temporary holds n entries."""
+        n, h, block = self.order, self.half, BLOCK
+        zech = np.empty(n, dtype=np.int32)
+        index = np.empty(min(block, h + 1), dtype=np.intp)
+        for lo in range(0, h + 1, block):
+            hi = min(lo + block, h + 1)
+            one_plus = np.add(self.exp[lo:hi], 1, out=index[: hi - lo])
+            np.subtract(one_plus, 3, out=one_plus, where=one_plus // 3 * 3 == one_plus)
+            self.log.take(one_plus, out=zech[lo:hi], mode="clip")  # clip: unbuffered
+        for lo in range(h + 1, n, block):
+            hi = min(lo + block, n)
+            mirror = zech[n - hi + 1 : n - lo + 1][::-1]
+            self.wrap(np.add(mirror, np.arange(lo, hi, dtype=np.int32), out=zech[lo:hi]))
+        return zech
+
+    @cached_property
+    def trace_by_log(self) -> np.ndarray:
+        """Absolute trace of pi^j, indexed by j (int8): see _build_trace_table."""
+        return _build_trace_table(self)
+
+    @cached_property
+    def orbit_reps(self) -> np.ndarray:
+        """The least t of each orbit {t*3^k mod n} of the Frobenius multiplier
+        on [0, n), ascending (int64): 0 first, 122,642 of them at m = 13.
+
+        Multiplying t by 3 mod n rotates its m base-3 digits, so t is the
+        least of its orbit iff no rotation is smaller.  Each block of
+        BLOCK uint32 candidates is rotated m - 1 times by 3t and two
+        wraps (3t < 3n); a candidate is dropped as soon as a rotation
+        undercuts it."""
+        n, block = self.order, BLOCK
+        reps = []
+        for lo in range(0, n, block):
+            cand = np.arange(lo, min(lo + block, n), dtype=np.uint32)
+            rot = cand.copy()
+            for _ in range(self.m - 1):
+                rot *= 3
+                self.wrap(self.wrap(rot))
+                keep = cand <= rot
+                cand, rot = cand[keep], rot[keep]
+            reps.append(cand)
+        return np.concatenate(reps).astype(np.int64)
+
+    # -- log-domain helpers (ints or numpy arrays of logs) ---------------
+
+    def log_of_scalar(self, c: int) -> int:
+        """log of c in GF(3)*: 0 for 1, h for 2 = -1."""
+        return (c - 1) * self.half
+
+    def log_add(self, la, lb):
+        """log(pi^la + pi^lb) for logs in [0, n) (ints or int64 arrays) of
+        nonzero elements; -1 where the sum is 0."""
+        z = self.zech.take(lb - la, mode="wrap")  # a negative index wraps mod n
+        out = self.wrap(np.asarray(la + z, dtype=np.int64))
+        out[z < 0] = -1
+        return out
+
+    def mod(self, x: np.ndarray) -> np.ndarray:
+        """x mod n in place for an int64 array x: numpy's // is ~5x faster than %."""
+        x -= x // self.order * self.order
+        return x
+
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """x mod n in place for an integer array x in [0, 2n): as unsigned,
+        x - n is huge exactly where x < n, so the minimum is the residue."""
+        u = x.view(f"u{x.itemsize}")
+        np.minimum(u, u - self.order, out=u)
+        return x
+
+    def line_logs(self, lo: int, hi: int, *terms):
+        """(t, logs) per block of at most BLOCK positions t in [lo, hi): t
+        an int64 array, logs one int64 array (e*t + c) mod n, the log of
+        pi^(e t + c), per (e, c) in terms."""
+        n, block = self.order, BLOCK
+        for start in range(lo, hi, block):
+            t = np.arange(start, min(start + block, hi), dtype=np.int64)
+            yield t, [self.mod(e % n * t + c) for e, c in terms]
+
+    def orbit_logs(self, lo: int, hi: int, *terms):
+        """(t, logs) as line_logs, for t the orbit_reps in [lo, hi) only, per
+        block of at most BLOCK of them."""
+        n, block, reps = self.order, BLOCK, self.orbit_reps
+        first, last = np.searchsorted(reps, (lo, hi))
+        for start in range(first, last, block):
+            t = reps[start : min(start + block, last)]
+            yield t, [self.mod(e % n * t + c) for e, c in terms]
+
+    def __repr__(self) -> str:
+        return f"FieldCtx(m={self.m}, modulus={polyring.format_poly(self.modulus)})"
+
+
+def _recurring(first, modulus: tuple[int, ...], length: int) -> np.ndarray:
+    """`length` int8 terms of the linear recurring sequence of the modulus f
+    that starts with the m trits `first`: s_j = lam(x^j mod f) for a linear
+    lam, so x^(j+L) = x^j * (x^L mod f) gives s_(j+L) = sum_k a_k s_(j+k).
+    The prefix doubles from m slices: O(m * length) int8 operations."""
+    m = len(modulus) - 1
+    s = np.zeros(length, dtype=np.int8)
+    s[:m] = first
+    known = m
+    while known < length:
+        # s_(known+j) for j < known - m + 1 reads only s[:known]
+        hi = min(2 * known - m + 1, length)
+        a = polyring.poly_pow_mod(polyring.X, known, modulus)
+        s[known:hi] = _lincomb3(a, [s[k : k + hi - known] for k in range(m)])
+        known = hi
+    return s
+
+
+def _build_exp_table(m: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """exp table for pi = x: entry j is the packed element x^j (int32).  The
+    top digit s_j is a _recurring sequence; row r - 1 is row r shifted plus
+    f_r*s, since x^(j+1) = x * x^j, so row r reads s up to entry n - 1 + r.
+    The rows are summed one block of BLOCK entries at a time."""
+    order = 3**m - 1
+    s = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
+    exp = np.zeros(order, dtype=np.int32)
+    for lo in range(0, order, BLOCK):
+        acc, row = exp[lo : lo + BLOCK], s[lo : lo + BLOCK + m - 1]
+        for r in range(m - 1, -1, -1):
+            acc *= 3
+            acc += row[: len(acc)]
+            if r:  # a shift alone where f_r = 0
+                row = row[1:]
+                row = _mod3(row + modulus[r] * s[lo : lo + len(row)]) if modulus[r] else row
+    return exp
+
+
+def _mod3(x: np.ndarray) -> np.ndarray:
+    """x mod 3 in place for an int8 array x in [0, 54), FieldCtx.wrap's trick: as
+    uint8, x - k is huge exactly where x < k.  Several times faster than int8 % 3."""
+    u = x.view(np.uint8)
+    for k in (27, 9, 9, 3, 3):
+        np.minimum(u, u - k, out=u)
+    return x
+
+
+def _lincomb3(coeffs, rows) -> np.ndarray:
+    """sum(c * row) mod 3 over up to 13 int8 rows of trits, for trit coefficients c."""
+    acc = np.zeros(len(rows[0]), dtype=np.int8)  # in [0, 52]
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc += c * row
+    return _mod3(acc)
+
+
+def _build_trace_table(ctx: FieldCtx) -> np.ndarray:
+    """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j: a _recurring
+    sequence (Tr is linear) started by Tr(x^k) for k < m, the power sums of
+    the roots of the modulus f, by Newton's identities: Tr(1) = m and
+    Tr(x^k) = -(k*f_(m-k) + sum_(0<i<k) f_(m-i)*Tr(x^(k-i))), all mod 3."""
+    m, f = ctx.m, ctx.modulus
+    p = [m % 3]
+    for k in range(1, m):
+        p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
+    return _recurring(p, f, ctx.order)

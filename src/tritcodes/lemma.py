@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import polyring
-from .fieldctx import FieldCtx
+from .gf3m import FieldCtx
 
 
 class LemmaReport(NamedTuple):

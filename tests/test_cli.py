@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tritcodes
-from tritcodes import cli, dualspectrum, fieldctx, gf3m, polyring
+from tritcodes import cli, dualspectrum, gf3m, polyring
 from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
@@ -151,14 +151,16 @@ def no_field_tables(monkeypatch):
 
     monkeypatch.setattr(gf3m, "_FIELD_CACHE", {})
     for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
-        monkeypatch.setattr(fieldctx.FieldCtx, table, property(no_table))
+        monkeypatch.setattr(gf3m.FieldCtx, table, property(no_table))
 
 
-def test_lemma_check_reads_no_field_table(capsys, no_field_tables):
-    """lemma-check decides the lemma by the root count: with every table of a
-    fresh m = 13 context raising on read, it prints its golden bytes."""
-    code, out, err = run_cli(capsys, "lemma-check", "--m", "13")
-    golden = Path(__file__).parent / "golden" / "lemma_check_m13.json"
+@pytest.mark.parametrize("command", ["construct", "lemma-check"])
+def test_reads_no_field_table(capsys, no_field_tables, command):
+    """construct builds m_u * m_v in GF(3)[x]/(f) and lemma-check decides the
+    lemma by the root count: with every table of a fresh m = 13 context
+    raising on read, each prints its golden bytes."""
+    code, out, err = run_cli(capsys, command, "--m", "13")
+    golden = Path(__file__).parent / "golden" / f"{command.replace('-', '_')}_m13.json"
     assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), "")
 
 
@@ -372,31 +374,19 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
     ]
 
 
-def test_construct_loads_no_numpy_and_no_field_tables():
-    """construct builds m_u * m_v in GF(3)[x]/(f), for the default and for a
-    dense m = 13 modulus: neither numpy nor tritcodes.fieldctx is imported."""
+@pytest.mark.parametrize("command", ["construct", "lemma-check"])
+def test_loads_no_numpy(command):
+    """construct and lemma-check get their context from make_field but read no
+    field table: at m = 13, for the default and for a dense modulus, each
+    exits 0 with numpy never imported."""
     proc = _fresh_python(
         "import os, sys\n"
         "from tritcodes.cli import main\n"
         "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
-        "    print(main(['construct', '--m', '13', '--out', os.devnull, *extra]))\n"
-        "print('numpy' in sys.modules, 'tritcodes.fieldctx' in sys.modules)\n"
+        f"    print(main(['{command}', '--m', '13', '--out', os.devnull, *extra]))\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert proc.stdout.split() == ["0", "0", "False", "False"], proc.stderr
-
-
-def test_lemma_check_loads_no_numpy():
-    """lemma-check validates the modulus with make_field and counts roots in
-    GF(3)[x]: at m = 13, for the default and for a dense modulus, it exits 0
-    with numpy never imported, though it imports tritcodes.fieldctx."""
-    proc = _fresh_python(
-        "import os, sys\n"
-        "from tritcodes.cli import main\n"
-        "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
-        "    print(main(['lemma-check', '--m', '13', '--out', os.devnull, *extra]))\n"
-        "print('numpy' in sys.modules, 'tritcodes.fieldctx' in sys.modules)\n"
-    )
-    assert proc.stdout.split() == ["0", "0", "False", "True"], proc.stderr
+    assert proc.stdout.split() == ["0", "0", "False"], proc.stderr
 
 
 def test_verify_distance_loads_no_dualspectrum():

@@ -7,7 +7,7 @@ from tritcodes import codebuilder as cb
 from tritcodes import polyring
 from tritcodes.distance import is_codeword
 from tritcodes.exceptions import Inconsistent
-from tritcodes.gf3m import DEFAULT_MODULI, make_field
+from tritcodes.gf3m import make_field
 
 from conftest import GEN_M5, GEN_M7, GEN_M9
 from reference import add, exp_of, mul, smul
@@ -38,7 +38,7 @@ def test_v_is_prime_to_n(m):
 
 def test_generator_degree_is_2m(code3, code5, code7):
     for code in (code3, code5, code7):
-        assert polyring.degree(code.gen) == 2 * code.m
+        assert polyring.degree(code.gen) == 2 * code.ctx.m
 
 
 def test_generator_roots(code5):
@@ -73,19 +73,24 @@ COSET, MINPOLY = polyring.cyclotomic_coset, polyring.minimal_polynomial
     ],
     ids=["coset-size", "cosets-intersect", "generator-degree", "generator-divides"],
 )
-def test_construct_guards_raise_inconsistent(monkeypatch, attr, fake, message):
-    """Each self-check of construct fires when polyring returns a wrong part."""
+def test_construct_guards_raise_inconsistent(ctx5, monkeypatch, attr, fake, message):
+    """Each self-check of build_code fires when polyring returns a wrong part."""
     monkeypatch.setattr(polyring, attr, fake)
     with pytest.raises(Inconsistent, match=message):
-        cb.construct(5, DEFAULT_MODULI[5])
+        cb.build_code(ctx5)
+
+
+def sparse(word):
+    """(support, coefficients) of a dense word."""
+    return [t for t, c in enumerate(word) if c], [c for c in word if c]
 
 
 def test_is_codeword_trivia(code5):
-    assert is_codeword((0,) * code5.n, code5)
-    padded = tuple(code5.gen) + (0,) * (code5.n - len(code5.gen))
-    assert is_codeword(padded, code5)
-    with pytest.raises(ValueError, match=r"word length 10 != n=242"):
-        is_codeword((0,) * 10, code5)
+    assert is_codeword([], [], code5)
+    assert is_codeword(*sparse(code5.gen), code5)
+    assert not is_codeword([0], [1], code5)
+    with pytest.raises(ValueError, match=r"position 242 outside \[0, n=242\)"):
+        is_codeword([0, 242], [1, 1], code5)
 
 
 def test_is_codeword_against_syndrome_oracle(code3):
@@ -96,15 +101,12 @@ def test_is_codeword_against_syndrome_oracle(code3):
     for _ in range(50):
         support = rng.sample(range(n), 3)
         coeffs = [rng.choice((1, 2)) for _ in support]
-        word = [0] * n
-        for t, c in zip(support, coeffs):
-            word[t] = c
         syn_u = 0
         syn_v = 0
         for t, c in zip(support, coeffs):
             syn_u = add(ctx, syn_u, smul(ctx, c, exp_of(ctx, code3.u * t)))
             syn_v = add(ctx, syn_v, smul(ctx, c, exp_of(ctx, code3.v * t)))
-        assert is_codeword(word, code3) == (syn_u == 0 and syn_v == 0)
+        assert is_codeword(support, coeffs, code3) == (syn_u == 0 and syn_v == 0)
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -121,9 +123,9 @@ def test_cyclic_shift_closure(m):
                 msg[i] = rng.choice((1, 2))
         prod = polyring.poly_mul(msg, code.gen)
         word = prod + (0,) * (code.n - len(prod))
-        assert is_codeword(word, code)
+        assert is_codeword(*sparse(word), code)
         shift = rng.randrange(1, code.n)
-        assert is_codeword(word[-shift:] + word[:-shift], code)
+        assert is_codeword(*sparse(word[-shift:] + word[:-shift]), code)
 
 
 def test_sphere_packing_examples():

@@ -7,7 +7,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from tritcodes import distance, fieldctx, gf3m, polyring
+from tritcodes import distance, gf3m, polyring
+from tritcodes.cli import main
 from tritcodes.distance import (
     brute_force_min_weight,
     conclude_distance,
@@ -26,9 +27,23 @@ from conftest import ENUM_M5, spectral_enum
 from reference import add, exp_of, neg, power, smul
 
 
+def with_v(code, v):
+    """C_(u,v) for another v, with the generator lcm(m_u, m_v) that
+    is_codeword, and so weight4_witness, divides by."""
+    m_u, m_v = (polyring.minimal_polynomial(e, code.ctx.modulus) for e in (code.u, v))
+    gen = m_u if m_u == m_v else polyring.poly_mul(m_u, m_v)
+    return replace(code, v=v, gen=gen, k=code.n - polyring.degree(gen))
+
+
 def relaxed(code):
     """C_(u,u): the v equations repeat the u ones (positive control)."""
-    return replace(code, v=code.u)
+    return with_v(code, code.u)
+
+
+def flipped(hit):
+    """The hit with its last coefficient c replaced by 3 - c."""
+    *coeffs, last = hit["coefficients"]
+    return {"support": hit["support"], "coefficients": [*coeffs, 3 - last]}
 
 
 def u_power_solutions(s, ctx):
@@ -159,7 +174,7 @@ class TestWeight3:
         The fresh context's exp, log and Zech tables, built on first read,
         are read before the window opens."""
         code = build_code(make_field(13))
-        code = replace(code, ctx=fieldctx.FieldCtx(13, code.ctx.modulus))
+        code = replace(code, ctx=gf3m.FieldCtx(13, code.ctx.modulus))
         code.ctx.exp, code.ctx.log, code.ctx.zech
         tracemalloc.start()
         try:
@@ -192,10 +207,7 @@ class TestOracle:
         assert hit is not None
         w, support, coeffs = hit
         assert w == 4
-        word = [0] * code3.n
-        for t, c in zip(support, coeffs):
-            word[t] = c
-        assert is_codeword(word, code3)
+        assert is_codeword(support, coeffs, code3)
 
     @pytest.mark.parametrize("wmax", [1, 2, 3, 4])
     @pytest.mark.parametrize("v", ["code", "u", 1, 5])
@@ -239,10 +251,7 @@ class TestWeight4Witness:
         for code in (code3, code5, code7):
             wit = weight4_witness(code)
             assert wit is not None
-            word = [0] * code.n
-            for t, c in zip(wit["support"], wit["coefficients"]):
-                word[t] = c
-            assert is_codeword(word, code)
+            assert is_codeword(wit["support"], wit["coefficients"], code)
 
     # Witnesses found by earlier implementations of the search (digit
     # arithmetic for m = 11, 13); every rewrite must reproduce them exactly.
@@ -260,11 +269,24 @@ class TestWeight4Witness:
     def test_flipped_coefficient_rejected_m13(self):
         code = build_code(make_field(13))
         wit = self.PINNED[13]
-        word = np.zeros(code.n, dtype=np.int8)
-        word[wit["support"]] = wit["coefficients"]
-        assert is_codeword(word, code)
-        word[wit["support"][-1]] = 3 - wit["coefficients"][-1]
-        assert not is_codeword(word, code)
+        assert is_codeword(wit["support"], wit["coefficients"], code)
+        assert not is_codeword(wit["support"], flipped(wit)["coefficients"], code)
+
+    def test_rejected_hit_raises_inconsistent_m13(self, capsys, monkeypatch):
+        """A kernel hit that GF(3)[x] division rejects is a fault, not a miss:
+        weight4_witness raises Inconsistent, and verify-distance exits 1 with
+        nothing on stdout."""
+        bad = flipped(self.PINNED[13])
+        monkeypatch.setattr(distance, "_completions", lambda code: iter([bad]))
+        with pytest.raises(Inconsistent, match="is not divisible by the generator"):
+            weight4_witness(build_code(make_field(13)))
+        assert main(["verify-distance", "--m", "13"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "",
+            "error: Inconsistent: weight-4 hit {'support': [0, 1, 649602, 1204120],"
+            " 'coefficients': [1, 1, 1, 1]} is not divisible by the generator\n",
+        )
 
     def test_matches_oracle_weight_m3(self, code3):
         wit = weight4_witness(code3)
@@ -338,7 +360,7 @@ class TestConcludeDistance:
     @pytest.mark.parametrize("m", [3, 5])
     def test_weight3_found_both_ways_on_u1_code(self, m):
         """On C_(u,1) the oracle and the structured search must both find weight 3."""
-        code = replace(build_code(make_field(m)), v=1)
+        code = with_v(build_code(make_field(m)), 1)
         report = conclude_distance(code)
         assert report.oracle_checked
         assert brute_force_min_weight(code, 3)[0] == 3
@@ -350,7 +372,7 @@ class TestConcludeDistance:
     def test_structured_weight_matches_oracle(self, m, v):
         """Any v, including gcd(v, n) > 1: the searches find the oracle's weight."""
         code = build_code(make_field(m))
-        code = replace(code, v=code.u if v == "u" else v)
+        code = with_v(code, code.u if v == "u" else v)
         report = conclude_distance(code)  # raises Inconsistent on disagreement
         assert report.oracle_checked
         structured = 2 if weight2_search(code) else 3 if weight3_search(code) else None
@@ -361,11 +383,11 @@ class TestConcludeDistance:
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
         msg = "oracle found weight 3, structured searches found None"
         with pytest.raises(Inconsistent, match=msg):
-            conclude_distance(replace(code3, v=1))
+            conclude_distance(with_v(code3, 1))
 
     def test_macwilliams_disagreement_raises_both_ways(self, ctx3, code3, monkeypatch):
         """MacWilliams must find the searches' lightest weight <= 3, or none."""
-        code = replace(code3, v=1)
+        code = with_v(code3, 1)
         # dual of C_(u,1) by Delsarte: the words (Tr(a*pi^(u t) + b*pi^t))_t
         t = np.arange(code.n)
         rows = {
@@ -448,7 +470,7 @@ class TestBlockedCompletions:
         lies in the sixth block of its t_3 line: the scan pulls no block after
         it, where draining the line takes 60."""
         pulled = []
-        line_logs = fieldctx.FieldCtx.line_logs
+        line_logs = gf3m.FieldCtx.line_logs
 
         def counted(ctx, *args):
             for block in line_logs(ctx, *args):
@@ -456,7 +478,7 @@ class TestBlockedCompletions:
                 yield block
 
         code = build_code(make_field(7))
-        monkeypatch.setattr(fieldctx.FieldCtx, "line_logs", counted)
+        monkeypatch.setattr(gf3m.FieldCtx, "line_logs", counted)
         monkeypatch.setattr(gf3m, "BLOCK", 37)
         assert weight4_witness(code)["support"] == [0, 1, 211, 443]
         assert len(pulled) < 10

@@ -4,7 +4,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from tritcodes import fieldctx
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.dualspectrum import (
     direct_enumerator,
@@ -12,7 +11,7 @@ from tritcodes.dualspectrum import (
     weight_value_set,
 )
 from tritcodes.exceptions import BudgetExceeded
-from tritcodes.gf3m import DEFAULT_MODULI, make_field
+from tritcodes.gf3m import DEFAULT_MODULI, FieldCtx, make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9, spectral_enum, transform
 from reference import dual_codeword_weight, exp_of, fhat, neg
@@ -88,7 +87,7 @@ class TestEnumerators:
         assert direct_enumerator(ctx) == spectral_enumerator(ctx)
 
     def test_direct_budget_gate(self):
-        ctx = fieldctx.FieldCtx(11, DEFAULT_MODULI[11])
+        ctx = FieldCtx(11, DEFAULT_MODULI[11])
         with pytest.raises(BudgetExceeded):
             # (n + 1) * n = 3.1e10 trace lookups at m = 11
             direct_enumerator(ctx)
@@ -181,7 +180,7 @@ def test_weight_value_set_examples():
 def test_spectral_enumerator_builds_only_the_exp_and_trace_tables():
     """On a fresh context the spectral path reads the exp and trace tables
     only: the log and Zech tables, built on first read, stay unbuilt."""
-    ctx = fieldctx.FieldCtx(5, DEFAULT_MODULI[5])
+    ctx = FieldCtx(5, DEFAULT_MODULI[5])
     assert spectral_enumerator(ctx).counts == ENUM_M5
     tables = {"exp", "log", "zech", "trace_by_log", "orbit_reps"}
     assert tables & set(vars(ctx)) == {"exp", "trace_by_log"}

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from tritcodes import fieldctx, gf3m, polyring
+from tritcodes import gf3m, polyring
 from tritcodes.exceptions import EvenDegree, NotIrreducible, NotPrimitive, UnsupportedDegree
 
 from reference import add, exp_of, mul, neg, power, trace
@@ -56,7 +56,7 @@ class TestMakeField:
         def no_tables(*args):
             raise AssertionError("make_field built tables for a rejected modulus")
 
-        monkeypatch.setattr(fieldctx, "FieldCtx", no_tables)
+        monkeypatch.setattr(gf3m, "FieldCtx", no_tables)
         with pytest.raises(NotPrimitive):
             gf3m.make_field(3, (2, 2, 2, 1))
         with pytest.raises(NotPrimitive):
@@ -152,7 +152,7 @@ def test_tables_do_not_depend_on_the_order_of_first_reads(text):
     f = polyring.parse_poly(text)
     assert gf3m.check_modulus(len(f) - 1, f) == f
     for order in (("zech", "log", "exp"), ("exp", "zech", "log")):
-        ctx = fieldctx.FieldCtx(len(f) - 1, f)
+        ctx = gf3m.FieldCtx(len(f) - 1, f)
         assert not {"exp", "log", "zech"} & set(vars(ctx))
         for table in order:
             getattr(ctx, table)
