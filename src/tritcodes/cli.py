@@ -3,8 +3,9 @@
 Commands: construct | verify-distance | dual-spectrum | lemma-check | report.
 Each is cmd_x(ctx, args) -> (doc, passed), ctx the make_field context of
 --m and --modulus: numpy loads on the first field table a command reads, so
-construct, lemma-check and a refused modulus never load it.  main alone
-builds ctx, writes doc and maps passed to the exit code.
+construct, lemma-check and a refused modulus never load it.  The library
+compares the two paths of a claim (lemma.reports, dualspectrum.enumerators);
+main alone builds ctx, writes doc and maps passed to the exit code.
 All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
 diffing works.  Exit codes: 0 = all checks pass, 1 = a check failed (the
@@ -28,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import polyring
-from .exceptions import DEFAULT_BUDGET, Inconsistent, TritcodesError
+from .exceptions import DEFAULT_BUDGET, TritcodesError
 from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 
 # tritcodes computes in exact integers and never calls BLAS, so numpy's
@@ -85,75 +86,42 @@ def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
     return report.to_json_dict(), report.concluded_d == 4
 
 
-def _enumerators(ctx, args) -> dict:
-    """The dual weight enumerators --method asks for, by path name, spectral first.
-    The direct path runs first: its estimate (n+1)*n is never below the spectral
-    m*3^m, so a refused "both" stops before any field table is read."""
-    from . import dualspectrum
-    paths = {
-        "direct": dualspectrum.direct_enumerator,
-        "spectral": dualspectrum.spectral_enumerator,
-    }
-    enums = {
-        name: path(ctx, budget=args.budget)
-        for name, path in paths.items()
-        if args.method in (name, "both")
-    }
-    return {name: enums[name] for name in ("spectral", "direct") if name in enums}
-
-
 def cmd_dual_spectrum(ctx, args) -> tuple[dict, bool]:
-    enums = _enumerators(ctx, args)
-    if args.method != "both":
+    from . import dualspectrum
+    enums, agree = dualspectrum.enumerators(ctx, args.method, args.budget)
+    if agree is None:
         return enums[args.method].to_json_dict(), True
-    agree = enums["spectral"] == enums["direct"]
     return {**{name: e.to_json_dict() for name, e in enums.items()}, "agree": agree}, agree
 
 
-def _lemma_docs(ctx, orbit_scan: bool) -> tuple[list[dict], bool]:
-    """The epsilon = 1, 2 lemma reports as JSON, from the root count (no field
-    table), and whether both are empty.  With orbit_scan, lemma.lemma_check
-    counts again, and a count that differs raises Inconsistent."""
-    from . import lemma
-    reports = []
-    for eps in (1, 2):
-        count = polyring.nonzero_root_count(polyring.lemma_polynomial(ctx.m, eps, 1), ctx.m)
-        scan = lemma.lemma_check(ctx, eps).solution_count if orbit_scan else count
-        if scan != count:
-            raise Inconsistent(
-                f"lemma, epsilon={eps}: the root count finds {count} solutions,"
-                f" the orbit scan {scan}"
-            )
-        reports.append(lemma.LemmaReport(ctx.m, eps, count, ctx.order).to_json_dict())
-    return reports, all(d["solution_count"] == 0 for d in reports)
-
-
 def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
-    docs, empty = _lemma_docs(ctx, orbit_scan=False)
-    return {"m": ctx.m, "reports": docs}, empty
+    from . import lemma
+    reports = lemma.reports(ctx, orbit_scan=False)
+    docs = [r.to_json_dict() for r in reports]
+    return {"m": ctx.m, "reports": docs}, not any(r.solution_count for r in reports)
 
 
 def cmd_report(ctx, args) -> tuple[dict, bool]:
-    from . import codebuilder, distance, dualspectrum
+    from . import codebuilder, distance, dualspectrum, lemma
     code = codebuilder.build_code(ctx)
-    enums = _enumerators(ctx, args)
+    enums, agree = dualspectrum.enumerators(ctx, args.method, args.budget)
     enum = next(iter(enums.values()))
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
-    lemma_docs, lemma_empty = _lemma_docs(ctx, orbit_scan=True)
+    lemma_reports = lemma.reports(ctx, orbit_scan=True)
     code_doc = code.to_json_dict()
     written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
     checks = {
         "d_equals_4": dist_report.concluded_d == 4,
-        "lemma_empty": lemma_empty,
+        "lemma_empty": not any(r.solution_count for r in lemma_reports),
         "weights_in_predicted_set": enum.support() <= dualspectrum.weight_value_set(ctx.m),
-        "paths_agree": enums["spectral"] == enums["direct"] if args.method == "both" else None,
+        "paths_agree": agree,
         "fixture_match": _fixture_match(written),
     }
     mismatch = next((name for name, ok in checks.items() if ok is False), None)
     doc = {
         **code_doc,
         "distance": dist_report.to_json_dict(),
-        "lemma": lemma_docs,
+        "lemma": [r.to_json_dict() for r in lemma_reports],
         "dual_spectrum": {
             "method": args.method, "spectral": None, "direct": None,
             **{name: e.to_json_dict() for name, e in enums.items()},

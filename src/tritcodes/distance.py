@@ -177,10 +177,11 @@ def brute_force_min_weight(
     codeword iff its scaled rows sum to 0 mod 3.  For each weight, all
     positions but the last two are enumerated with leading coefficient 1,
     the one before the last is vectorised, and the last (position,
-    coefficient) is looked up in one sorted table of (key(c*H[t]), t, c).
-    Only ctx.exp digits and mod-3 sums are used, in O(n*m) memory.  Ties
-    break lexicographically on (weight, support, coefficients).  Raises
-    BudgetExceeded when the estimate of syndrome checks exceeds the budget.
+    coefficient) is looked up in one sorted table of (key(c*H[t]), t, c):
+    ctx.exp digits and mod-3 sums only, in O(n*m) memory.  Ties break
+    lexicographically on (weight, support, coefficients).  BudgetExceeded caps
+    sum comb(n, w) * 2^(w-1) over w <= wmax, the candidate words: it bounds the
+    ~comb(n, w-2) * 2^(w-2) * 2n lookups per weight, and m <= 5 fits by default.
     """
     ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 4:

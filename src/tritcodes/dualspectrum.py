@@ -7,6 +7,7 @@ c(a', 1): the direct path weighs c(a,0) and c(a,1) for every a by trace
 lookups.  The spectral path gets fhat(lam) = sum over x of chi(x^v - lam*x),
 the Fourier transform of x^v, at every point from one exact ternary Walsh
 transform (m*3^m operations) and turns two spectrum values into a weight.
+enumerators() runs the paths asked for, direct first, and compares the two.
 All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
@@ -131,3 +132,16 @@ def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:
     counts[mid] = counts.get(mid, 0) + 2 * n
     counts[0] = counts.get(0, 0) + 1
     return WeightEnumerator(n=n, counts=counts)
+
+
+def enumerators(ctx: FieldCtx, method: str, budget: int) -> tuple[dict, bool | None]:
+    """The enumerators method names ("spectral", "direct" or "both"), spectral
+    first, and whether they agree (None unless "both").  Direct runs first: its
+    (n+1)*n estimate is never below m*3^m, so a refused "both" reads no table."""
+    if method not in ("spectral", "direct", "both"):
+        raise ValueError(f"method must be spectral, direct or both, got {method!r}")
+    enums = {"direct": direct_enumerator(ctx, budget=budget)} if method != "spectral" else {}
+    if method != "direct":
+        enums = {"spectral": spectral_enumerator(ctx, budget=budget), **enums}
+    agree = enums["spectral"] == enums["direct"] if method == "both" else None
+    return enums, agree

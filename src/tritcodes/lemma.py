@@ -1,8 +1,8 @@
 """Exhaustive confirmation that (x^(3^ell) + eps)(x^(3^ell) - x) = 1 has
 no solution in GF(3^m)* for eps in GF(3)*: the orbit scan, one of the
 lemma's two independent paths.  The other, polyring.nonzero_root_count, reads
-no field table; lemma-check reports its count, and report runs both and
-raises Inconsistent when they differ.
+no field table.  reports() counts by it and, with orbit_scan, by both, and
+raises Inconsistent when they differ; lemma-check runs one path, report both.
 
 Brute force is the point, one Frobenius orbit at a time: the left-hand
 side has GF(3) coefficients, so lhs(x^3) = lhs(x)^3, and a c in GF(3) has
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import polyring
+from .exceptions import Inconsistent
 from .gf3m import FieldCtx
 
 
@@ -64,3 +65,19 @@ def lemma_check(ctx: FieldCtx, epsilon: int) -> LemmaReport:
     count = len(_solution_logs(ctx, epsilon, 1))
     return LemmaReport(m=ctx.m, epsilon=epsilon, solution_count=count, scanned=ctx.order)
 
+
+def reports(ctx: FieldCtx, orbit_scan: bool) -> list[LemmaReport]:
+    """The epsilon = 1, 2 reports from polyring's root count, which reads no
+    field table.  With orbit_scan, lemma_check counts again, and a count that
+    differs raises Inconsistent."""
+    out = []
+    for eps in (1, 2):
+        count = polyring.nonzero_root_count(polyring.lemma_polynomial(ctx.m, eps, 1), ctx.m)
+        scan = lemma_check(ctx, eps).solution_count if orbit_scan else count
+        if scan != count:
+            raise Inconsistent(
+                f"lemma, epsilon={eps}: the root count finds {count} solutions,"
+                f" the orbit scan {scan}"
+            )
+        out.append(LemmaReport(ctx.m, eps, count, ctx.order))
+    return out

@@ -374,31 +374,48 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
     ]
 
 
+def _loaded(script, modules):
+    """Run script in a fresh interpreter, then print which of modules it imported."""
+    proc = _fresh_python(
+        f"import os, sys\nfrom tritcodes.cli import main\n{script}"
+        f"print(*sorted(set({modules!r}) & set(sys.modules)), sep=',')\n"
+    )
+    return proc.stdout.split("\n")[:-1], proc.stderr
+
+
+# Modules a command has no use for.  A process imports, and without bytecode
+# caches compiles, every module it loads, so one that leaks in costs each run.
+UNUSED_MODULES = {
+    "construct": ["numpy", "tritcodes.lemma", "tritcodes.distance", "tritcodes.dualspectrum"],
+    "lemma-check": [
+        "numpy", "tritcodes.codebuilder", "tritcodes.distance", "tritcodes.dualspectrum",
+    ],
+}
+
+
 @pytest.mark.parametrize("command", ["construct", "lemma-check"])
 def test_loads_no_numpy(command):
     """construct and lemma-check get their context from make_field but read no
     field table: at m = 13, for the default and for a dense modulus, each
-    exits 0 with numpy never imported."""
-    proc = _fresh_python(
-        "import os, sys\n"
-        "from tritcodes.cli import main\n"
+    exits 0 with numpy never imported, nor a tritcodes module it has no use
+    for (construct needs no lemma, lemma-check no code)."""
+    lines, err = _loaded(
         "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
-        f"    print(main(['{command}', '--m', '13', '--out', os.devnull, *extra]))\n"
-        "print('numpy' in sys.modules)\n"
+        f"    print(main(['{command}', '--m', '13', '--out', os.devnull, *extra]))\n",
+        UNUSED_MODULES[command],
     )
-    assert proc.stdout.split() == ["0", "0", "False"], proc.stderr
+    assert lines == ["0", "0", ""], err
 
 
 def test_verify_distance_loads_no_dualspectrum():
     """verify-distance runs MacWilliams only when given a dual enumerator,
-    which it never is: tritcodes.dualspectrum stays unimported."""
-    proc = _fresh_python(
-        "import os, sys\n"
-        "from tritcodes.cli import main\n"
-        "print(main(['verify-distance', '--m', '5', '--out', os.devnull]))\n"
-        "print('tritcodes.dualspectrum' in sys.modules)\n"
+    which it never is, and checks no lemma: tritcodes.dualspectrum and
+    tritcodes.lemma stay unimported."""
+    lines, err = _loaded(
+        "print(main(['verify-distance', '--m', '5', '--out', os.devnull]))\n",
+        ["tritcodes.dualspectrum", "tritcodes.lemma"],
     )
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert lines == ["0", ""], err
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

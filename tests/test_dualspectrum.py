@@ -7,10 +7,11 @@ import pytest
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.dualspectrum import (
     direct_enumerator,
+    enumerators,
     spectral_enumerator,
     weight_value_set,
 )
-from tritcodes.exceptions import BudgetExceeded
+from tritcodes.exceptions import DEFAULT_BUDGET, BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI, FieldCtx, make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9, spectral_enum, transform
@@ -97,6 +98,27 @@ class TestEnumerators:
         with pytest.raises(BudgetExceeded):
             # the transform needs m * 3^m = 177,147 operations at m = 9
             spectral_enumerator(ctx9, budget=10**5)
+
+    @pytest.mark.parametrize("m", range(3, 15, 2))
+    def test_direct_estimate_never_below_spectral(self, m):
+        """enumerators runs the direct path first because its (n+1)*n estimate
+        is never below the spectral m*3^m: a budget that refuses the spectral
+        path refuses "both" on the direct one, before any table is read."""
+        n = 3**m - 1
+        assert (n + 1) * n >= m * 3**m
+        ctx = FieldCtx(m, DEFAULT_MODULI[m])
+        with pytest.raises(BudgetExceeded, match="^direct enumeration"):
+            enumerators(ctx, "both", budget=m * 3**m - 1)
+        assert not {"exp", "trace_by_log"} & set(vars(ctx))
+
+    def test_enumerators_run_the_paths_asked_for(self, ctx3):
+        for method, names in [("spectral", ["spectral"]), ("direct", ["direct"])]:
+            enums, agree = enumerators(ctx3, method, DEFAULT_BUDGET)
+            assert ([*enums], agree) == (names, None)
+        enums, agree = enumerators(ctx3, "both", DEFAULT_BUDGET)
+        assert ([*enums], agree) == (["spectral", "direct"], True)
+        with pytest.raises(ValueError, match="method"):
+            enumerators(ctx3, "fourier", DEFAULT_BUDGET)
 
     def test_example1(self, enum5):
         assert enum5.counts == ENUM_M5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tritcodes import gf3m, lemma, polyring
+from tritcodes.exceptions import Inconsistent
 from tritcodes.gf3m import make_field
 from tritcodes.lemma import lemma_check
 
@@ -49,6 +50,16 @@ def test_scalar_cross_check(ctx3):
         val = mul(ctx, add(ctx, x3l, eps), add(ctx, x3l, neg(ctx, x)))
         scalar[val] += 1
     assert scalar == counts.tolist()
+
+
+def test_reports_by_either_path(ctx5, monkeypatch):
+    """reports gives lemma_check's reports from the root count, with or without
+    the orbit scan, and raises Inconsistent when the scan counts otherwise."""
+    want = [lemma_check(ctx5, eps) for eps in (1, 2)]
+    assert lemma.reports(ctx5, orbit_scan=False) == lemma.reports(ctx5, orbit_scan=True) == want
+    monkeypatch.setattr(lemma, "lemma_check", lambda ctx, eps: want[0]._replace(solution_count=2))
+    with pytest.raises(Inconsistent, match="epsilon=1: the root count finds 0 solutions, the orbit"):
+        lemma.reports(ctx5, orbit_scan=True)
 
 
 @pytest.mark.parametrize("m", [3, 5, 7])
