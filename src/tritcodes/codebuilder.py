@@ -2,17 +2,16 @@
 
 The code of interest has length n = 3^m - 1, nonzeros pi^u and pi^v with
 u = (3^m + 1)/2 and v = 2*3^ell + 1 (m = 2*ell + 1), and generator
-polynomial m_u(x) * m_v(x), built in GF(3)[x] without numpy or field tables.
-The code object stores the generator polynomial and the field context the
-distance searches read; membership (distance.is_codeword) is polynomial
-divisibility, which keeps n = 3^13 - 1 instances cheap.
+polynomial m_u(x) * m_v(x), built in GF(3)[x]/(f) by polyring without numpy
+or field tables.  The code is a NamedTuple, so construct loads no dataclasses:
+its generator and the field context the distance searches read; membership
+(distance.is_codeword) is polynomial divisibility, cheap at n = 3^13 - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import polyring
 from .exceptions import Inconsistent
@@ -21,8 +20,7 @@ if TYPE_CHECKING:
     from .gf3m import FieldCtx
 
 
-@dataclass(frozen=True)
-class CyclicCode:
+class CyclicCode(NamedTuple):
     """C_(u,v) over the field context ctx: its GF(3)[x] data, what `construct` prints."""
 
     ctx: FieldCtx

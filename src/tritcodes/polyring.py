@@ -2,23 +2,22 @@
 and root counts in GF(3^m) with no field table and no numpy.
 
 Polynomials are tuples of trits (ints in {0,1,2}) in ascending order of
-degree, with no trailing zeros; the zero polynomial is the empty tuple.
-The same ascending comma-separated text format ("1,2,0,0,0,1" for
-x^5+2x+1) is shared with field elements throughout the CLI and JSON
-surfaces.  A cyclotomic coset is the ascending tuple of its members.
+degree, with no trailing zeros; the zero polynomial is the empty tuple.  The
+CLI and JSON write them, and field elements, as "1,2,0,0,0,1" (x^5+2x+1).
+A cyclotomic coset is the ascending tuple of its members.
 
 Inside this module a polynomial is a bit pair (ones, twos) of ints: bit i
 of ones is set when the coefficient of x^i is 1, bit i of twos when it is 2.
-Negation swaps the pair, and one addition of whole polynomials is seven
-bitwise operations.  Each public function converts its trit tuples to pairs,
-computes on pairs, and converts the result back.  Cubing in GF(3)[x] only
-spreads the coefficients, (sum a_i x^i)^3 = sum a_i x^(3i), which gives the
-conjugates of the minimal polynomial and the Frobenius powers x^(3^k).
+Negation swaps the pair, and one addition is seven bitwise operations.
+Each public function converts trit tuples to pairs and back.  A cube only
+spreads the coefficients, (sum a_i x^i)^3 = sum a_i x^(3i).  Every product
+and cube modulo a fixed P goes through P's reducer, and the Rabin test and
+the lemma share one root count, deg gcd(P, x^(3^k) - x).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exceptions import Inconsistent
 
@@ -89,19 +88,13 @@ def poly_pow_mod(base: Sequence[int], e: int, mod: Sequence[int]) -> Poly:
 
 
 def is_irreducible(f: Sequence[int]) -> bool:
-    """Rabin irreducibility test over GF(3)."""
+    """Rabin's test over GF(3), as root counts: f of degree d >= 1 is
+    irreducible iff it has d distinct roots in GF(3^d), so that each factor's
+    degree divides d, and none in GF(3^(d/r)) for any prime r | d."""
     p = _pair(f)
     d = _degree(p)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    # x^(3^d) == x mod f, and gcd(x^(3^(d/r)) - x, f) = 1 for each prime r | d
-    if _frobenius(_X, d, p) != _X:
-        return False
-    return all(
-        _degree(_gcd(p, _add(_frobenius(_X, d // r, p), _neg(_X)))) == 0
-        for r in _prime_factors(d)
+    return d >= 1 and _root_count(p, d) == d and not any(
+        _root_count(p, d // r) for r in _prime_factors(d)
     )
 
 
@@ -148,14 +141,15 @@ def minimal_polynomial(j: int, modulus: Sequence[int]) -> Poly:
     """
     f = _pair(modulus)
     coset = cyclotomic_coset(j, _degree(f))
+    reduce = _reducer(f)
     root = _pow_mod(_X, j, f)
     coeffs = [_ONE]  # ascending in X, each a residue mod f
     for _ in coset:
         new = [(0, 0), *coeffs]  # X * coeffs; the loop subtracts root * coeffs
         for t, c in enumerate(coeffs):
-            new[t] = _add(new[t], _neg(_rem(_mul(c, root), f)))
+            new[t] = _add(new[t], _neg(reduce(_mul(c, root))))
         coeffs = new
-        root = _rem(_cube(root), f)
+        root = reduce(_cube(root))
     if any(_degree(c) > 0 for c in coeffs):
         raise Inconsistent(f"minimal polynomial of {j} has a coefficient outside GF(3)")
     return normalize(c[0] + 2 * c[1] for c in coeffs)
@@ -164,24 +158,12 @@ def minimal_polynomial(j: int, modulus: Sequence[int]) -> Poly:
 def nonzero_root_count(terms: Mapping[int, int], m: int) -> int:
     """Number of distinct x in GF(3^m)* with P(x) = 0, for P = sum c x^e over
     the (e, c) of terms, c taken mod 3: deg gcd(P, x^(3^m) - x), minus one
-    when P(0) = 0.  The gcd is squarefree, so its degree counts the roots,
-    0 included; this is the first step of distinct-degree factorisation (von
-    zur Gathen and Gerhard, Modern Computer Algebra, ch. 14).  x^(3^m) mod P
-    takes m cube-and-fold steps.  Each fold lowers the degree by deg P minus
-    the degree of P's second term, so a P with a wide gap below its leading
-    term is cheap: the lemma's, with gap q - 1, takes at most five per cube
-    at m = 13."""
-    coeffs = {e: c % 3 for e, c in terms.items() if c % 3}
-    if not coeffs:
+    when P(0) = 0.  The lemma's P, with gap q - 1 below its leading term,
+    takes m cubes of at most five _fold rounds each at m = 13."""
+    p = _mask(terms.items(), 1), _mask(terms.items(), 2)
+    if not any(p):
         raise ValueError("P = 0 vanishes at every element")
-    d = max(coeffs)
-    # x^d = -sum (c_e / c_d) x^e modulo P, where 1/c = c in GF(3)*
-    fold = [(e, -c * coeffs[d] % 3) for e, c in coeffs.items() if e < d]
-    power = _fold(_X, d, fold)
-    for _ in range(m):
-        power = _fold(_cube(power), d, fold)
-    p = (_mask(coeffs.items(), 1), _mask(coeffs.items(), 2))
-    return _degree(_gcd(p, _add(power, _neg(_X)))) - (0 not in coeffs)
+    return _root_count(p, m) - ((p[0] | p[1]) & 1 == 0)
 
 
 def lemma_polynomial(m: int, epsilon: int, c: int) -> dict[int, int]:
@@ -245,6 +227,20 @@ def _cube(a: _Pair) -> _Pair:
     return _spread(a[0]), _spread(a[1])
 
 
+def _reducer(p: _Pair) -> Callable[[_Pair], _Pair]:
+    """a -> a mod P.  A _fold round lowers the degree by the gap below P's
+    leading term for one addition per lower term, a _rem step by at least one
+    for one addition: _fold when the gap is wider than the lower terms are many."""
+    d = _degree(p)
+    tail = [e for e in range(d) if (p[0] | p[1]) >> e & 1]
+    if d - (tail[-1] if tail else -1) <= len(tail):
+        return lambda a: _rem(a, p)
+    # x^d = -sum (c_e / c_d) x^e modulo P, with 1/c = c: minus has the +1 terms
+    minus = p[1] if p[0] >> d & 1 else p[0]
+    fold = [(e, 1 if minus >> e & 1 else 2) for e in tail]
+    return lambda a: _fold(a, d, fold)
+
+
 def _fold(a: _Pair, d: int, fold) -> _Pair:
     """a mod P for a P of degree d, by replacing h*x^d with h*(-tail) until
     nothing is left above degree d - 1; fold holds -tail's (e, c), e < d."""
@@ -280,18 +276,22 @@ def _gcd(a: _Pair, b: _Pair) -> _Pair:
 
 
 def _pow_mod(a: _Pair, e: int, mod: _Pair) -> _Pair:
-    result, acc = _rem(_ONE, mod), _rem(a, mod)
+    reduce = _reducer(mod)
+    result, acc = reduce(_ONE), reduce(a)
     while e > 0:
         if e & 1:
-            result = _rem(_mul(result, acc), mod)
-        acc = _rem(_mul(acc, acc), mod)
+            result = reduce(_mul(result, acc))
+        acc = reduce(_mul(acc, acc))
         e >>= 1
     return result
 
 
-def _frobenius(a: _Pair, k: int, mod: _Pair) -> _Pair:
-    """a^(3^k) mod `mod`, by k cubes."""
-    a = _rem(a, mod)
+def _root_count(p: _Pair, k: int) -> int:
+    """deg gcd(P, x^(3^k) - x), the number of distinct roots of P in GF(3^k), 0
+    included (the gcd is squarefree): the first step of distinct-degree
+    factorisation (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14)."""
+    reduce = _reducer(p)
+    power = reduce(_X)
     for _ in range(k):
-        a = _rem(_cube(a), mod)
-    return a
+        power = reduce(_cube(power))
+    return _degree(_gcd(p, _add(power, _neg(_X))))

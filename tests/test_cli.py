@@ -386,9 +386,13 @@ def _loaded(script, modules):
 # Modules a command has no use for.  A process imports, and without bytecode
 # caches compiles, every module it loads, so one that leaks in costs each run.
 UNUSED_MODULES = {
-    "construct": ["numpy", "tritcodes.lemma", "tritcodes.distance", "tritcodes.dualspectrum"],
+    "construct": [
+        "dataclasses", "numpy", "tritcodes.lemma", "tritcodes.distance",
+        "tritcodes.dualspectrum",
+    ],
     "lemma-check": [
-        "numpy", "tritcodes.codebuilder", "tritcodes.distance", "tritcodes.dualspectrum",
+        "dataclasses", "numpy", "tritcodes.codebuilder", "tritcodes.distance",
+        "tritcodes.dualspectrum",
     ],
 }
 
@@ -397,8 +401,8 @@ UNUSED_MODULES = {
 def test_loads_no_numpy(command):
     """construct and lemma-check get their context from make_field but read no
     field table: at m = 13, for the default and for a dense modulus, each
-    exits 0 with numpy never imported, nor a tritcodes module it has no use
-    for (construct needs no lemma, lemma-check no code)."""
+    exits 0 with numpy and dataclasses never imported, nor a tritcodes module
+    it has no use for (construct needs no lemma, lemma-check no code)."""
     lines, err = _loaded(
         "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
         f"    print(main(['{command}', '--m', '13', '--out', os.devnull, *extra]))\n",

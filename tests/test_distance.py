@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -32,7 +31,7 @@ def with_v(code, v):
     is_codeword, and so weight4_witness, divides by."""
     m_u, m_v = (polyring.minimal_polynomial(e, code.ctx.modulus) for e in (code.u, v))
     gen = m_u if m_u == m_v else polyring.poly_mul(m_u, m_v)
-    return replace(code, v=v, gen=gen, k=code.n - polyring.degree(gen))
+    return code._replace(v=v, gen=gen, k=code.n - polyring.degree(gen))
 
 
 def relaxed(code):
@@ -126,7 +125,7 @@ class TestWeight3:
     def test_relaxed_system_has_witnesses(self, code3, code5, code7):
         """Reported weight-2/3 words have zero u- and v-syndromes (C_(u,u), C_(u,1))."""
         for code in (code3, code5, code7):
-            for variant in (relaxed(code), replace(code, v=1)):
+            for variant in (relaxed(code), code._replace(v=1)):
                 wits = [weight2_search(variant), weight3_search(variant)]
                 assert wits[1] is not None
                 for wit in filter(None, wits):
@@ -158,11 +157,11 @@ class TestWeight3:
 
     def test_orbit_scan_every_v_m3(self, code3):
         for v in range(1, code3.n):
-            self.check_orbit_scan(replace(code3, v=v))
+            self.check_orbit_scan(code3._replace(v=v))
 
     @pytest.mark.parametrize("v", ["code", "u", 1])
     def test_orbit_scan_m5(self, code5, v):
-        self.check_orbit_scan(replace(code5, v={"code": code5.v, "u": code5.u}.get(v, v)))
+        self.check_orbit_scan(code5._replace(v={"code": code5.v, "u": code5.u}.get(v, v)))
 
     @pytest.mark.parametrize("search", [weight3_search, weight4_witness])
     def test_memory_m13(self, search):
@@ -174,7 +173,7 @@ class TestWeight3:
         The fresh context's exp, log and Zech tables, built on first read,
         are read before the window opens."""
         code = build_code(make_field(13))
-        code = replace(code, ctx=gf3m.FieldCtx(13, code.ctx.modulus))
+        code = code._replace(ctx=gf3m.FieldCtx(13, code.ctx.modulus))
         code.ctx.exp, code.ctx.log, code.ctx.zech
         tracemalloc.start()
         try:
@@ -213,7 +212,7 @@ class TestOracle:
     @pytest.mark.parametrize("v", ["code", "u", 1, 5])
     def test_matches_naive_search_m3(self, code3, v, wmax):
         """Same word as a naive lexicographic search, ties included (v = 5, wmax = 4)."""
-        code = replace(code3, v={"code": code3.v, "u": code3.u}.get(v, v))
+        code = code3._replace(v={"code": code3.v, "u": code3.u}.get(v, v))
         assert brute_force_min_weight(code, wmax) == naive_min_weight(code, wmax)
 
     def test_wmax_out_of_range(self, code3):
@@ -433,7 +432,7 @@ class TestBlockedCompletions:
         """Blocks of a few positions give the default (single-block) hit lists,
         in the same order, for weights 2 and 4 and for the weight-3 orbit scan."""
         code = build_code(make_field(m))
-        code = relaxed(code) if variant == "v=u" else replace(code, v=1)
+        code = relaxed(code) if variant == "v=u" else code._replace(v=1)
 
         def hits():
             line = code.ctx.line_logs(0, 1, (code.u, 0), (code.v, 0))
@@ -457,7 +456,7 @@ class TestBlockedCompletions:
         such prefixes pass the u-check (v' = 4 gives the spurious weight-4
         support [0, 2, 7, 16])."""
         for v in range(1, code3.n):
-            code = replace(code3, v=v)
+            code = code3._replace(v=v)
             wit2 = weight2_search(code)
             assert (wit2 is not None) == (naive_min_weight(code, 2) is not None), v
             for hit in [*filter(None, [wit2]), *distance._completions(code)]:
@@ -490,7 +489,7 @@ class TestBlockedCompletions:
         GF(3)[x] arithmetic on Python ints: a log product computed in int32
         would wrap silently."""
         code = build_code(make_field(13))
-        code = relaxed(code) if variant == "v=u" else replace(code, v=1)
+        code = relaxed(code) if variant == "v=u" else code._replace(v=1)
         hits = list(itertools.islice(distance._weight3_words(code), 300))
         hits.sort(key=lambda hit: -hit["support"][2])
         assert hits[0]["support"][2] > code.n - 2**16

@@ -1,4 +1,7 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -238,7 +241,7 @@ def test_is_primitive_matches_sympy_order_test():
     assert not polyring.is_primitive((2, 2, 2, 1))
     rng = random.Random(10)
     # x^(3^9) = x modulo a product of distinct irreducible cubics, so only
-    # the gcd step of the Rabin test refuses it
+    # the subfield step of the Rabin test refuses it
     cubics = poly_mul(poly_mul((1, 0, 2, 1), (1, 1, 2, 1)), (1, 2, 0, 1))
     moduli = [*DEFAULT_MODULI.values(), (2, 2, 2, 1), cubics]
     for m in range(3, 10):
@@ -251,3 +254,76 @@ def test_is_primitive_matches_sympy_order_test():
     for f in moduli:
         assert polyring.is_primitive(f) == primitive(f), f
         assert polyring.is_irreducible(f) == irreducible(f), f
+
+
+def test_is_irreducible_matches_sympy_on_every_small_polynomial():
+    """is_irreducible against sympy on all 1,092 monic polynomials of degree 1
+    to 6 and on every one of degree 1 to 3 with leading coefficient 2: x itself
+    and the P with P(0) = 0 among them, and the 12 of degree 4 and 118 of
+    degree 6 that have d roots in GF(3^d), which only the subfield step refuses."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    subfield_only = {4: 0, 6: 0}
+    for d in range(1, 7):
+        for lead in (1, 2) if d <= 3 else (1,):
+            for low in itertools.product(range(3), repeat=d):
+                f = (*low, lead)
+                want = sympy.Poly(f[::-1], x, modulus=3).is_irreducible
+                assert polyring.is_irreducible(f) == want, f
+                if d in subfield_only and not want:
+                    subfield_only[d] += polyring._root_count(polyring._pair(f), d) == d
+    assert subfield_only == {4: 12, 6: 118}
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The calls to polyring's two reductions: the number of _fold calls, and
+    the degree of the divisor of each _rem call."""
+    calls = {"fold": 0, "rem": []}
+    fold, rem = polyring._fold, polyring._rem
+
+    def counted_fold(a, d, terms):
+        calls["fold"] += 1
+        return fold(a, d, terms)
+
+    def counted_rem(a, b):
+        calls["rem"].append(polyring._degree(b))
+        return rem(a, b)
+
+    monkeypatch.setattr(polyring, "_fold", counted_fold)
+    monkeypatch.setattr(polyring, "_rem", counted_rem)
+    return calls
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 11, 13])
+def test_wide_gaps_fold(reductions, m):
+    """The lemma's P (gap q - 1 below its leading term, four lower terms) and
+    the default modulus at m = 5..13 (gap at least 4, at most four lower
+    terms) are reduced by _fold: the lemma's root count, the Rabin and order
+    tests and both minimal polynomials fold, and never divide by P."""
+    modulus, lemma = DEFAULT_MODULI[m], polyring.lemma_polynomial(m, 1, 1)
+    runs = [
+        (max(lemma), lambda: polyring.nonzero_root_count(lemma, m)),
+        (m, lambda: polyring.is_irreducible(modulus)),
+        (m, lambda: polyring.is_primitive(modulus)),
+        *((m, lambda j=j: minimal_polynomial(j, modulus)) for j in exponent_pair(m)),
+    ]
+    for d, run in runs:
+        reductions["fold"], reductions["rem"] = 0, []
+        run()
+        assert reductions["fold"] > 0 and d not in reductions["rem"], (m, d)
+
+
+def test_dense_modulus_divides(reductions):
+    """The dense m = 13 modulus of the construct golden (gap 3 below its
+    leading term, seven lower terms) is reduced by _rem: neither the Rabin
+    test nor the minimal polynomials call _fold."""
+    golden = Path(__file__).parent / "golden" / "construct_m13_modulus.json"
+    modulus = parse_poly(json.loads(golden.read_text())["modulus"])
+    for run in (
+        lambda: polyring.is_irreducible(modulus),
+        *(lambda j=j: minimal_polynomial(j, modulus) for j in exponent_pair(13)),
+    ):
+        reductions["fold"], reductions["rem"] = 0, []
+        run()
+        assert reductions["fold"] == 0 and 13 in reductions["rem"]
