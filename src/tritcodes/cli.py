@@ -188,5 +188,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """main() as a process of its own: flush stdout and stderr, then os._exit,
+    skipping the interpreter's teardown.  An exception propagates uncaught."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

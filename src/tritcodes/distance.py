@@ -20,9 +20,8 @@ the searches both ways on the lightest weight <= 3.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
     from .dualspectrum import WeightEnumerator
 
 
-@dataclass
-class DistanceReport:
+class DistanceReport(NamedTuple):
     witness: dict | None
     sphere_packing_ceiling: int
     weight4_witness: dict | None
@@ -47,9 +45,7 @@ class DistanceReport:
             "d": self.concluded_d,
             "sphere_packing_ceiling": self.sphere_packing_ceiling,
             "weight_le3_witness": self.witness,
-            "weight4_support": (
-                self.weight4_witness["support"] if self.weight4_witness else None
-            ),
+            "weight4_support": self.weight4_witness and self.weight4_witness["support"],
         }
 
 
@@ -250,7 +246,6 @@ def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> Weight
     not the enumerator of a linear code.  max_weight truncates the output
     to low weights, which keeps the A_1..A_4 checks cheap at n ~ 2*10^4.
     """
-    from .dualspectrum import WeightEnumerator
     n, total = enum.n, enum.total
     if total <= 0 or pow(3, n, total):
         raise Inconsistent(f"total count {total} does not divide 3^{n}")
@@ -270,8 +265,9 @@ def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> Weight
         val = acc // total
         if val < 0:
             raise Inconsistent(f"A'_{j} = {val} is negative")
-        counts[j] = val
-    return WeightEnumerator(n=n, counts=counts)
+        if val:
+            counts[j] = val
+    return enum._replace(counts=counts)
 
 
 def conclude_distance(

@@ -13,8 +13,8 @@ All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,15 +23,12 @@ from .exceptions import DEFAULT_BUDGET, Inconsistent, check_budget
 from .gf3m import FieldCtx
 
 
-@dataclass
-class WeightEnumerator:
-    """Exact map weight -> codeword count for a length-n code, zero counts dropped."""
+class WeightEnumerator(NamedTuple):
+    """Exact map weight -> codeword count for a length-n code, no count zero:
+    direct_enumerator's histogram and distance.macwilliams leave zeros out."""
 
     n: int
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.counts = {w: c for w, c in self.counts.items() if c}
+    counts: dict[int, int]
 
     @property
     def total(self) -> int:
@@ -102,7 +99,7 @@ def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnum
     for row in chain([np.zeros_like(minus_b1)], rows):  # a = 0 first
         hist[np.count_nonzero(row)] += 1
         hist[np.count_nonzero(row != minus_b1)] += n
-    return WeightEnumerator(n=n, counts=dict(enumerate(hist.tolist())))
+    return WeightEnumerator(n=n, counts={w: c for w, c in enumerate(hist.tolist()) if c})
 
 
 def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:

@@ -1,7 +1,7 @@
 """Exact GF(3^m) for odd m: modulus validation, contexts and their tables.
 
 check_modulus validates a modulus in GF(3)[x], without numpy; make_field
-wraps a valid one in a FieldCtx and caches the default-modulus contexts.
+wraps a valid one in a FieldCtx, one shared context per default modulus.
 The exp table maps a log j to the packed element pi^j, an int in [0, 3^m)
 whose base-3 digit i is the coefficient of x^i; the log table inverts it.
 The primitive element pi is always the residue class of x.  Every table is
@@ -25,7 +25,7 @@ for the rest.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import polyring
 from .exceptions import EvenDegree, NotIrreducible, NotPrimitive, UnsupportedDegree
@@ -58,9 +58,6 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     13: (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),  # x^13 + 2x + 1
 }
 
-# Contexts for the DEFAULT_MODULI only, so the cache holds at most one per m.
-_FIELD_CACHE: dict[int, FieldCtx] = {}
-
 
 def check_modulus(m: int, modulus=None) -> polyring.Poly:
     """The modulus of GF(3^m), the default for m when None, checked in GF(3)[x]
@@ -82,16 +79,16 @@ def check_modulus(m: int, modulus=None) -> polyring.Poly:
 
 def make_field(m: int, modulus=None) -> FieldCtx:
     """A GF(3^m) context over a modulus that passes check_modulus (None: the
-    default for m), with no table built yet.  Default-modulus contexts are
-    cached; any other modulus gets a fresh context on each call."""
+    default for m), with no table built yet.  The default modulus of each m
+    has one shared context; any other modulus gets a fresh one on each call."""
     mod = check_modulus(m, modulus)
-    default = mod == DEFAULT_MODULI[m]
-    if default and m in _FIELD_CACHE:
-        return _FIELD_CACHE[m]
-    ctx = FieldCtx(m, mod)
-    if default:
-        _FIELD_CACHE[m] = ctx
-    return ctx
+    return _default_field(m) if mod == DEFAULT_MODULI[m] else FieldCtx(m, mod)
+
+
+@cache
+def _default_field(m: int) -> FieldCtx:
+    """The context of DEFAULT_MODULI[m], built once, so its tables are too."""
+    return FieldCtx(m, DEFAULT_MODULI[m])
 
 
 class FieldCtx:
@@ -99,7 +96,7 @@ class FieldCtx:
 
     Do not instantiate directly; use make_field(), which validates the
     modulus (x must be primitive modulo it, or the log table is wrong) and
-    caches the default-modulus contexts.
+    shares one context per default modulus.
     """
 
     def __init__(self, m: int, modulus: tuple[int, ...]):

@@ -1,7 +1,12 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tritcodes
 from tritcodes import dualspectrum
 from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
@@ -40,6 +45,19 @@ def code5(ctx5):
 @pytest.fixture(scope="session")
 def code7(ctx7):
     return build_code(ctx7)
+
+
+def fresh_python(argv, *drop_env, **kwargs):
+    """Run python with argv in a new interpreter that imports the tritcodes
+    this process imported, stdout and stderr captured as bytes unless kwargs
+    say otherwise.  PYTHONUNBUFFERED and the variables in drop_env are
+    removed, so stdout is block-buffered, as in a shell that redirects it."""
+    drop = {"PYTHONUNBUFFERED", *drop_env}
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(tritcodes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
 
 
 @functools.cache

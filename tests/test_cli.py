@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +10,9 @@ from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
 
-from conftest import ENUM_M7
+from conftest import ENUM_M7, fresh_python
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -144,12 +144,13 @@ def test_lemma_paths_that_disagree_exit_1(capsys, monkeypatch):
 
 @pytest.fixture
 def no_field_tables(monkeypatch):
-    """Fresh field contexts whose every table raises on read."""
+    """Fresh field contexts, the default ones too (_default_field is
+    cleared), whose every table raises on read."""
 
     def no_table(ctx):
         raise AssertionError("a field table was read")
 
-    monkeypatch.setattr(gf3m, "_FIELD_CACHE", {})
+    gf3m._default_field.cache_clear()
     for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
         monkeypatch.setattr(gf3m.FieldCtx, table, property(no_table))
 
@@ -160,7 +161,7 @@ def test_reads_no_field_table(capsys, no_field_tables, command):
     lemma by the root count: with every table of a fresh m = 13 context
     raising on read, each prints its golden bytes."""
     code, out, err = run_cli(capsys, command, "--m", "13")
-    golden = Path(__file__).parent / "golden" / f"{command.replace('-', '_')}_m13.json"
+    golden = GOLDEN / f"{command.replace('-', '_')}_m13.json"
     assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), "")
 
 
@@ -345,27 +346,17 @@ def test_malformed_trit_list_exit_2(capsys, text):
     assert err == f"error: trit list may only contain 0, 1, 2: {text!r}\n"
 
 
-def _fresh_python(script, *drop_env):
-    """Run script in a new interpreter that imports the tritcodes this process
-    imported, without the environment variables in drop_env."""
-    env = {k: v for k, v in os.environ.items() if k not in drop_env}
-    src = str(Path(tritcodes.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-
-
 def test_rejected_moduli_exit_2_before_numpy_loads():
     """A reducible and an irreducible but imprimitive m = 13 modulus are
     refused in GF(3)[x]: numpy is never imported."""
-    proc = _fresh_python(
+    script = (
         "import sys\n"
         "from tritcodes.cli import main\n"
         "for f in ('1,1,0,2,0,1,1,1,0,2,1,0,2,1', '2,2,1,2,1,0,1,2,2,1,2,1,2,1'):\n"
         "    print(main(['construct', '--m', '13', '--modulus', f]))\n"
         "print('numpy' in sys.modules)\n"
     )
+    proc = fresh_python(["-c", script], text=True)
     assert proc.stdout.split() == ["2", "2", "False"]
     assert proc.stderr.splitlines() == [
         "error: NotIrreducible: modulus factors over GF(3): 1,1,0,2,0,1,1,1,0,2,1,0,2,1",
@@ -376,15 +367,17 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
 
 def _loaded(script, modules):
     """Run script in a fresh interpreter, then print which of modules it imported."""
-    proc = _fresh_python(
+    program = (
         f"import os, sys\nfrom tritcodes.cli import main\n{script}"
         f"print(*sorted(set({modules!r}) & set(sys.modules)), sep=',')\n"
     )
+    proc = fresh_python(["-c", program], text=True)
     return proc.stdout.split("\n")[:-1], proc.stderr
 
 
 # Modules a command has no use for.  A process imports, and without bytecode
 # caches compiles, every module it loads, so one that leaks in costs each run.
+# No command imports dataclasses: every result it prints is a NamedTuple.
 UNUSED_MODULES = {
     "construct": [
         "dataclasses", "numpy", "tritcodes.lemma", "tritcodes.distance",
@@ -394,6 +387,10 @@ UNUSED_MODULES = {
         "dataclasses", "numpy", "tritcodes.codebuilder", "tritcodes.distance",
         "tritcodes.dualspectrum",
     ],
+    # MacWilliams runs only on a dual enumerator, which verify-distance never has
+    "verify-distance": ["dataclasses", "tritcodes.dualspectrum", "tritcodes.lemma"],
+    "dual-spectrum": ["dataclasses", "tritcodes.distance", "tritcodes.lemma"],
+    "report": ["dataclasses"],
 }
 
 
@@ -411,13 +408,13 @@ def test_loads_no_numpy(command):
     assert lines == ["0", "0", ""], err
 
 
-def test_verify_distance_loads_no_dualspectrum():
-    """verify-distance runs MacWilliams only when given a dual enumerator,
-    which it never is, and checks no lemma: tritcodes.dualspectrum and
-    tritcodes.lemma stay unimported."""
+@pytest.mark.parametrize("command", ["verify-distance", "dual-spectrum", "report"])
+def test_loads_no_unused_module(command):
+    """The commands that read field tables load numpy, but at m = 5 each
+    exits 0 with none of the modules UNUSED_MODULES lists for it imported."""
     lines, err = _loaded(
-        "print(main(['verify-distance', '--m', '5', '--out', os.devnull]))\n",
-        ["tritcodes.dualspectrum", "tritcodes.lemma"],
+        f"print(main(['{command}', '--m', '5', '--out', os.devnull]))\n",
+        UNUSED_MODULES[command],
     )
     assert lines == ["0", ""], err
 
@@ -431,10 +428,44 @@ def test_cli_starts_no_blas_threads():
         "from tritcodes.cli import main\nmain(['verify-distance', '--m', '5', '--out', os.devnull])\n",
         "import tritcodes.cli\nimport tritcodes.distance\n",
     ):
-        proc = _fresh_python(
+        program = (
             "import os, sys\n"
             + script
-            + "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n",
-            "OPENBLAS_NUM_THREADS",
+            + "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))\n"
         )
+        proc = fresh_python(["-c", program], "OPENBLAS_NUM_THREADS", text=True)
         assert proc.stdout.split() == ["True", "1"], (script, proc.stderr)
+
+
+# run() ends the process by os._exit, so nothing but its own flushes writes
+# out what main left in the buffers: these run it in fresh interpreters whose
+# stdout is block-buffered (fresh_python drops PYTHONUNBUFFERED).
+CLI = ["-m", "tritcodes.cli"]
+
+
+def test_run_flushes_stdout_redirected_to_a_file(tmp_path):
+    path = tmp_path / "construct_m13.json"
+    with path.open("wb") as out:
+        proc = fresh_python([*CLI, "construct", "--m", "13"], stdout=out)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert path.read_bytes() == (GOLDEN / "construct_m13.json").read_bytes()
+
+
+def test_run_refused_modulus_exit_2():
+    reducible = "1,1,0,2,0,1,1,1,0,2,1,0,2,1"
+    proc = fresh_python([*CLI, "construct", "--m", "13", "--modulus", reducible], text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: NotIrreducible: modulus factors over GF(3): {reducible}\n"
+
+
+def test_run_failed_self_check_exit_1():
+    script = (
+        "import sys\n"
+        "from tritcodes import cli, polyring\n"
+        "polyring.cyclotomic_coset = lambda j, m: (0,)\n"
+        "sys.argv = ['tritcodes', 'construct', '--m', '5']\n"
+        "cli.run()\n"
+    )
+    proc = fresh_python(["-c", script], text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: Inconsistent: coset sizes |C_u|=1, |C_v|=1, expected 5\n"

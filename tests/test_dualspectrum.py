@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tritcodes.codebuilder import exponent_pair
+from tritcodes.distance import macwilliams
 from tritcodes.dualspectrum import (
     direct_enumerator,
     enumerators,
@@ -128,6 +129,17 @@ class TestEnumerators:
 
     def test_example3(self, enum9):
         assert enum9.counts == ENUM_M9
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_producers_leave_out_zero_counts(self, m):
+        """WeightEnumerator holds no zero count: the direct histogram has n + 1
+        bins and MacWilliams gives A'_1 = A'_2 = A'_3 = 0, and both drop them."""
+        ctx = make_field(m)
+        spectral = spectral_enumerator(ctx)
+        low = macwilliams(spectral, max_weight=4)
+        for enum in (direct_enumerator(ctx), spectral, low):
+            assert 0 not in enum.counts.values()
+        assert set(low.counts) == {0, 4}
 
     def test_m3_direct_support(self, ctx3):
         enum = direct_enumerator(ctx3)

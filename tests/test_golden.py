@@ -4,20 +4,18 @@ Byte-identical default output is part of the CLI contract, and --out writes
 the same bytes to its file.  Each file under tests/golden/ is the stdout of
 the command named in CASES, written by the CLI and committed unedited; a
 change that alters one of these bytes changes the contract.  The commands
-run in a fresh interpreter with the shipped fixtures.  The python block
+run as python -m tritcodes.cli, so through cli.run, in a fresh interpreter
+with block-buffered stdout and the shipped fixtures.  The python block
 under "## Library" in README.md runs here too, so the documented import
 paths cannot go stale.
 """
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import tritcodes
+from conftest import fresh_python
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -38,22 +36,10 @@ CASES = {
 }
 
 
-def _run(argv):
-    env = dict(os.environ)
-    src = str(Path(tritcodes.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "tritcodes.cli", *argv],
-        capture_output=True,
-        env=env,
-        timeout=120,
-    )
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_bytes_and_exit_code(name):
     argv, exit_code = CASES[name]
-    proc = _run(argv)
+    proc = fresh_python(["-m", "tritcodes.cli", *argv])
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
@@ -64,7 +50,7 @@ def test_stdout_bytes_and_exit_code(name):
 def test_out_file_holds_the_stdout_bytes(name, tmp_path):
     argv, exit_code = CASES[name]
     path = tmp_path / f"{name}.json"
-    proc = _run([*argv, "--out", str(path)])
+    proc = fresh_python(["-m", "tritcodes.cli", *argv, "--out", str(path)])
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == b""
     assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
