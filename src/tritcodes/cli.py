@@ -10,7 +10,7 @@ All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
 diffing works.  Exit codes: 0 = all checks pass, 1 = a check failed (the
 doc is written) or a self-check raised Inconsistent (nothing is written),
-2 = invalid input (an unwritable --out path included).
+2 = invalid input (an unwritable --out path or stdout included).
 
 The report command diffs against the fixtures shipped as package data for
 m in {5, 7, 9}, which hold what a run with the default modulus writes for
@@ -48,13 +48,14 @@ def _json(doc: dict) -> str:
 
 def _emit(doc: dict, out: str | None) -> None:
     text = _json(doc)
-    if out:
-        try:
+    try:
+        if out:
             Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:  # e.g. a missing directory: invalid input, exit 2
-            raise ValueError(f"cannot write --out: {exc}") from None
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # a missing directory, a full device: invalid input, exit 2
+        raise ValueError(f"cannot write {'--out' if out else 'stdout'}: {exc}") from None
 
 
 def _fixture_match(written: dict) -> bool | None:
@@ -189,10 +190,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """main() as a process of its own: flush stdout and stderr, then os._exit,
-    skipping the interpreter's teardown.  An exception propagates uncaught."""
+    """main() as a process of its own: main flushes stdout, run stderr, then
+    os._exit skips the interpreter's teardown.  An exception propagates uncaught."""
     code = main()
-    sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
 

@@ -2,14 +2,15 @@
 search, an independent brute-force oracle, and a MacWilliams transform as a
 third path.
 
-The weight-2 and weight-3 searches and the weight-4 witness all solve the
-last position of a word with _last_positions, from the v-syndrome, and
-check the u-syndrome in the log domain of the field tables.  It yields the
-hits of each block of positions once the block is scanned, so a search
-stops at the block of its first hit.  The weight-3 search scans its middle
-position over the Frobenius orbit representatives only, about n/m
-positions; the weight-4 witness scans t_2, then t_3, in order; the weight-2
-search is one block, position 0.  The oracle is kept independent of them:
+Each of the weight-2 and weight-3 searches and the weight-4 witness is
+one call of _words: a prefix of (position, coefficient) terms, the
+positions it scans and a mask on the last position.  _words solves the
+last position of a word from the v-syndrome and checks the u-syndrome in
+the log domain of the field tables, block by block, so a search stops at
+the block of its first hit.  The weight-2 search scans position 0 alone;
+the weight-3 search scans its middle position over the Frobenius orbit
+representatives only, about n/m positions; the weight-4 witness scans
+t_3 > t_2 for each t_2 in order.  The oracle is kept independent of them:
 it completes words over the parity-check matrix H, whose row t holds the
 base-3 digits of pi^(u t) and pi^(v t), using only digit sums mod 3, in
 O(n*m) memory and under the same budget gate.  It uses no logs, no cyclic
@@ -49,21 +50,22 @@ class DistanceReport(NamedTuple):
         }
 
 
-def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
-    """(t_(w-1), c_w, t_w) for every last term that completes a word, yielded
-    block by block as soon as each block is scanned, in the order of these
-    triples within a block; so the order does not depend on the block size.
+def _words(code: CyclicCode, prefix, positions, keep):
+    """Codewords with the (t, c) terms of prefix, c_p at a position t_p of
+    positions and c_w at a last position t_w, as dicts of support, sorted,
+    and coefficients.  Hits come by c_p = 1, then 2, then block by block of
+    ctx.scan_logs, by (t_p, c_w, t_w) within a block, so a caller that stops
+    at a hit scans no block after it, whatever the block size.
 
-    blocks yields positions tp of c_(w-1), an int64 array, with the logs lu,
-    lv of c_(w-1)*pi^(e tp) for e = u, v; su, sv are the logs of the
-    syndromes of the positions before it (-1 for none).  The last term
-    c_w*pi^(v t_w) must cancel the partial v-syndrome S_v, so v*t_w = L
-    (mod n) with L = log(-S_v / c_w): that has g = gcd(v, n) roots
-    t0 + k*n/g when g divides L and none otherwise.  As the u-syndrome asks
-    u*t_w = log(-S_u / c_w), only positions with v*log S_u - u*log S_v =
+    The logs su, sv of the prefix's u- and v-syndromes (-1 while they
+    vanish) plus c_p*pi^(e t_p) give the partial syndromes S_u, S_v.  The
+    last term c_w*pi^(v t_w) must cancel S_v, so v*t_w = L (mod n) with
+    L = log(-S_v / c_w): that has g = gcd(v, n) roots t0 + k*n/g when g
+    divides L and none otherwise.  As the u-syndrome asks u*t_w =
+    log(-S_u / c_w), only positions with v*log S_u - u*log S_v =
     (u - v)*log(-c_w) (mod n), a test free of t_w and exact when g = 1,
     solve for t_w; its roots are tested against the u-syndrome, all in the
-    log domain, and keep(tp, tw) masks the allowed last positions.
+    log domain, and keep(t_p, t_w) masks the allowed last positions.
     block_hits returns plain ints and starmap keeps no block, so the kernel
     holds no block array while suspended at a hit.
     """
@@ -75,8 +77,15 @@ def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
     lnegs = [ctx.log_of_scalar(3 - cw) for cw in (1, 2)]  # log(-1/c_w) = log(-c_w)
     r1, r2 = ((u - v) * lneg % n for lneg in lnegs)
 
+    def plus(s, lg):  # log(pi^s + pi^lg), s = -1 standing for 0
+        return lg if s < 0 else ctx.log_add(lg, s)
+
+    su = sv = -1
+    for t, c in prefix:
+        su, sv = (plus(s, (e * t + ctx.log_of_scalar(c)) % n) for s, e in ((su, u), (sv, v)))
+
     def block_hits(tp, logs):
-        lu, lv = (lg if s < 0 else ctx.log_add(lg, s) for lg, s in zip(logs, (su, sv)))
+        lu, lv = map(plus, (su, sv), logs)
         d = ctx.mod(v * lu - u * lv)
         passed = np.flatnonzero((d == r1) | (d == r2))
         tp, lu, lv = tp[passed], lu[passed], lv[passed]
@@ -94,61 +103,40 @@ def _last_positions(code: CyclicCode, su: int, sv: int, blocks, keep):
             found += zip(tp[r].tolist(), [cw] * len(r), tw[r, k].tolist())
         return sorted(found)
 
-    for hits in itertools.starmap(block_hits, blocks):
-        yield from hits
+    for cp in (1, 2):
+        lcp = ctx.log_of_scalar(cp)
+        for hits in itertools.starmap(block_hits, ctx.scan_logs(positions, (u, lcp), (v, lcp))):
+            for tp, cw, tw in hits:
+                terms = sorted([*prefix, (tp, cp), (tw, cw)])
+                yield {"support": [t for t, _ in terms], "coefficients": [c for _, c in terms]}
 
 
 def _completions(code: CyclicCode):
-    """Weight-4 codewords with position 0 first and coefficient 1 there.
-
-    Every weight-4 codeword is a cyclic shift of a scalar multiple of one of
-    these.  The positions 0 < t_2, c_2 and c_3 are looped over, t_3 > t_2 is
-    vectorised in the blocks of ctx.line_logs, and _last_positions solves
-    t_4 > t_3.  Hits come in the order t_2, c_2, c_3, then block by block by
-    (t_3, c_4, t_4), as dicts of support and coefficients; a caller that
-    stops at the first hit scans no block after the one that holds it.
-    """
-    ctx = code.ctx
-    n, u, v = code.n, code.u, code.v
-    for t2 in range(1, n):
+    """Weight-4 codewords with 1 at position 0 and c_2 at t_2 > 0, the prefix
+    of _words, which scans t_3 > t_2 and solves t_4 > t_3: every weight-4
+    codeword is a cyclic shift of a scalar multiple of one.  Hits come by
+    t_2, c_2, then in the order of _words."""
+    for t2 in range(1, code.n):
         for c2 in (1, 2):
-            # logs of the syndromes 1 + c_2*pi^(e t_2), -1 where they vanish
-            su, sv = (int(ctx.log_add(0, (e * t2 + ctx.log_of_scalar(c2)) % n)) for e in (u, v))
-            for c3 in (1, 2):
-                lc3 = ctx.log_of_scalar(c3)
-                blocks = ctx.line_logs(t2 + 1, n, (u, lc3), (v, lc3))
-                for t3, c4, t4 in _last_positions(code, su, sv, blocks, np.less):  # t4 > t3
-                    yield {"support": [0, t2, t3, t4], "coefficients": [1, c2, c3, c4]}
+            yield from _words(code, [(0, 1), (t2, c2)], range(t2 + 1, code.n), np.less)
 
 
 def _weight3_words(code: CyclicCode):
-    """Weight-3 codewords with coefficient 1 at position 0 and c_p, c_w at
-    t_p, t_w, for t_p a Frobenius orbit representative (ctx.orbit_reps).
-
-    Every cyclic code over GF(3) is fixed by the multiplier t -> 3t mod n,
-    since c(pi^e)^3 = c(pi^(3e)); a word on {0, t_p, t_w} maps to one on
+    """Weight-3 codewords of _words with 1 at position 0, t_p a Frobenius
+    orbit representative (ctx.orbit_reps) and t_w outside {0, t_p}.  Every
+    cyclic code over GF(3) is fixed by the multiplier t -> 3t mod n, since
+    c(pi^e)^3 = c(pi^(3e)); a word on {0, t_p, t_w} maps to one on
     {0, 3t_p, 3t_w} with the same coefficients.  So some word of this form
-    exists iff any weight-3 codeword does.  t_w is any root of
-    _last_positions outside {0, t_p}.  Hits come in the order c_p, then
-    block by block by (t_p, c_w, t_w), with the support sorted.
-    """
-    ctx = code.ctx
-    u, v = code.u, code.v
-    for cp in (1, 2):
-        lcp = ctx.log_of_scalar(cp)
-        blocks = ctx.orbit_logs(1, code.n, (u, lcp), (v, lcp))
-        hits = _last_positions(code, 0, 0, blocks, lambda tp, tw: (tw != 0) & (tw != tp))
-        for a, cw, b in hits:
-            (a, ca), (b, cb) = sorted([(a, cp), (b, cw)])
-            yield {"support": [0, a, b], "coefficients": [1, ca, cb]}
+    exists iff any weight-3 codeword does."""
+    return _words(code, [(0, 1)], code.ctx.orbit_reps[1:], lambda tp, tw: (tw != 0) & (tw != tp))
 
 
 def weight2_search(code: CyclicCode) -> dict | None:
     """First weight-2 codeword with 1 at position 0, by c_2 and then t_2, or
-    None: _last_positions on the one-position block t_1 = 0."""
-    blocks = code.ctx.line_logs(0, 1, (code.u, 0), (code.v, 0))
-    hit = next(_last_positions(code, -1, -1, blocks, np.less), None)  # t_2 > 0
-    return hit and {"support": [0, hit[2]], "coefficients": [1, hit[1]]}
+    None: _words on the one position t_1 = 0.  Its c_1 = 2 hits are the
+    negatives of its c_1 = 1 hits, which come first, so the first hit has
+    c_1 = 1."""
+    return next(_words(code, [], range(1), np.less), None)  # t_2 > 0
 
 
 def weight3_search(code: CyclicCode) -> dict | None:

@@ -42,8 +42,8 @@ np = _Numpy()
 
 MAX_M = 13
 
-# Positions per block of FieldCtx.line_logs, orbit_logs and orbit_reps and of
-# the table builds, read at each call: int64 block arrays of 256 KiB, L2-sized.
+# Positions per block of FieldCtx.scan_logs and orbit_reps and of the table
+# builds, read at each call: int64 block arrays of 256 KiB, L2-sized.
 BLOCK = 1 << 15
 
 # Monic primitive polynomials used when no modulus is supplied, ascending
@@ -196,22 +196,17 @@ class FieldCtx:
         np.minimum(u, u - self.order, out=u)
         return x
 
-    def line_logs(self, lo: int, hi: int, *terms):
-        """(t, logs) per block of at most BLOCK positions t in [lo, hi): t
-        an int64 array, logs one int64 array (e*t + c) mod n, the log of
-        pi^(e t + c), per (e, c) in terms."""
+    def scan_logs(self, positions, *terms):
+        """(t, logs) per block of at most BLOCK positions t of positions, an
+        ascending range or int64 array: t an int64 array, logs one int64
+        array (e*t + c) mod n, the log of pi^(e t + c), per (e, c) in terms.
+        A range block becomes its own np.arange, so no array of every
+        position is built."""
         n, block = self.order, BLOCK
-        for start in range(lo, hi, block):
-            t = np.arange(start, min(start + block, hi), dtype=np.int64)
-            yield t, [self.mod(e % n * t + c) for e, c in terms]
-
-    def orbit_logs(self, lo: int, hi: int, *terms):
-        """(t, logs) as line_logs, for t the orbit_reps in [lo, hi) only, per
-        block of at most BLOCK of them."""
-        n, block, reps = self.order, BLOCK, self.orbit_reps
-        first, last = np.searchsorted(reps, (lo, hi))
-        for start in range(first, last, block):
-            t = reps[start : min(start + block, last)]
+        for lo in range(0, len(positions), block):
+            t = positions[lo : lo + block]
+            if isinstance(t, range):
+                t = np.arange(t.start, t.stop, t.step, dtype=np.int64)
             yield t, [self.mod(e % n * t + c) for e, c in terms]
 
     def __repr__(self) -> str:

@@ -34,15 +34,15 @@ class LemmaReport(NamedTuple):
         return self._asdict()
 
 
-def _lhs_logs(ctx: FieldCtx, epsilon: int, scan):
-    """(t, logs) per block of scan, ctx.line_logs (every x) or ctx.orbit_logs
-    (one x per orbit) over [0, n): logs[i] is the log of the left-hand side
-    at x = pi^t[i], -1 where it is 0.  x^(3^ell) has the log t*3^ell mod n,
-    -x the log t + h, the sums go through the Zech table, and the product
-    adds logs."""
+def _lhs_logs(ctx: FieldCtx, epsilon: int, positions):
+    """(t, logs) per block of ctx.scan_logs over positions, range(n) (every
+    x) or ctx.orbit_reps (one x per orbit): logs[i] is the log of the
+    left-hand side at x = pi^t[i], -1 where it is 0.  x^(3^ell) has the log
+    t*3^ell mod n, -x the log t + h, the sums go through the Zech table, and
+    the product adds logs."""
     if epsilon not in (1, 2):
         raise ValueError(f"epsilon must be 1 or 2, got {epsilon}")
-    for t, (x3l, minus_x) in scan(0, ctx.order, (3**ctx.ell, 0), (1, ctx.half)):
+    for t, (x3l, minus_x) in ctx.scan_logs(positions, (3**ctx.ell, 0), (1, ctx.half)):
         la = ctx.log_add(x3l, ctx.log_of_scalar(epsilon))
         lb = ctx.log_add(x3l, minus_x)
         logs = ctx.wrap(la + lb)
@@ -54,7 +54,7 @@ def _solution_logs(ctx: FieldCtx, epsilon: int, c: int) -> list[int]:
     """Ascending logs t of every x = pi^t with lhs(x) = c, for c in GF(3):
     the hits among the orbit representatives, each expanded to its orbit."""
     target = ctx.log_of_scalar(c) if c else -1
-    blocks = _lhs_logs(ctx, epsilon, ctx.orbit_logs)
+    blocks = _lhs_logs(ctx, epsilon, ctx.orbit_reps)
     reps = [int(r) for t, logs in blocks for r in t[logs == target]]
     return sorted(j for r in reps for j in polyring.cyclotomic_coset(r, ctx.m))
 

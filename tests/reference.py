@@ -92,10 +92,10 @@ def fhat(lam, ctx):
 
 def lemma_preimage_counts(ctx, epsilon):
     """Solution count of lhs(x) = c for every c in GF(3^m), indexed by element,
-    by the lemma's kernel at every x in GF(3^m)* (ctx.line_logs): the map is
+    by the lemma's kernel at every x = pi^t, t in range(n): the map is
     total on GF(3^m)*, so the counts sum to 3^m - 1, and some c != 1 must
     have a nonempty preimage."""
-    blocks = lemma._lhs_logs(ctx, epsilon, ctx.line_logs)
+    blocks = lemma._lhs_logs(ctx, epsilon, range(ctx.order))
     values = [np.where(logs < 0, 0, ctx.exp[logs]) for _, logs in blocks]
     return np.bincount(np.concatenate(values), minlength=ctx.size)
 

@@ -437,8 +437,8 @@ def test_cli_starts_no_blas_threads():
         assert proc.stdout.split() == ["True", "1"], (script, proc.stderr)
 
 
-# run() ends the process by os._exit, so nothing but its own flushes writes
-# out what main left in the buffers: these run it in fresh interpreters whose
+# run() ends the process by os._exit, so nothing but main's and run()'s own
+# flushes writes out the buffers: these run it in fresh interpreters whose
 # stdout is block-buffered (fresh_python drops PYTHONUNBUFFERED).
 CLI = ["-m", "tritcodes.cli"]
 
@@ -449,6 +449,17 @@ def test_run_flushes_stdout_redirected_to_a_file(tmp_path):
         proc = fresh_python([*CLI, "construct", "--m", "13"], stdout=out)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert path.read_bytes() == (GOLDEN / "construct_m13.json").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_run_stdout_on_a_full_device_exit_2(flags):
+    """A failed stdout write, in the flush after it or, with -u, in the write
+    itself, gives one error line and exit 2, as an unwritable --out does."""
+    with open("/dev/full", "wb") as full:
+        proc = fresh_python([*flags, *CLI, "construct", "--m", "5"], stdout=full, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_run_refused_modulus_exit_2():

@@ -230,6 +230,15 @@ class TestOracle:
         MAX_M needs another packing first."""
         assert 2 * 3 ** (3 * gf3m.MAX_M) <= np.iinfo(np.int64).max
 
+    def test_lincomb3_exact_at_max_m(self):
+        """The table builds sum up to MAX_M trit products in int8 by
+        gf3m._lincomb3, whose _mod3 is exact only below 54: its worst case,
+        MAX_M rows of 2 times 2, sums to 4*MAX_M (1 mod 3 at 13; at 14 and
+        15 it gives 5 and 9).  A larger MAX_M needs another reduction first."""
+        rows = [np.full(3, 2, dtype=np.int8)] * gf3m.MAX_M
+        got = gf3m._lincomb3([2] * gf3m.MAX_M, rows)
+        assert got.tolist() == [4 * gf3m.MAX_M % 3] * 3
+
     def test_relaxed_agreement(self, code3):
         """Relaxed C_(u,u): structured and direct scans agree on existence."""
         ctx = code3.ctx
@@ -435,9 +444,8 @@ class TestBlockedCompletions:
         code = relaxed(code) if variant == "v=u" else code._replace(v=1)
 
         def hits():
-            line = code.ctx.line_logs(0, 1, (code.u, 0), (code.v, 0))
             return {
-                2: list(distance._last_positions(code, -1, -1, line, np.less)),
+                2: list(distance._words(code, [], range(1), np.less)),
                 3: list(distance._weight3_words(code)),
                 4: list(distance._completions(code)),
             }
@@ -464,20 +472,39 @@ class TestBlockedCompletions:
                 for e in (code.u, v):
                     assert _syndrome(code.ctx, e, support, coeffs) == 0, (v, hit)
 
+    def test_weight2_is_the_least_word_m3(self, code3):
+        """For every v' in [1, n), weight2_search on C_(u,v') returns the least
+        (c_2, t_2) weight-2 word with 1 at position 0, by scalar field
+        arithmetic: the kernel's c_1 = 2 pass, the negatives of the c_1 = 1
+        hits, never comes first."""
+        found = 0
+        for v in range(1, code3.n):
+            code = code3._replace(v=v)
+            words = (
+                {"support": [0, t], "coefficients": [1, c]}
+                for c in (1, 2)
+                for t in range(1, code.n)
+                if all(_syndrome(code.ctx, e, [0, t], [1, c]) == 0 for e in (code.u, v))
+            )
+            want = next(words, None)
+            assert weight2_search(code) == want, v
+            found += want is not None
+        assert found > 1
+
     def test_witness_stops_at_its_first_hit(self, monkeypatch):
         """With blocks of 37 positions at m = 7 the witness [0, 1, 211, 443]
         lies in the sixth block of its t_3 line: the scan pulls no block after
         it, where draining the line takes 60."""
         pulled = []
-        line_logs = gf3m.FieldCtx.line_logs
+        scan_logs = gf3m.FieldCtx.scan_logs
 
         def counted(ctx, *args):
-            for block in line_logs(ctx, *args):
+            for block in scan_logs(ctx, *args):
                 pulled.append(len(block[0]))
                 yield block
 
         code = build_code(make_field(7))
-        monkeypatch.setattr(gf3m.FieldCtx, "line_logs", counted)
+        monkeypatch.setattr(gf3m.FieldCtx, "scan_logs", counted)
         monkeypatch.setattr(gf3m, "BLOCK", 37)
         assert weight4_witness(code)["support"] == [0, 1, 211, 443]
         assert len(pulled) < 10

@@ -250,18 +250,23 @@ class TestInvariants:
             assert z == ctx5.log[add(ctx5, exp_of(ctx5, x), exp_of(ctx5, y))]
 
     @pytest.mark.parametrize("lo, hi", [(0, 26), (5, 26), (25, 26), (26, 26)])
-    def test_line_logs_blocks(self, ctx3, lo, hi, monkeypatch):
-        """Blocks of at most BLOCK positions cover [lo, hi) in order, with the
-        logs (e*t + c) mod n per term, for e and c past n too."""
-        monkeypatch.setattr(gf3m, "BLOCK", 7)
+    @pytest.mark.parametrize("source", ["range", "orbit_reps"])
+    def test_scan_logs_blocks(self, ctx3, source, lo, hi, monkeypatch):
+        """Blocks of at most BLOCK positions cover the positions in order, with
+        the logs (e*t + c) mod n per term, for e and c past n too: the range
+        [lo, hi), or the slice of orbit_reps in it, an int64 array."""
+        monkeypatch.setattr(gf3m, "BLOCK", 3)
+        reps = ctx3.orbit_reps
+        first, last = np.searchsorted(reps, (lo, hi))
+        positions = range(lo, hi) if source == "range" else reps[first:last]
         terms = [(14, 0), (1, 13), (40, 30)]
-        blocks = list(ctx3.line_logs(lo, hi, *terms))
-        assert all(0 < len(t) <= 7 for t, _ in blocks)
+        blocks = list(ctx3.scan_logs(positions, *terms))
+        assert all(0 < len(t) <= 3 and t.dtype == np.int64 for t, _ in blocks)
         t = np.concatenate([t for t, _ in blocks] or [[]])
-        assert t.tolist() == list(range(lo, hi))
+        assert t.tolist() == list(positions)
         for i, (e, c) in enumerate(terms):
             logs = np.concatenate([logs[i] for _, logs in blocks] or [[]])
-            assert logs.tolist() == [(e * j + c) % 26 for j in range(lo, hi)]
+            assert logs.tolist() == [(e * j + c) % 26 for j in positions]
 
     def test_zech_block_size_does_not_change_the_tables(self, monkeypatch):
         """The Zech table and the orbit representatives are built in blocks of

@@ -85,8 +85,8 @@ def test_orbit_hits_expand_to_whole_orbits(m, monkeypatch):
     def digit_sum(t):
         return sum(t // 3**i % 3 for i in range(m))
 
-    def stand_in(ctx, epsilon, scan):
-        for t, _ in scan(0, ctx.order):
+    def stand_in(ctx, epsilon, positions):
+        for t, _ in ctx.scan_logs(positions):
             yield t, np.where(digit_sum(t) == m, 0, -1)
 
     monkeypatch.setattr(lemma, "_lhs_logs", stand_in)
@@ -111,7 +111,7 @@ def test_block_size_does_not_change_the_scan(m, monkeypatch):
         out = []
         for eps in (1, 2):
             logs = np.full(ctx.order, -2)
-            for t, block in lemma._lhs_logs(ctx, eps, ctx.line_logs):
+            for t, block in lemma._lhs_logs(ctx, eps, range(ctx.order)):
                 logs[t] = block
             counts = lemma_preimage_counts(ctx, eps)
             sols = [lemma._solution_logs(ctx, eps, c) for c in (0, 1, 2)]
@@ -130,15 +130,15 @@ def test_kernel_logs_near_the_end_m13(epsilon):
     int32 would wrap silently."""
     ctx = make_field(13)
     f = ctx.modulus
-    for scan in (ctx.line_logs, ctx.orbit_logs):
-        for t, logs in lemma._lhs_logs(ctx, epsilon, scan):
+    for positions in (range(ctx.order), ctx.orbit_reps):
+        for t, logs in lemma._lhs_logs(ctx, epsilon, positions):
             pass  # keep the last block
         for j, log in zip(t[-48:].tolist(), logs[-48:].tolist()):
             x = polyring.poly_pow_mod(polyring.X, j, f)
             x3l = polyring.poly_pow_mod(polyring.X, j * 3**ctx.ell, f)
             lhs = polyring.poly_mul(polyring.poly_add(x3l, (epsilon,)), polyring.poly_sub(x3l, x))
             want = sum(c * 3**i for i, c in enumerate(polyring.poly_mod(lhs, f)))
-            assert (int(ctx.exp[log]) if log >= 0 else 0) == want, scan
+            assert (int(ctx.exp[log]) if log >= 0 else 0) == want, j
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
@@ -150,7 +150,7 @@ def test_orbit_scan_matches_the_full_scan(m):
     for eps in (1, 2):
         for c in (0, 1, 2):
             target = ctx.log_of_scalar(c) if c else -1
-            blocks = lemma._lhs_logs(ctx, eps, ctx.line_logs)
+            blocks = lemma._lhs_logs(ctx, eps, range(ctx.order))
             want = [j for t, logs in blocks for j in t[logs == target].tolist()]
             assert lemma._solution_logs(ctx, eps, c) == want, (eps, c)
         assert lemma._solution_logs(ctx, eps, 0) == [0, ctx.half]
