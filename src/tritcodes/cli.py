@@ -22,6 +22,7 @@ modulus) fixture_match is null and a one-line note on stderr says why.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -51,6 +52,8 @@ def _emit(doc: dict, out: str | None) -> None:
     try:
         if out:
             Path(out).write_text(text, encoding="utf-8")
+        elif sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -191,7 +194,10 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """main() as a process of its own: main flushes stdout, run stderr, then
-    os._exit skips the interpreter's teardown.  An exception propagates uncaught."""
+    os._exit skips the interpreter's teardown.  An exception propagates uncaught.
+    With fd 2 closed, sys.stderr is None and print(file=None) would write to
+    stdout, so run points sys.stderr at os.devnull."""
+    sys.stderr = sys.stderr or open(os.devnull, "w")
     code = main()
     sys.stderr.flush()
     os._exit(code)

@@ -18,9 +18,7 @@ Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
 h = (3^m - 1)/2, -1 = pi^h, so negation adds h to a log and the scalar
 c in {1, 2} adds (c - 1)*h.  The log of zero is -1 in both tables:
-log[0] = -1 and zech[h] = -1.  Only zech[0..h] is gathered from the log
-table; 1 + pi^-k = pi^-k (1 + pi^k) gives zech[n - k] = zech[k] - k (mod n)
-for the rest.
+log[0] = -1 and zech[h] = -1.
 """
 
 from __future__ import annotations
@@ -109,13 +107,28 @@ class FieldCtx:
 
     @cached_property
     def exp(self) -> np.ndarray:
-        """The packed element pi^j, indexed by j (int32): see _build_exp_table."""
-        return _build_exp_table(self.m, self.modulus)
+        """The packed element pi^j = x^j, indexed by j (int32).  Its top digit
+        s_j is a _recurring sequence; row r - 1 is row r shifted plus f_r*s,
+        since x^(j+1) = x * x^j, so row r reads s up to entry n - 1 + r.  The
+        rows are summed one block of BLOCK entries at a time."""
+        m, f, n = self.m, self.modulus, self.order
+        s = _recurring([0] * (m - 1) + [1], f, n + m - 1)
+        exp = np.zeros(n, dtype=np.int32)
+        for lo in range(0, n, BLOCK):
+            acc, row = exp[lo : lo + BLOCK], s[lo : lo + BLOCK + m - 1]
+            for r in range(m - 1, -1, -1):
+                acc *= 3
+                acc += row[: len(acc)]
+                if r:  # a shift alone where f_r = 0
+                    row = row[1:]
+                    row = _mod3(row + f[r] * s[lo : lo + len(row)]) if f[r] else row
+        return exp
 
     @cached_property
     def log(self) -> np.ndarray:
-        """The log of each packed element (int32), -1 at 0: exp inverted, by blocks."""
-        log = np.full(self.size, -1, dtype=np.int32)
+        """The log of each packed element (int32), -1 at 0: exp scattered by blocks."""
+        log = np.empty(self.size, dtype=np.int32)
+        log[0] = -1  # exp writes every other entry exactly once, as x is primitive
         for lo in range(0, self.order, BLOCK):
             part = self.exp[lo : lo + BLOCK]
             np.put(log, part, np.arange(lo, lo + len(part), dtype=np.int32), mode="clip")
@@ -123,23 +136,14 @@ class FieldCtx:
 
     @cached_property
     def zech(self) -> np.ndarray:
-        """zech[k] = log(1 + pi^k) (int32), -1 at k = h where pi^h = -1: adding
-        1 changes only digit 0 of the packed element exp[k].  Gathered for
-        k <= h; for k > h, zech[k] = zech[n - k] + k (mod n) reads the first
-        half backwards.  Built in blocks of BLOCK, through one reused
-        index buffer, so no temporary holds n entries."""
-        n, h, block = self.order, self.half, BLOCK
-        zech = np.empty(n, dtype=np.int32)
-        index = np.empty(min(block, h + 1), dtype=np.intp)
-        for lo in range(0, h + 1, block):
-            hi = min(lo + block, h + 1)
-            one_plus = np.add(self.exp[lo:hi], 1, out=index[: hi - lo])
-            np.subtract(one_plus, 3, out=one_plus, where=one_plus // 3 * 3 == one_plus)
-            self.log.take(one_plus, out=zech[lo:hi], mode="clip")  # clip: unbuffered
-        for lo in range(h + 1, n, block):
-            hi = min(lo + block, n)
-            mirror = zech[n - hi + 1 : n - lo + 1][::-1]
-            self.wrap(np.add(mirror, np.arange(lo, hi, dtype=np.int32), out=zech[lo:hi]))
+        """zech[k] = log(1 + pi^k) (int32), -1 at k = h: adding 1 to e = exp[k] changes
+        digit 0 only, so zech[k] = log[e + (1, 1, -2)[e mod 3]].  Gathered by blocks
+        straight into zech: take buffers its out unless mode is "clip" or "wrap"."""
+        zech = np.empty(self.order, dtype=np.int32)
+        step = np.array([1, 1, -2], dtype=np.int32)  # so e + step stays int32
+        for lo in range(0, self.order, BLOCK):
+            e = self.exp[lo : lo + BLOCK]
+            self.log.take(step.take(e % 3) + e, out=zech[lo : lo + BLOCK], mode="clip")
         return zech
 
     @cached_property
@@ -229,25 +233,6 @@ def _recurring(first, modulus: tuple[int, ...], length: int) -> np.ndarray:
         s[known:hi] = _lincomb3(a, [s[k : k + hi - known] for k in range(m)])
         known = hi
     return s
-
-
-def _build_exp_table(m: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """exp table for pi = x: entry j is the packed element x^j (int32).  The
-    top digit s_j is a _recurring sequence; row r - 1 is row r shifted plus
-    f_r*s, since x^(j+1) = x * x^j, so row r reads s up to entry n - 1 + r.
-    The rows are summed one block of BLOCK entries at a time."""
-    order = 3**m - 1
-    s = _recurring([0] * (m - 1) + [1], modulus, order + m - 1)
-    exp = np.zeros(order, dtype=np.int32)
-    for lo in range(0, order, BLOCK):
-        acc, row = exp[lo : lo + BLOCK], s[lo : lo + BLOCK + m - 1]
-        for r in range(m - 1, -1, -1):
-            acc *= 3
-            acc += row[: len(acc)]
-            if r:  # a shift alone where f_r = 0
-                row = row[1:]
-                row = _mod3(row + modulus[r] * s[lo : lo + len(row)]) if modulus[r] else row
-    return exp
 
 
 def _mod3(x: np.ndarray) -> np.ndarray:

@@ -69,17 +69,8 @@ def poly_add(f: Sequence[int], g: Sequence[int]) -> Poly:
     return _trits(_add(_pair(f), _pair(g)))
 
 
-def poly_sub(f: Sequence[int], g: Sequence[int]) -> Poly:
-    return _trits(_add(_pair(f), _neg(_pair(g))))
-
-
 def poly_mul(f: Sequence[int], g: Sequence[int]) -> Poly:
     return _trits(_mul(_pair(f), _pair(g)))
-
-
-def poly_mod(f: Sequence[int], g: Sequence[int]) -> Poly:
-    """Remainder of f divided by g over GF(3)."""
-    return _trits(_rem(_pair(f), _pair(g)))
 
 
 def poly_pow_mod(base: Sequence[int], e: int, mod: Sequence[int]) -> Poly:

@@ -462,6 +462,28 @@ def test_run_stdout_on_a_full_device_exit_2(flags):
     assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes an fd in the child before exec")
+def test_run_closed_stdout_exit_2():
+    """With fd 1 closed Python starts with sys.stdout None: an unwritable
+    stdout like any other, one error line and exit 2."""
+    proc = fresh_python([*CLI, "construct", "--m", "5"], preexec_fn=lambda: os.close(1), text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 9] Bad file descriptor\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes an fd in the child before exec")
+@pytest.mark.parametrize("m, code", [("5", 0), ("4", 2)])
+def test_run_closed_stderr_keeps_exit_code_and_stdout(m, code):
+    """With fd 2 closed Python starts with sys.stderr None: a pass (m = 5) and
+    a refused m (4, whose error line has nowhere to go) exit as they do with
+    stderr open, and write the same stdout."""
+    argv = [*CLI, "construct", "--m", m]
+    want = fresh_python(argv)
+    proc = fresh_python(argv, preexec_fn=lambda: os.close(2))
+    assert (want.returncode, proc.returncode, proc.stderr) == (code, code, b"")
+    assert proc.stdout == want.stdout
+
+
 def test_run_refused_modulus_exit_2():
     reducible = "1,1,0,2,0,1,1,1,0,2,1,0,2,1"
     proc = fresh_python([*CLI, "construct", "--m", "13", "--modulus", reducible], text=True)

@@ -175,12 +175,16 @@ class TestArithmetic:
         assert as_poly(ctx5, got) == polyring.poly_pow_mod(polyring.X, 245, ctx5.modulus)
 
     def test_mul_against_schoolbook_oracle(self, ctx5):
+        """The product in GF(3)[x], reduced modulo f by sympy."""
+        sympy = pytest.importorskip("sympy")
+        poly = lambda f: sympy.Poly(f[::-1] or [0], sympy.Symbol("x"), modulus=3)
         rng = random.Random(7)
         for _ in range(200):
             a = rng.randrange(ctx5.size)
             b = rng.randrange(ctx5.size)
             product = polyring.poly_mul(as_poly(ctx5, a), as_poly(ctx5, b))
-            assert mul(ctx5, a, b) == pack(polyring.poly_mod(product, ctx5.modulus))
+            want = sympy.rem(poly(product), poly(ctx5.modulus)).all_coeffs()
+            assert mul(ctx5, a, b) == pack(polyring.normalize(reversed(want)))
 
     def test_pow_huge_exponents_m13(self):
         """pi^j to a power near n^2 against square-and-multiply on x: the
@@ -269,12 +273,12 @@ class TestInvariants:
             assert logs.tolist() == [(e * j + c) % 26 for j in positions]
 
     def test_zech_block_size_does_not_change_the_tables(self, monkeypatch):
-        """The Zech table and the orbit representatives are built in blocks of
-        gf3m.BLOCK; neither 7 nor 37 divides n = 242 or h + 1 = 122, so blocks
-        are short at the end of each Zech half and of the rotation filter."""
+        """The exp, log and Zech tables and the orbit representatives are
+        built in blocks of gf3m.BLOCK over [0, n): neither 7 nor 37 divides
+        n = 242, so the last block is short, and 11 does (242 = 2 * 11^2)."""
         custom = (1, 1, 1, 1, 2, 1)  # not the default, so not cached
         whole = gf3m.make_field(5, custom)
-        for block in (7, 37):
+        for block in (7, 11, 37):
             monkeypatch.setattr(gf3m, "BLOCK", block)
             blocked = gf3m.make_field(5, custom)
             for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
@@ -282,8 +286,8 @@ class TestInvariants:
 
     @pytest.mark.parametrize("m, k", MODULI)
     def test_zech_against_direct_reference(self, m, k):
-        """zech[k] = log(1 + pi^k) at every k, the sum taken on digit 0 of
-        exp[k]: the mirrored half k > h is built from the other half."""
+        """zech[k] = log(1 + pi^k) at every k: digit 0 of exp[k] goes to its
+        successor mod 3, computed in int64 and with no table of steps."""
         ctx = field(m, k)
         elem = ctx.exp.astype(np.int64)
         digit0 = elem % 3

@@ -19,9 +19,7 @@ from tritcodes.polyring import (
     parse_poly,
     format_poly,
     poly_add,
-    poly_mod,
     poly_mul,
-    poly_sub,
 )
 
 from conftest import GEN_M5
@@ -47,14 +45,6 @@ def test_poly_mul_generator_example(ctx5):
     # m_122 * m_19 is the generator polynomial of the m=5 code
     got = poly_mul(minimal_polynomial(122, ctx5.modulus), minimal_polynomial(19, ctx5.modulus))
     assert got == GEN_M5
-
-
-def test_poly_mod_trivia():
-    g = (1, 2, 0, 0, 0, 1)
-    assert poly_mod(g, g) == ZERO
-    assert poly_mod(g, ONE) == ZERO
-    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
-        poly_mod(g, ZERO)
 
 
 def test_cyclotomic_coset_trivia():
@@ -168,7 +158,8 @@ def test_product_of_all_minimal_polynomials(m):
 
 def test_poly_mod_matches_sympy():
     """Seeded random pairs, with deg f < deg g and leading coefficient 2 among
-    them: the remainder, product, sum and difference agree with sympy's."""
+    them: the remainder (poly_pow_mod to the power 1), product and sum agree
+    with sympy's."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(7)
@@ -179,23 +170,22 @@ def test_poly_mod_matches_sympy():
         seen.add((len(f) < len(g), g[-1]))
         sf, sg = (sympy.Poly(p[::-1] or [0], x, modulus=3) for p in (f, g))
         for got, want in (
-            (poly_mod(f, g), sympy.rem(sf, sg)),
+            (polyring.poly_pow_mod(f, 1, g), sympy.rem(sf, sg)),
             (poly_mul(f, g), sf * sg),
             (poly_add(f, g), sf + sg),
-            (poly_sub(f, g), sf - sg),
         ):
             assert got == normalize(reversed(want.all_coeffs())), (f, g)
     assert seen == {(False, 1), (False, 2), (True, 1), (True, 2)}
 
 
 def test_poly_pow_mod_matches_naive():
+    """x^37 mod g against 37 multiplications by x, each reduced by sympy."""
+    sympy = pytest.importorskip("sympy")
     g = (1, 2, 0, 0, 0, 1)
-    e = 37
-    naive = ONE
-    for _ in range(e):
-        naive = poly_mod(poly_mul(naive, X), g)
-    assert polyring.poly_pow_mod(X, e, g) == naive
-    assert poly_sub(naive, naive) == ZERO
+    naive, x, sg = (sympy.Poly(p[::-1], sympy.Symbol("x"), modulus=3) for p in (ONE, X, g))
+    for _ in range(37):
+        naive = sympy.rem(naive * x, sg)
+    assert polyring.poly_pow_mod(X, 37, g) == normalize(reversed(naive.all_coeffs()))
 
 
 def test_sympy_confirms_moduli_minimal_polynomials_and_generators():
