@@ -10,7 +10,8 @@ All output is UTF-8 JSON, newline-terminated, with fixed key order and
 counts maps keyed by decimal strings sorted numerically, so byte-level
 diffing works.  Exit codes: 0 = all checks pass, 1 = a check failed (the
 doc is written) or a self-check raised Inconsistent (nothing is written),
-2 = invalid input (an unwritable --out path or stdout included).
+2 = invalid input (an unwritable stdout included).  Stdout is the one output
+path; the error: and note: lines go to stderr, and nowhere when it is closed.
 
 The report command diffs against the fixtures shipped as package data for
 m in {5, 7, 9}, which hold what a run with the default modulus writes for
@@ -26,8 +27,6 @@ import errno
 import json
 import os
 import sys
-from importlib import resources
-from pathlib import Path
 
 from . import polyring
 from .exceptions import DEFAULT_BUDGET, TritcodesError
@@ -40,25 +39,21 @@ from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 FIXTURE_MS = (5, 7, 9)
-FIXTURES = resources.files("tritcodes") / "fixtures"
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = _json(doc)
+def _emit(doc: dict) -> None:
     try:
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        elif sys.stdout is None:  # fd 1 was closed when Python started
+        if sys.stdout is None:  # fd 1 was closed when Python started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as exc:  # a missing directory, a full device: invalid input, exit 2
-        raise ValueError(f"cannot write {'--out' if out else 'stdout'}: {exc}") from None
+        sys.stdout.write(_json(doc))
+        sys.stdout.flush()
+    except OSError as exc:  # a full device, a closed fd: invalid input, exit 2
+        raise ValueError(f"cannot write stdout: {exc}") from None
 
 
 def _fixture_match(written: dict) -> bool | None:
@@ -67,14 +62,15 @@ def _fixture_match(written: dict) -> bool | None:
     m = written["m"]
     if m not in FIXTURE_MS:
         return None
-    ref = FIXTURES / f"m{m}.json"
+    ref = os.path.join(FIXTURES, f"m{m}.json")
     modulus = polyring.format_poly(DEFAULT_MODULI[m])
-    if not ref.is_file():
+    if not os.path.isfile(ref):
         why = f"no m{m}.json fixture found"
     elif written["modulus"] != modulus:
         why = f"modulus {written['modulus']} is not the fixture's {modulus}"
     else:
-        return ref.read_text(encoding="utf-8") == _json(written)
+        with open(ref, encoding="utf-8") as f:
+            return f.read() == _json(written)
     print(f"note: fixture_match is null: {why}", file=sys.stderr)
     return None
 
@@ -163,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True, help=f"extension degree (odd, 3..{MAX_M})")
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
-        p.add_argument("--out", help="write JSON here instead of stdout")
         if name in ("verify-distance", "dual-spectrum", "report"):
             p.add_argument(
                 "--budget", type=_positive_int, default=DEFAULT_BUDGET,
@@ -178,11 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # With fd 2 closed at start sys.stderr is None, and print(file=None) and
+    # argparse's usage line would write to stdout: drop them in os.devnull.
+    sys.stderr = sys.stderr or open(os.devnull, "w")
     args = build_parser().parse_args(argv)
     try:
         modulus = None if args.modulus is None else polyring.parse_poly(args.modulus)
         doc, passed = args.func(make_field(args.m, modulus), args)
-        _emit(doc, args.out)
+        _emit(doc)
         return 0 if passed else 1
     except TritcodesError as exc:  # Inconsistent exits 1, invalid input 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -194,10 +192,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """main() as a process of its own: main flushes stdout, run stderr, then
-    os._exit skips the interpreter's teardown.  An exception propagates uncaught.
-    With fd 2 closed, sys.stderr is None and print(file=None) would write to
-    stdout, so run points sys.stderr at os.devnull."""
-    sys.stderr = sys.stderr or open(os.devnull, "w")
+    os._exit skips the interpreter's teardown.  An exception propagates uncaught."""
     code = main()
     sys.stderr.flush()
     os._exit(code)

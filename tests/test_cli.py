@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,15 +209,6 @@ def test_report_paths_that_disagree_exit_1(capsys, direct_one_off):
     assert spectrum["direct"]["counts"]["0"] == spectrum["spectral"]["counts"]["0"] + 1
 
 
-def test_out_to_missing_directory_exit_2(tmp_path, capsys):
-    path = tmp_path / "missing" / "x.json"
-    code, out, err = run_cli(capsys, "construct", "--m", "3", "--out", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and str(path) in err
-    assert not path.exists()
-
-
 def test_fixture_missing_noted_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "FIXTURES", tmp_path)
     code, out, err = run_cli(capsys, "report", "--m", "5")
@@ -287,8 +279,11 @@ def test_fixture_other_than_the_run_bytes_does_not_match(tmp_path, capsys, monke
     assert report["mismatch"] == "fixture_match"
 
 
-@pytest.mark.parametrize("flag, value", [("--budget", "-5"), ("--budget", "0")])
+@pytest.mark.parametrize(
+    "flag, value", [("--budget", "-5"), ("--budget", "0"), ("--out", "x.json")]
+)
 def test_nonpositive_budget_exit_2(capsys, flag, value):
+    """argparse refuses a budget below 1, and --out: stdout is the one output path."""
     with pytest.raises(SystemExit) as exc:
         main(["verify-distance", "--m", "5", flag, value])
     assert exc.value.code == 2
@@ -311,6 +306,20 @@ def test_budget_one_accepted(capsys):
     code, out, _ = run_cli(capsys, "verify-distance", "--m", "3", "--budget", "1")
     assert code == 0
     assert json.loads(out)["d"] == 4
+
+
+@pytest.mark.parametrize("m", ["4", "x"])
+def test_closed_stderr_writes_nothing_on_stdout(capsys, monkeypatch, m):
+    """With sys.stderr None, print(file=None) and argparse's usage line would
+    write to stdout: main drops its error line (m = 4) and argparse's (m = x),
+    and both exit 2 with nothing on stdout."""
+    monkeypatch.setattr("sys.stderr", None)
+    try:
+        code = main(["construct", "--m", m])
+    except SystemExit as exc:
+        code = exc.code
+    sys.stderr.close()
+    assert (code, capsys.readouterr().out) == (2, "")
 
 
 def test_empty_modulus_exit_2(capsys):
@@ -365,13 +374,16 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
     ]
 
 
-def _loaded(script, modules):
-    """Run script in a fresh interpreter, then print which of modules it imported."""
+def _loaded(argvs, modules, *flags):
+    """Run main on each of argvs in a fresh `python *flags` with stdout sent
+    to os.devnull, then print the exit codes and which of modules it imported."""
     program = (
-        f"import os, sys\nfrom tritcodes.cli import main\n{script}"
-        f"print(*sorted(set({modules!r}) & set(sys.modules)), sep=',')\n"
+        "import os, sys\nfrom tritcodes.cli import main\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        f"print(*[main(argv) for argv in {argvs!r}], file=out)\n"
+        f"print(*sorted(set({modules!r}) & set(sys.modules)), sep=',', file=out)\n"
     )
-    proc = fresh_python(["-c", program], text=True)
+    proc = fresh_python([*flags, "-c", program], text=True)
     return proc.stdout.split("\n")[:-1], proc.stderr
 
 
@@ -400,23 +412,32 @@ def test_loads_no_numpy(command):
     field table: at m = 13, for the default and for a dense modulus, each
     exits 0 with numpy and dataclasses never imported, nor a tritcodes module
     it has no use for (construct needs no lemma, lemma-check no code)."""
+    argv = [command, "--m", "13"]
     lines, err = _loaded(
-        "for extra in ([], ['--modulus', '1,0,0,2,0,0,1,1,2,2,1,0,0,1']):\n"
-        f"    print(main(['{command}', '--m', '13', '--out', os.devnull, *extra]))\n",
-        UNUSED_MODULES[command],
+        [argv, [*argv, "--modulus", "1,0,0,2,0,0,1,1,2,2,1,0,0,1"]], UNUSED_MODULES[command]
     )
-    assert lines == ["0", "0", ""], err
+    assert lines == ["0 0", ""], err
 
 
 @pytest.mark.parametrize("command", ["verify-distance", "dual-spectrum", "report"])
 def test_loads_no_unused_module(command):
     """The commands that read field tables load numpy, but at m = 5 each
     exits 0 with none of the modules UNUSED_MODULES lists for it imported."""
-    lines, err = _loaded(
-        f"print(main(['{command}', '--m', '5', '--out', os.devnull]))\n",
-        UNUSED_MODULES[command],
-    )
+    lines, err = _loaded([[command, "--m", "5"]], UNUSED_MODULES[command])
     assert lines == ["0", ""], err
+
+
+def test_start_up_imports_no_pathlib():
+    """Under -S no site .pth file imports pathlib or importlib.resources
+    first, so this sees whether a command does: construct and lemma-check at
+    m = 13 exit 0 and a refused m = 13 modulus exits 2 with neither loaded."""
+    refused = ["construct", "--m", "13", "--modulus", "1,1,0,2,0,1,1,1,0,2,1,0,2,1"]
+    lines, err = _loaded(
+        [["construct", "--m", "13"], ["lemma-check", "--m", "13"], refused],
+        ["importlib.resources", "pathlib"],
+        "-S",
+    )
+    assert lines == ["0 0 2", ""], err
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
@@ -425,7 +446,8 @@ def test_cli_starts_no_blas_threads():
     numpy loads, when OPENBLAS_NUM_THREADS is unset: for a command run by main,
     and for the layers imported next, as perfbench's tracer does."""
     for script in (
-        "from tritcodes.cli import main\nmain(['verify-distance', '--m', '5', '--out', os.devnull])\n",
+        "from tritcodes.cli import main\nsys.stdout = open(os.devnull, 'w')\n"
+        "main(['verify-distance', '--m', '5'])\nsys.stdout = sys.__stdout__\n",
         "import tritcodes.cli\nimport tritcodes.distance\n",
     ):
         program = (
@@ -455,7 +477,7 @@ def test_run_flushes_stdout_redirected_to_a_file(tmp_path):
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
 def test_run_stdout_on_a_full_device_exit_2(flags):
     """A failed stdout write, in the flush after it or, with -u, in the write
-    itself, gives one error line and exit 2, as an unwritable --out does."""
+    itself, gives one error line and exit 2."""
     with open("/dev/full", "wb") as full:
         proc = fresh_python([*flags, *CLI, "construct", "--m", "5"], stdout=full, text=True)
     assert proc.returncode == 2

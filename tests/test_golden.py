@@ -1,7 +1,7 @@
 """Golden CLI outputs: the exact stdout bytes and exit code of nine commands.
 
-Byte-identical default output is part of the CLI contract, and --out writes
-the same bytes to its file.  Each file under tests/golden/ is the stdout of
+Byte-identical default output is part of the CLI contract; stdout is the
+CLI's one output path.  Each file under tests/golden/ is the stdout of
 the command named in CASES, written by the CLI and committed unedited; a
 change that alters one of these bytes changes the contract.  The commands
 run as python -m tritcodes.cli, so through cli.run, in a fresh interpreter
@@ -42,18 +42,6 @@ def test_stdout_bytes_and_exit_code(name):
     proc = fresh_python(["-m", "tritcodes.cli", *argv])
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
-
-
-# Every command writes through the same cli._emit, so one case covers --out;
-# with the stdout case, two fresh processes write the same report bytes.
-@pytest.mark.parametrize("name", ["report_m5_both"])
-def test_out_file_holds_the_stdout_bytes(name, tmp_path):
-    argv, exit_code = CASES[name]
-    path = tmp_path / f"{name}.json"
-    proc = fresh_python(["-m", "tritcodes.cli", *argv, "--out", str(path)])
-    assert proc.returncode == exit_code, proc.stderr.decode()
-    assert proc.stdout == b""
-    assert path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_readme_library_example():
