@@ -113,7 +113,7 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
     checks = {
         "d_equals_4": dist_report.concluded_d == 4,
         "lemma_empty": not any(r.solution_count for r in lemma_reports),
-        "weights_in_predicted_set": enum.support() <= dualspectrum.weight_value_set(ctx.m),
+        "weights_in_predicted_set": enum.counts.keys() <= dualspectrum.weight_value_set(ctx.m),
         "paths_agree": agree,
         "fixture_match": _fixture_match(written),
     }

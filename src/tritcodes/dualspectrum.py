@@ -34,9 +34,6 @@ class WeightEnumerator(NamedTuple):
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def support(self) -> set[int]:
-        return set(self.counts)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

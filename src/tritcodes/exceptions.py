@@ -28,7 +28,7 @@ class NotIrreducible(TritcodesError):
 
 
 class NotPrimitive(TritcodesError):
-    """x generates a proper subgroup of GF(3^m)*."""
+    """x has order below 3^m - 1 modulo the chosen modulus."""
 
 
 class BudgetExceeded(TritcodesError):

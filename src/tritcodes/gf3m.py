@@ -59,7 +59,11 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
 
 def check_modulus(m: int, modulus=None) -> polyring.Poly:
     """The modulus of GF(3^m), the default for m when None, checked in GF(3)[x]
-    without numpy: m odd and supported, monic of degree m, irreducible, x primitive."""
+    without numpy: m odd and supported, monic of degree m, and x of order
+    3^m - 1 modulo it, which makes it irreducible.  A refused modulus factors
+    if x^(3^m - 1) != 1 (in a field it is 1): NotIrreducible.  Else
+    NotPrimitive, also for a product of three distinct irreducible cubics, the
+    only reducible modulus with x^(3^m - 1) = 1 at a supported m (m = 9)."""
     if m % 2 == 0 or m < 3:
         raise EvenDegree(f"m must be odd and >= 3, got {m}")
     if m > MAX_M:
@@ -68,9 +72,9 @@ def check_modulus(m: int, modulus=None) -> polyring.Poly:
     text = polyring.format_poly(mod)
     if polyring.degree(mod) != m or mod[-1] != 1:
         raise NotIrreducible(f"modulus must be monic of degree {m}: {text}")
-    if not polyring.is_irreducible(mod):
-        raise NotIrreducible(f"modulus factors over GF(3): {text}")
     if not polyring.is_primitive(mod):
+        if polyring.poly_pow_mod(polyring.X, 3**m - 1, mod) != polyring.ONE:
+            raise NotIrreducible(f"modulus factors over GF(3): {text}")
         raise NotPrimitive(f"x generates a subgroup of order < {3**m - 1} modulo {text}")
     return mod
 

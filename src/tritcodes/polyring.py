@@ -11,8 +11,8 @@ of ones is set when the coefficient of x^i is 1, bit i of twos when it is 2.
 Negation swaps the pair, and one addition is seven bitwise operations.
 Each public function converts trit tuples to pairs and back.  A cube only
 spreads the coefficients, (sum a_i x^i)^3 = sum a_i x^(3i).  Every product
-and cube modulo a fixed P goes through P's reducer, and the Rabin test and
-the lemma share one root count, deg gcd(P, x^(3^k) - x).
+and cube modulo a fixed P goes through P's reducer: the order test, the
+minimal polynomials and the lemma's root count, deg gcd(P, x^(3^m) - x).
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ def poly_pow_mod(base: Sequence[int], e: int, mod: Sequence[int]) -> Poly:
     return _trits(_pow_mod(_pair(base), e, _pair(mod)))
 
 
-def is_irreducible(f: Sequence[int]) -> bool:
-    """Rabin's test over GF(3), as root counts: f of degree d >= 1 is
-    irreducible iff it has d distinct roots in GF(3^d), so that each factor's
-    degree divides d, and none in GF(3^(d/r)) for any prime r | d."""
-    p = _pair(f)
-    d = _degree(p)
-    return d >= 1 and _root_count(p, d) == d and not any(
-        _root_count(p, d // r) for r in _prime_factors(d)
-    )
-
-
 def is_primitive(f: Sequence[int]) -> bool:
     """True iff x has order 3^d - 1 modulo f of degree d: x^(3^d - 1) = 1 and
     x^((3^d - 1)/p) != 1 for every prime p dividing 3^d - 1.  Such an f is
@@ -149,12 +138,19 @@ def minimal_polynomial(j: int, modulus: Sequence[int]) -> Poly:
 def nonzero_root_count(terms: Mapping[int, int], m: int) -> int:
     """Number of distinct x in GF(3^m)* with P(x) = 0, for P = sum c x^e over
     the (e, c) of terms, c taken mod 3: deg gcd(P, x^(3^m) - x), minus one
-    when P(0) = 0.  The lemma's P, with gap q - 1 below its leading term,
-    takes m cubes of at most five _fold rounds each at m = 13."""
+    when P(0) = 0.  The gcd is squarefree, so its degree counts each root
+    once, 0 included: the first step of distinct-degree factorisation (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 14).  The lemma's P, with
+    gap q - 1 below its leading term, takes m cubes of at most five _fold
+    rounds each at m = 13."""
     p = _mask(terms.items(), 1), _mask(terms.items(), 2)
     if not any(p):
         raise ValueError("P = 0 vanishes at every element")
-    return _root_count(p, m) - ((p[0] | p[1]) & 1 == 0)
+    reduce = _reducer(p)
+    power = reduce(_X)
+    for _ in range(m):
+        power = reduce(_cube(power))
+    return _degree(_gcd(p, _add(power, _neg(_X)))) - ((p[0] | p[1]) & 1 == 0)
 
 
 def lemma_polynomial(m: int, epsilon: int, c: int) -> dict[int, int]:
@@ -275,14 +271,3 @@ def _pow_mod(a: _Pair, e: int, mod: _Pair) -> _Pair:
         acc = reduce(_mul(acc, acc))
         e >>= 1
     return result
-
-
-def _root_count(p: _Pair, k: int) -> int:
-    """deg gcd(P, x^(3^k) - x), the number of distinct roots of P in GF(3^k), 0
-    included (the gcd is squarefree): the first step of distinct-degree
-    factorisation (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14)."""
-    reduce = _reducer(p)
-    power = reduce(_X)
-    for _ in range(k):
-        power = reduce(_cube(power))
-    return _degree(_gcd(p, _add(power, _neg(_X))))

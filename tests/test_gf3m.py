@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -44,10 +45,40 @@ class TestMakeField:
 
     def test_irreducible_but_imprimitive_rejected(self):
         # x^3 + 2x^2 + 2x + 2 is irreducible but x has order 13 < 26
+        sympy = pytest.importorskip("sympy")
         mod = (2, 2, 2, 1)
-        assert polyring.is_irreducible(mod)
+        assert sympy.Poly(mod[::-1], sympy.Symbol("x"), modulus=3).is_irreducible
         with pytest.raises(NotPrimitive):
             gf3m.make_field(3, mod)
+
+    def test_classification_matches_sympy(self):
+        """Every monic modulus of degree 3 and 5 is accepted iff sympy finds it
+        primitive, refused as NotIrreducible iff sympy finds it reducible, and
+        as NotPrimitive otherwise.  At m = 9 a product of three distinct
+        irreducible cubics has x^(3^9 - 1) = 1, so it is NotPrimitive."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_pow_mod
+
+        x = sympy.Symbol("x")
+        for m in (3, 5):
+            n = 3**m - 1
+            primes = sympy.factorint(n)
+            for low in itertools.product(range(3), repeat=m):
+                f = (*low, 1)
+                powers = [gf_pow_mod([1, 0], n // p, list(f[::-1]), 3, ZZ) for p in primes]
+                if not sympy.Poly(f[::-1], x, modulus=3).is_irreducible:
+                    want = NotIrreducible
+                elif [1] in powers:
+                    want = NotPrimitive
+                else:
+                    assert gf3m.make_field(m, f).modulus == f
+                    continue
+                with pytest.raises(want):
+                    gf3m.make_field(m, f)
+        cubics = polyring.poly_mul(polyring.poly_mul((1, 0, 2, 1), (1, 1, 2, 1)), (1, 2, 0, 1))
+        with pytest.raises(NotPrimitive):
+            gf3m.make_field(9, cubics)
 
     def test_rejections_build_no_table(self, monkeypatch):
         """Every modulus make_field refuses is refused in GF(3)[x], before

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from pathlib import Path
@@ -98,9 +97,11 @@ def test_minimal_polynomial_coset_invariance(ctx5):
 
 
 def test_minimal_polynomial_irreducible_and_roots(ctx5):
+    """Monic, of degree |C_j| and vanishing at every conjugate of pi^j, so the
+    minimal polynomial of pi^j, which is irreducible."""
     for j in (1, 19, 122):
         mp = minimal_polynomial(j, ctx5.modulus)
-        assert polyring.is_irreducible(mp)
+        assert polyring.degree(mp) == len(cyclotomic_coset(j, 5))
         assert mp[-1] == 1
         for i in cyclotomic_coset(j, 5):
             root = exp_of(ctx5, i)
@@ -124,7 +125,8 @@ def _seeded_primitive_moduli(m, count, seed):
 def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
     """The GF(3)[x] minimal polynomials of pi^u and pi^v, under the default
     modulus and 5 seeded primitive ones for m <= 9 (all 4 at m = 3), are monic,
-    irreducible, of degree |C_j|, and vanish at pi^j by the reference arithmetic."""
+    of degree |C_j|, and vanish at pi^j by the reference arithmetic, which makes
+    them irreducible."""
     moduli = [DEFAULT_MODULI[m]]
     if m <= 9:
         moduli += _seeded_primitive_moduli(m, 4 if m == 3 else 5, seed=m)
@@ -132,7 +134,7 @@ def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
         ctx = make_field(m, modulus)
         for j in exponent_pair(m):
             mp = minimal_polynomial(j, modulus)
-            assert mp[-1] == 1 and polyring.is_irreducible(mp), (modulus, j)
+            assert mp[-1] == 1, (modulus, j)
             assert polyring.degree(mp) == len(cyclotomic_coset(j, m)), (modulus, j)
             root, acc = exp_of(ctx, j), 0
             for c in reversed(mp):  # Horner over the field
@@ -210,11 +212,10 @@ def test_sympy_confirms_moduli_minimal_polynomials_and_generators():
 
 
 def test_is_primitive_matches_sympy_order_test():
-    """polyring.is_primitive and is_irreducible against sympy's order and
-    irreducibility tests on every default modulus, x^3 + 2x^2 + 2x + 2 (x of
-    order 13), a product of three cubics, and seeded random monic moduli at
-    m = 3..9: irreducible ones of both kinds, and reducible ones, which are
-    never primitive."""
+    """polyring.is_primitive against sympy's order and irreducibility tests on
+    every default modulus, x^3 + 2x^2 + 2x + 2 (x of order 13), a product of
+    three cubics, and seeded random monic moduli at m = 3..9: irreducible ones
+    of both kinds, and reducible ones, which are never primitive."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
@@ -231,7 +232,7 @@ def test_is_primitive_matches_sympy_order_test():
     assert not polyring.is_primitive((2, 2, 2, 1))
     rng = random.Random(10)
     # x^(3^9) = x modulo a product of distinct irreducible cubics, so only
-    # the subfield step of the Rabin test refuses it
+    # x^((3^9 - 1)/757) = 1 refuses it
     cubics = poly_mul(poly_mul((1, 0, 2, 1), (1, 1, 2, 1)), (1, 2, 0, 1))
     moduli = [*DEFAULT_MODULI.values(), (2, 2, 2, 1), cubics]
     for m in range(3, 10):
@@ -243,26 +244,6 @@ def test_is_primitive_matches_sympy_order_test():
         moduli += kinds.values()
     for f in moduli:
         assert polyring.is_primitive(f) == primitive(f), f
-        assert polyring.is_irreducible(f) == irreducible(f), f
-
-
-def test_is_irreducible_matches_sympy_on_every_small_polynomial():
-    """is_irreducible against sympy on all 1,092 monic polynomials of degree 1
-    to 6 and on every one of degree 1 to 3 with leading coefficient 2: x itself
-    and the P with P(0) = 0 among them, and the 12 of degree 4 and 118 of
-    degree 6 that have d roots in GF(3^d), which only the subfield step refuses."""
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    subfield_only = {4: 0, 6: 0}
-    for d in range(1, 7):
-        for lead in (1, 2) if d <= 3 else (1,):
-            for low in itertools.product(range(3), repeat=d):
-                f = (*low, lead)
-                want = sympy.Poly(f[::-1], x, modulus=3).is_irreducible
-                assert polyring.is_irreducible(f) == want, f
-                if d in subfield_only and not want:
-                    subfield_only[d] += polyring._root_count(polyring._pair(f), d) == d
-    assert subfield_only == {4: 12, 6: 118}
 
 
 @pytest.fixture
@@ -289,12 +270,11 @@ def reductions(monkeypatch):
 def test_wide_gaps_fold(reductions, m):
     """The lemma's P (gap q - 1 below its leading term, four lower terms) and
     the default modulus at m = 5..13 (gap at least 4, at most four lower
-    terms) are reduced by _fold: the lemma's root count, the Rabin and order
-    tests and both minimal polynomials fold, and never divide by P."""
+    terms) are reduced by _fold: the lemma's root count, the order test and
+    both minimal polynomials fold, and never divide by P."""
     modulus, lemma = DEFAULT_MODULI[m], polyring.lemma_polynomial(m, 1, 1)
     runs = [
         (max(lemma), lambda: polyring.nonzero_root_count(lemma, m)),
-        (m, lambda: polyring.is_irreducible(modulus)),
         (m, lambda: polyring.is_primitive(modulus)),
         *((m, lambda j=j: minimal_polynomial(j, modulus)) for j in exponent_pair(m)),
     ]
@@ -306,12 +286,12 @@ def test_wide_gaps_fold(reductions, m):
 
 def test_dense_modulus_divides(reductions):
     """The dense m = 13 modulus of the construct golden (gap 3 below its
-    leading term, seven lower terms) is reduced by _rem: neither the Rabin
+    leading term, seven lower terms) is reduced by _rem: neither the order
     test nor the minimal polynomials call _fold."""
     golden = Path(__file__).parent / "golden" / "construct_m13_modulus.json"
     modulus = parse_poly(json.loads(golden.read_text())["modulus"])
     for run in (
-        lambda: polyring.is_irreducible(modulus),
+        lambda: polyring.is_primitive(modulus),
         *(lambda j=j: minimal_polynomial(j, modulus) for j in exponent_pair(13)),
     ):
         reductions["fold"], reductions["rem"] = 0, []

@@ -1,15 +1,12 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from tritcodes import lemma, polyring
+from tritcodes import lemma
 from tritcodes.gf3m import make_field
 from tritcodes.polyring import lemma_polynomial, nonzero_root_count
 
+from conftest import fresh_python
 from reference import nonzero_root_logs
 
 
@@ -91,15 +88,10 @@ def test_lemma_polynomial():
 def test_imports_no_numpy():
     """A fresh interpreter that imports tritcodes.polyring and counts the m = 13
     lemma's solutions loads no numpy."""
-    src = str(Path(polyring.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "from tritcodes.polyring import lemma_polynomial, nonzero_root_count\n"
         "print(nonzero_root_count(lemma_polynomial(13, 1, 1), 13), 'numpy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
+    proc = fresh_python(["-c", script], text=True)
     assert proc.stdout.split() == ["0", "False"], proc.stderr
