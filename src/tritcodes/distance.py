@@ -11,11 +11,12 @@ the block of its first hit.  The weight-2 search scans position 0 alone;
 the weight-3 search scans its middle position over the Frobenius orbit
 representatives only, about n/m positions; the weight-4 witness scans
 t_3 > t_2 for each t_2 in order.  The oracle is kept independent of them:
-it completes words over the parity-check matrix H, whose row t holds the
-base-3 digits of pi^(u t) and pi^(v t), using only digit sums mod 3, in
-O(n*m) memory and under the same budget gate.  It uses no logs, no cyclic
-normalisation and no orbits.  The oracle and MacWilliams must agree with
-the searches both ways on the lightest weight <= 3.
+it gives only the lightest weight <= 3, from key collisions among the rows
+of the parity-check matrix H, whose row t holds the base-3 digits of
+pi^(u t) and pi^(v t), using only digit sums mod 3, in O(n*m) memory and
+under the budget gate.  It uses no logs, no cyclic normalisation and no
+orbits.  The oracle and MacWilliams must agree with the searches both ways
+on the lightest weight <= 3.
 """
 
 from __future__ import annotations
@@ -144,63 +145,44 @@ def weight3_search(code: CyclicCode) -> dict | None:
     return next(_weight3_words(code), None)
 
 
-def _key(rows: np.ndarray) -> np.ndarray:
-    """Base-3 integer whose digit i is rows[:, i] mod 3."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    for col in (rows % 3).T[::-1]:
-        key = 3 * key + col
-    return key
-
-
 def brute_force_min_weight(
     code: CyclicCode, wmax: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, list[int], list[int]] | None:
-    """Lightest codeword of weight <= wmax, by completion over the parity checks.
+) -> int | None:
+    """Lightest weight w <= wmax <= 3 of a nonzero codeword, or None, by key
+    collisions among the parity checks.
 
     Row t of H holds the base-3 digits of pi^(u t) and pi^(v t); a word is a
-    codeword iff its scaled rows sum to 0 mod 3.  For each weight, all
-    positions but the last two are enumerated with leading coefficient 1,
-    the one before the last is vectorised, and the last (position,
-    coefficient) is looked up in one sorted table of (key(c*H[t]), t, c):
-    ctx.exp digits and mod-3 sums only, in O(n*m) memory.  Ties break
-    lexicographically on (weight, support, coefficients).  BudgetExceeded caps
-    sum comb(n, w) * 2^(w-1) over w <= wmax, the candidate words: it bounds the
-    ~comb(n, w-2) * 2^(w-2) * 2n lookups per weight, and m <= 5 fits by default.
+    codeword iff its scaled rows sum to 0 mod 3.  A row's key reads its
+    digits in base 3, below 3^(2m): an exact int64 to m = 19.  Weight 1 is a
+    zero row, weight 2 a repeat among the 2n keys of c*H[t], and weight 3,
+    once no lighter word exists, the key of some -(H[t1] + c*H[t2]), t2 > t1,
+    among them: a match at t1 or t2 would give a lighter word.  ctx.exp
+    digits and mod-3 sums only, in O(n*m) memory.  BudgetExceeded caps
+    sum comb(n, w) * 2^(w-1) over w <= wmax, the candidate words, an upper
+    bound on the n(n-1) lookups of weight 3; m <= 5 fits by default.
     """
     ctx, n = code.ctx, code.n
-    if not 1 <= wmax <= 4:
-        raise ValueError("wmax must be in {1,2,3,4}")
+    if not 1 <= wmax <= 3:
+        raise ValueError("wmax must be in {1,2,3}")
     work = sum(comb(n, w) * 2 ** (w - 1) for w in range(1, wmax + 1))
     check_budget("oracle", work, "syndrome checks", budget)
     t = np.arange(n, dtype=np.int64)
     elems = (ctx.exp[(e * t) % n] for e in (code.u, code.v))
     H = np.stack([(a // 3**i % 3).astype(np.int8) for a in elems for i in range(ctx.m)], 1)
-    # (key*n + t)*2 + c - 1 < 2*3^(3m) fits int64 for m <= 13; the int64-max
-    # sentinel keeps every searchsorted index inside the table
-    packed = [(_key(c * H) * n + t) * 2 + c - 1 for c in (1, 2)]
-    table = np.sort(np.concatenate([*packed, [np.iinfo(np.int64).max]]))
-    for w in range(1, wmax + 1):
-        lead_coeffs = (
-            [(1, *p) for p in itertools.product((1, 2), repeat=w - 3)] if w > 2 else [()]
-        )
-        for lead in itertools.combinations(range(n), max(w - 2, 0)):
-            # candidates (tp, cp) for the position before the last; weight 1
-            # has none, so it gets one zero row (coefficient 0) at position -1
-            tp = np.arange(lead[-1] + 1 if lead else 0, n - 1) if w > 1 else np.array([-1])
-            cs = np.array({1: (0,), 2: (1,)}.get(w, (1, 2)), dtype=np.int8)
-            tp, cp = np.tile(tp, len(cs)), np.repeat(cs, len(tp))
-            hits = []
-            for lc in lead_coeffs:
-                s = np.array(lc, dtype=np.int8) @ H[list(lead)] + cp[:, None] * H[tp]
-                need = _key(-s)
-                found = table[np.searchsorted(table, (need * n + tp + 1) * 2)]
-                for i in np.flatnonzero(found // (2 * n) == need):
-                    tw, cw = divmod(int(found[i]), 2)
-                    support = (*lead, int(tp[i]), tw % n)[-w:]
-                    hits.append((list(support), [*lc, int(cp[i]), cw + 1][-w:]))
-            if hits:
-                support, coeffs = min(hits)
-                return (w, support, coeffs)
+    if not H.any(axis=1).all():
+        return 1
+    place = 3 ** np.arange(2 * ctx.m, dtype=np.int64)
+    table = np.sort(np.concatenate([(c * H % 3) @ place for c in (1, 2)]))
+    if wmax >= 2 and (table[1:] == table[:-1]).any():  # np.unique would import numpy.ma
+        return 2
+    if wmax < 3:
+        return None
+    cs = np.array([1, 2], dtype=np.int8)[:, None, None]
+    for t1 in range(n - 1):
+        need = (-(H[t1] + cs * H[t1 + 1 :]) % 3) @ place
+        # a key above the table's last indexes past it: % wraps to table[0] < key
+        if (table[np.searchsorted(table, need) % len(table)] == need).any():
+            return 3
     return None
 
 
@@ -270,8 +252,8 @@ def conclude_distance(
     default), checks it.  Weights 2 and 3 use the structured searches, a
     weight-4 codeword is produced constructively, and MacWilliams gives the
     low-order coefficients when a dual enumerator of length code.n is
-    supplied.  Any disagreement with the searches on the lightest weight
-    <= 3, either way, raises Inconsistent.
+    supplied.  The oracle's and MacWilliams' lightest weights <= 3 (None for
+    no such word) must each equal the searches', or Inconsistent is raised.
     """
     n = code.n
     if dual_enum is not None and dual_enum.n != n:
@@ -282,25 +264,17 @@ def conclude_distance(
     ceiling = sphere_packing_max_d(n, code.k)
     wit4 = weight4_witness(code)
 
+    lightest = {}  # each other path's lightest weight <= 3
     try:
-        oracle = brute_force_min_weight(code, 3, budget=budget)
+        lightest["oracle"] = brute_force_min_weight(code, 3, budget=budget)
     except BudgetExceeded:
-        oracle_checked = False
-    else:
-        oracle_checked = True
-        found = oracle[0] if oracle else None
-        if found != structured:
-            raise Inconsistent(
-                f"oracle found weight {found}, structured searches found {structured}"
-            )
-
+        pass
     mw = {} if dual_enum is None else macwilliams(dual_enum, max_weight=4).counts
-    lightest = next((j for j in (1, 2, 3) if j in mw), None)
-    if dual_enum is not None and lightest != structured:
-        raise Inconsistent(
-            f"MacWilliams gives lightest weight {lightest}, "
-            f"structured searches found {structured}"
-        )
+    if dual_enum is not None:
+        lightest["MacWilliams"] = next((j for j in (1, 2, 3) if j in mw), None)
+    for path, w in lightest.items():
+        if w != structured:
+            raise Inconsistent(f"{path} found weight {w}, structured searches found {structured}")
 
     have_w4 = wit4 is not None or 4 in mw
     concluded = 4 if (structured is None and have_w4 and ceiling == 4) else None
@@ -308,6 +282,6 @@ def conclude_distance(
         witness=wit2 or wit3,
         sphere_packing_ceiling=ceiling,
         weight4_witness=wit4,
-        oracle_checked=oracle_checked,
+        oracle_checked="oracle" in lightest,
         concluded_d=concluded,
     )

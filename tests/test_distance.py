@@ -201,22 +201,16 @@ class TestOracle:
     def test_m5_wmax3_empty(self, code5):
         assert brute_force_min_weight(code5, 3) is None
 
-    def test_m3_wmax4_finds_witness(self, code3):
-        hit = brute_force_min_weight(code3, 4)
-        assert hit is not None
-        w, support, coeffs = hit
-        assert w == 4
-        assert is_codeword(support, coeffs, code3)
-
-    @pytest.mark.parametrize("wmax", [1, 2, 3, 4])
+    @pytest.mark.parametrize("wmax", [1, 2, 3])
     @pytest.mark.parametrize("v", ["code", "u", 1, 5])
     def test_matches_naive_search_m3(self, code3, v, wmax):
-        """Same word as a naive lexicographic search, ties included (v = 5, wmax = 4)."""
+        """The naive search's weight, or None."""
         code = code3._replace(v={"code": code3.v, "u": code3.u}.get(v, v))
-        assert brute_force_min_weight(code, wmax) == naive_min_weight(code, wmax)
+        naive = naive_min_weight(code, wmax)
+        assert brute_force_min_weight(code, wmax) == (naive and naive[0])
 
     def test_wmax_out_of_range(self, code3):
-        for wmax in (0, 5):
+        for wmax in (0, 4):
             with pytest.raises(ValueError):
                 brute_force_min_weight(code3, wmax)
 
@@ -226,9 +220,9 @@ class TestOracle:
         assert str(exc.value) == "oracle needs ~6.96e+09 syndrome checks (budget 1e+06)"
 
     def test_packed_table_fits_int64(self):
-        """The oracle packs (key*n + t)*2 + c - 1 < 2*3^(3m) into int64; a larger
-        MAX_M needs another packing first."""
-        assert 2 * 3 ** (3 * gf3m.MAX_M) <= np.iinfo(np.int64).max
+        """The oracle's int64 keys, a row's 2m digits in base 3, are below
+        3^(2m): exact to m = 19, so a MAX_M above 19 needs another key first."""
+        assert 3 ** (2 * gf3m.MAX_M) <= np.iinfo(np.int64).max
 
     def test_lincomb3_exact_at_max_m(self):
         """The table builds sum up to MAX_M trit products in int8 by
@@ -298,8 +292,7 @@ class TestWeight4Witness:
 
     def test_matches_oracle_weight_m3(self, code3):
         wit = weight4_witness(code3)
-        oracle = brute_force_min_weight(code3, 4)
-        assert oracle[0] == len(wit["support"]) == 4
+        assert naive_min_weight(code3, 4)[0] == len(wit["support"]) == 4
 
 
 class TestMacWilliams:
@@ -371,7 +364,7 @@ class TestConcludeDistance:
         code = with_v(build_code(make_field(m)), 1)
         report = conclude_distance(code)
         assert report.oracle_checked
-        assert brute_force_min_weight(code, 3)[0] == 3
+        assert brute_force_min_weight(code, 3) == 3
         assert len(report.witness["support"]) == 3  # so weight2_search found none
         assert report.concluded_d is None
 
@@ -384,8 +377,7 @@ class TestConcludeDistance:
         report = conclude_distance(code)  # raises Inconsistent on disagreement
         assert report.oracle_checked
         structured = 2 if weight2_search(code) else 3 if weight3_search(code) else None
-        oracle = brute_force_min_weight(code, 3)
-        assert structured == (oracle[0] if oracle else None)
+        assert structured == brute_force_min_weight(code, 3)
 
     def test_disagreement_raises_inconsistent(self, code3, monkeypatch):
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
