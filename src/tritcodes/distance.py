@@ -14,9 +14,10 @@ t_3 > t_2 for each t_2 in order.  The oracle is kept independent of them:
 it gives only the lightest weight <= 3, from key collisions among the rows
 of the parity-check matrix H, whose row t holds the base-3 digits of
 pi^(u t) and pi^(v t), using only digit sums mod 3, in O(n*m) memory and
-under the budget gate.  It uses no logs, no cyclic normalisation and no
-orbits.  The oracle and MacWilliams must agree with the searches both ways
-on the lightest weight <= 3.
+under the budget gate; no logs, no orbits, and weight-3 words only through
+position 0, which rotation and a pigeonhole on the coefficients allow.  The
+oracle and MacWilliams must agree with the searches both ways on the
+lightest weight <= 3.
 """
 
 from __future__ import annotations
@@ -155,17 +156,19 @@ def brute_force_min_weight(
     codeword iff its scaled rows sum to 0 mod 3.  A row's key reads its
     digits in base 3, below 3^(2m): an exact int64 to m = 19.  Weight 1 is a
     zero row, weight 2 a repeat among the 2n keys of c*H[t], and weight 3,
-    once no lighter word exists, the key of some -(H[t1] + c*H[t2]), t2 > t1,
-    among them: a match at t1 or t2 would give a lighter word.  ctx.exp
-    digits and mod-3 sums only, in O(n*m) memory.  BudgetExceeded caps
-    sum comb(n, w) * 2^(w-1) over w <= wmax, the candidate words, an upper
-    bound on the n(n-1) lookups of weight 3; m <= 5 fits by default.
+    once no lighter word exists, the key of some -(H[0] + H[t]), t > 0,
+    among them (a match at 0 or t would be a lighter word).  Row t is row 0
+    times (pi^u, pi^v)^t, and two of a weight-3 word's three coefficients
+    are equal, so a rotation and a scaling put 1 at 0 and at some t.
+    ctx.exp digits and mod-3 sums only, in O(n*m) memory.  BudgetExceeded
+    caps sum comb(n, w) * 2^(w-1) over w <= wmax, the candidate words, not
+    the n - 1 lookups of weight 3; m <= 5 fits by default.
     """
     ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 3:
         raise ValueError("wmax must be in {1,2,3}")
     work = sum(comb(n, w) * 2 ** (w - 1) for w in range(1, wmax + 1))
-    check_budget("oracle", work, "syndrome checks", budget)
+    check_budget("oracle", work, "candidate words", budget)
     t = np.arange(n, dtype=np.int64)
     elems = (ctx.exp[(e * t) % n] for e in (code.u, code.v))
     H = np.stack([(a // 3**i % 3).astype(np.int8) for a in elems for i in range(ctx.m)], 1)
@@ -177,13 +180,9 @@ def brute_force_min_weight(
         return 2
     if wmax < 3:
         return None
-    cs = np.array([1, 2], dtype=np.int8)[:, None, None]
-    for t1 in range(n - 1):
-        need = (-(H[t1] + cs * H[t1 + 1 :]) % 3) @ place
-        # a key above the table's last indexes past it: % wraps to table[0] < key
-        if (table[np.searchsorted(table, need) % len(table)] == need).any():
-            return 3
-    return None
+    need = (-(H[0] + H[1:]) % 3) @ place
+    # a key above the table's last indexes past it: % wraps to table[0] < key
+    return 3 if (table[np.searchsorted(table, need) % len(table)] == need).any() else None
 
 
 def is_codeword(support, coefficients, code: CyclicCode) -> bool:

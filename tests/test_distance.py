@@ -195,11 +195,11 @@ class TestWeight3:
 
 
 class TestOracle:
-    def test_m3_wmax3_empty(self, code3):
-        assert brute_force_min_weight(code3, 3) is None
-
-    def test_m5_wmax3_empty(self, code5):
-        assert brute_force_min_weight(code5, 3) is None
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+    def test_wmax3_empty(self, m):
+        """d >= 4 by the oracle at every m up to 11, under a budget above its
+        estimate at m = 11 (3.7e15 candidate words)."""
+        assert brute_force_min_weight(build_code(make_field(m)), 3, budget=10**16) is None
 
     @pytest.mark.parametrize("wmax", [1, 2, 3])
     @pytest.mark.parametrize("v", ["code", "u", 1, 5])
@@ -217,21 +217,12 @@ class TestOracle:
     def test_budget_rejected(self, code7):
         with pytest.raises(BudgetExceeded) as exc:
             brute_force_min_weight(code7, 3, budget=10**6)
-        assert str(exc.value) == "oracle needs ~6.96e+09 syndrome checks (budget 1e+06)"
+        assert str(exc.value) == "oracle needs ~6.96e+09 candidate words (budget 1e+06)"
 
-    def test_packed_table_fits_int64(self):
+    def test_oracle_keys_fit_int64(self):
         """The oracle's int64 keys, a row's 2m digits in base 3, are below
         3^(2m): exact to m = 19, so a MAX_M above 19 needs another key first."""
         assert 3 ** (2 * gf3m.MAX_M) <= np.iinfo(np.int64).max
-
-    def test_lincomb3_exact_at_max_m(self):
-        """The table builds sum up to MAX_M trit products in int8 by
-        gf3m._lincomb3, whose _mod3 is exact only below 54: its worst case,
-        MAX_M rows of 2 times 2, sums to 4*MAX_M (1 mod 3 at 13; at 14 and
-        15 it gives 5 and 9).  A larger MAX_M needs another reduction first."""
-        rows = [np.full(3, 2, dtype=np.int8)] * gf3m.MAX_M
-        got = gf3m._lincomb3([2] * gf3m.MAX_M, rows)
-        assert got.tolist() == [4 * gf3m.MAX_M % 3] * 3
 
     def test_relaxed_agreement(self, code3):
         """Relaxed C_(u,u): structured and direct scans agree on existence."""
@@ -368,16 +359,20 @@ class TestConcludeDistance:
         assert len(report.witness["support"]) == 3  # so weight2_search found none
         assert report.concluded_d is None
 
-    @pytest.mark.parametrize("v", [1, 2, 4, 5, 7, 13, "u"])
-    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize(
+        "m, v", [(3, v) for v in [*range(1, 26), "u"]] + [(5, v) for v in [1, 2, 4, 5, 7, 13, "u"]]
+    )
     def test_structured_weight_matches_oracle(self, m, v):
-        """Any v, including gcd(v, n) > 1: the searches find the oracle's weight."""
+        """Any v, including gcd(v, n) > 1, and at m = 3 every v in [1, n): the
+        searches find the oracle's lightest weight <= wmax for each wmax."""
         code = build_code(make_field(m))
         code = with_v(code, code.u if v == "u" else v)
         report = conclude_distance(code)  # raises Inconsistent on disagreement
         assert report.oracle_checked
         structured = 2 if weight2_search(code) else 3 if weight3_search(code) else None
-        assert structured == brute_force_min_weight(code, 3)
+        for wmax in (1, 2, 3):
+            lightest = structured if structured and structured <= wmax else None
+            assert brute_force_min_weight(code, wmax) == lightest
 
     def test_disagreement_raises_inconsistent(self, code3, monkeypatch):
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)

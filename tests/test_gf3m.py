@@ -346,3 +346,12 @@ class TestInvariants:
         reps = gf3m.make_field(13).orbit_reps
         assert len(reps) == (3**13 + 12 * 3) // 13 - 1 == 122642
         assert reps[0] == 0 and np.all(np.diff(reps) > 0)
+
+    def test_lincomb3_exact_at_max_m(self):
+        """The table builds sum up to MAX_M trit products in int8 by
+        gf3m._lincomb3, whose _mod3 is exact only below 54: its worst case,
+        MAX_M rows of 2 times 2, sums to 4*MAX_M (1 mod 3 at 13; at 14 and
+        15 it gives 5 and 9).  A larger MAX_M needs another reduction first."""
+        rows = [np.full(3, 2, dtype=np.int8)] * gf3m.MAX_M
+        got = gf3m._lincomb3([2] * gf3m.MAX_M, rows)
+        assert got.tolist() == [4 * gf3m.MAX_M % 3] * 3
