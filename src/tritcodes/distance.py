@@ -11,13 +11,12 @@ the block of its first hit.  The weight-2 search scans position 0 alone;
 the weight-3 search scans its middle position over the Frobenius orbit
 representatives only, about n/m positions; the weight-4 witness scans
 t_3 > t_2 for each t_2 in order.  The oracle is kept independent of them:
-it gives only the lightest weight <= 3, from key collisions among the rows
-of the parity-check matrix H, whose row t holds the base-3 digits of
-pi^(u t) and pi^(v t), using only digit sums mod 3, in O(n*m) memory and
-under the budget gate; no logs, no orbits, and weight-3 words only through
-position 0, which rotation and a pigeonhole on the coefficients allow.  The
-oracle and MacWilliams must agree with the searches both ways on the
-lightest weight <= 3.
+it gives only the lightest weight <= 3, from collisions among keys packed
+from ctx.exp, one per scaled row of the parity-check matrix, under the
+budget gate; no logs, no Zech table, no orbits, and weight-3 words only
+through position 0, which rotation and a pigeonhole on the coefficients
+allow.  The oracle and MacWilliams must agree with the searches both ways
+on the lightest weight <= 3.
 """
 
 from __future__ import annotations
@@ -34,6 +33,10 @@ from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, check_budg
 
 if TYPE_CHECKING:
     from .dualspectrum import WeightEnumerator
+
+# The largest m whose distance report runs the oracle: at m = 13, within budget, it
+# would take a verify-distance from 0.18 s and 50 MiB peak RSS to 0.5 s and 200 MiB.
+ORACLE_MAX_M = 11
 
 
 class DistanceReport(NamedTuple):
@@ -149,40 +152,37 @@ def weight3_search(code: CyclicCode) -> dict | None:
 def brute_force_min_weight(
     code: CyclicCode, wmax: int, budget: int = DEFAULT_BUDGET
 ) -> int | None:
-    """Lightest weight w <= wmax <= 3 of a nonzero codeword, or None, by key
-    collisions among the parity checks.
+    """Lightest weight w <= wmax <= 3 of a nonzero codeword, or None, by
+    collisions among keys of the parity checks, read from ctx.exp alone.
 
-    Row t of H holds the base-3 digits of pi^(u t) and pi^(v t); a word is a
-    codeword iff its scaled rows sum to 0 mod 3.  A row's key reads its
-    digits in base 3, below 3^(2m): an exact int64 to m = 19.  Weight 1 is a
-    zero row, weight 2 a repeat among the 2n keys of c*H[t], and weight 3,
-    once no lighter word exists, the key of some -(H[0] + H[t]), t > 0,
-    among them (a match at 0 or t would be a lighter word).  Row t is row 0
-    times (pi^u, pi^v)^t, and two of a weight-3 word's three coefficients
-    are equal, so a rotation and a scaling put 1 at 0 and at some t.
-    ctx.exp digits and mod-3 sums only, in O(n*m) memory.  BudgetExceeded
-    caps sum comb(n, w) * 2^(w-1) over w <= wmax, the candidate words, not
-    the n - 1 lookups of weight 3; m <= 5 fits by default.
+    Row t of H is (pi^(u t), pi^(v t)).  The key of c*H[t] is exp[u t + s]
+    + 3^m * exp[v t + s], indices mod n, s = (c - 1)*n/2 as -1 = pi^(n/2):
+    an exact int64 to m = 19.  Weight 1 is a zero key, weight 2 a repeat
+    among the 2n keys, and weight 3, with no lighter word, a repeat once the
+    keys of H[0] + H[t], t > 0, join them (the 2n are closed under negation;
+    any other repeat is a lighter word).  Row t is row 0 times (pi^u, pi^v)^t,
+    and two of a weight-3 word's three coefficients are equal, so a rotation
+    and a scaling put 1 at 0 and at some t.  BudgetExceeded caps the sorts'
+    3n * (3n).bit_length() key comparisons.
     """
     ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 3:
         raise ValueError("wmax must be in {1,2,3}")
-    work = sum(comb(n, w) * 2 ** (w - 1) for w in range(1, wmax + 1))
-    check_budget("oracle", work, "candidate words", budget)
-    t = np.arange(n, dtype=np.int64)
-    elems = (ctx.exp[(e * t) % n] for e in (code.u, code.v))
-    H = np.stack([(a // 3**i % 3).astype(np.int8) for a in elems for i in range(ctx.m)], 1)
-    if not H.any(axis=1).all():
+    check_budget("oracle", 3 * n * (3 * n).bit_length(), "key comparisons", budget)
+
+    def keys(s, step=lambda x: x):  # step(exp[e t + s]) for e = u, v and t in [0, n), packed
+        lo, hi = (step(ctx.exp[np.arange(s, s + e * n, e) % n]) for e in (code.u, code.v))
+        return lo + 3**ctx.m * hi.astype(np.int64)
+
+    # c*H[t] for c = 1, 2, then H[0] + H[t]: H[0] = (1, 1) adds 1 to digit 0 of each half
+    parts = [keys(0), keys(n // 2), keys(0, lambda x: x - x % 3 + (x % 3 + 1) % 3)[1:]]
+    if not parts[0].all():
         return 1
-    place = 3 ** np.arange(2 * ctx.m, dtype=np.int64)
-    table = np.sort(np.concatenate([(c * H % 3) @ place for c in (1, 2)]))
-    if wmax >= 2 and (table[1:] == table[:-1]).any():  # np.unique would import numpy.ma
-        return 2
-    if wmax < 3:
-        return None
-    need = (-(H[0] + H[1:]) % 3) @ place
-    # a key above the table's last indexes past it: % wraps to table[0] < key
-    return 3 if (table[np.searchsorted(table, need) % len(table)] == need).any() else None
+    for w in range(2, wmax + 1):
+        k = np.sort(np.concatenate(parts[:w]))
+        if (k[1:] == k[:-1]).any():  # np.unique would import numpy.ma
+            return w
+    return None
 
 
 def is_codeword(support, coefficients, code: CyclicCode) -> bool:
@@ -247,12 +247,11 @@ def conclude_distance(
     """Combine every verification path into a single distance report.
 
     Weight 1 is structurally impossible (c*pi^(u*t) never vanishes); the
-    oracle, attached when its work estimate fits the budget (m <= 5 by
-    default), checks it.  Weights 2 and 3 use the structured searches, a
-    weight-4 codeword is produced constructively, and MacWilliams gives the
-    low-order coefficients when a dual enumerator of length code.n is
-    supplied.  The oracle's and MacWilliams' lightest weights <= 3 (None for
-    no such word) must each equal the searches', or Inconsistent is raised.
+    oracle, run at m <= ORACLE_MAX_M within the budget, checks it.  Weights 2
+    and 3 use the structured searches, a weight-4 codeword is produced
+    constructively, and MacWilliams transforms a supplied dual enumerator of
+    length code.n.  The oracle's and MacWilliams' lightest weights <= 3, or
+    None, must each equal the searches', or Inconsistent is raised.
     """
     n = code.n
     if dual_enum is not None and dual_enum.n != n:
@@ -265,7 +264,8 @@ def conclude_distance(
 
     lightest = {}  # each other path's lightest weight <= 3
     try:
-        lightest["oracle"] = brute_force_min_weight(code, 3, budget=budget)
+        if code.ctx.m <= ORACLE_MAX_M:
+            lightest["oracle"] = brute_force_min_weight(code, 3, budget=budget)
     except BudgetExceeded:
         pass
     mw = {} if dual_enum is None else macwilliams(dual_enum, max_weight=4).counts

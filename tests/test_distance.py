@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 from collections import Counter
-from math import comb
 
 import numpy as np
 import pytest
@@ -197,17 +196,19 @@ class TestWeight3:
 class TestOracle:
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
     def test_wmax3_empty(self, m):
-        """d >= 4 by the oracle at every m up to 11, under a budget above its
-        estimate at m = 11 (3.7e15 candidate words)."""
-        assert brute_force_min_weight(build_code(make_field(m)), 3, budget=10**16) is None
+        """d >= 4 by the oracle at every m up to 11."""
+        assert brute_force_min_weight(build_code(make_field(m)), 3) is None
 
     @pytest.mark.parametrize("wmax", [1, 2, 3])
     @pytest.mark.parametrize("v", ["code", "u", 1, 5])
     def test_matches_naive_search_m3(self, code3, v, wmax):
-        """The naive search's weight, or None."""
-        code = code3._replace(v={"code": code3.v, "u": code3.u}.get(v, v))
-        naive = naive_min_weight(code, wmax)
-        assert brute_force_min_weight(code, wmax) == (naive and naive[0])
+        """The naive search's weight, or None, for u the paper's (n/2 + 1,
+        gcd(u, n) = 2), 1 and 5 (both prime to n): the shift by n/2 of a
+        scaled key and the digit-0 step of H[0] + H[t] meet either gcd."""
+        for u in (code3.u, 1, 5):
+            code = code3._replace(u=u, v={"code": code3.v, "u": code3.u}.get(v, v))
+            naive = naive_min_weight(code, wmax)
+            assert brute_force_min_weight(code, wmax) == (naive and naive[0]), u
 
     def test_wmax_out_of_range(self, code3):
         for wmax in (0, 4):
@@ -216,13 +217,38 @@ class TestOracle:
 
     def test_budget_rejected(self, code7):
         with pytest.raises(BudgetExceeded) as exc:
-            brute_force_min_weight(code7, 3, budget=10**6)
-        assert str(exc.value) == "oracle needs ~6.96e+09 candidate words (budget 1e+06)"
+            brute_force_min_weight(code7, 3, budget=10**4)
+        assert str(exc.value) == "oracle needs ~8.53e+04 key comparisons (budget 1e+04)"
 
     def test_oracle_keys_fit_int64(self):
-        """The oracle's int64 keys, a row's 2m digits in base 3, are below
-        3^(2m): exact to m = 19, so a MAX_M above 19 needs another key first."""
+        """The oracle's int64 keys, exp[u t + s] + 3^m * exp[v t + s], are
+        below 3^(2m): exact to m = 19, so a MAX_M above 19 needs another key
+        first."""
         assert 3 ** (2 * gf3m.MAX_M) <= np.iinfo(np.int64).max
+
+    def test_memory_m11(self):
+        """The oracle holds a few int64 arrays of about 3n keys, 1.4 MB each
+        at m = 11: its tracemalloc peak there stays under 32 MiB.  The exp
+        table is read before the window opens."""
+        code = build_code(make_field(11))
+        code.ctx.exp
+        tracemalloc.start()
+        try:
+            found = brute_force_min_weight(code, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is None
+        assert peak < 32 * 2**20
+
+    def test_reads_the_exp_table_alone(self):
+        """On a fresh context (a primitive modulus other than the default, so
+        not cached) the oracle builds the exp table and no other: it stays
+        independent of the log, Zech and orbit tables the searches read."""
+        ctx = make_field(5, (1, 1, 1, 1, 2, 1))
+        assert brute_force_min_weight(build_code(ctx), 3) is None
+        assert "exp" in vars(ctx)
+        assert not {"log", "zech", "orbit_reps", "trace_by_log"} & set(vars(ctx))
 
     def test_relaxed_agreement(self, code3):
         """Relaxed C_(u,u): structured and direct scans agree on existence."""
@@ -319,7 +345,7 @@ class TestMacWilliams:
     @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
     def test_low_weight_transform_of_computed_enums(self, m):
         """C has no codeword of weight 1..3 and some of weight 4 (d = 4): at
-        m = 11 and 13, where no oracle runs, a check of the spectrum alone."""
+        m = 13, where no oracle runs, a check of the spectrum alone."""
         mw = macwilliams(spectral_enum(m), max_weight=4)
         assert all(mw.counts.get(j, 0) == 0 for j in (1, 2, 3))
         assert mw.counts[4] > 0
@@ -341,11 +367,17 @@ class TestConcludeDistance:
         report = conclude_distance(code7, dual_enum=enum7)
         assert report.concluded_d == 4
         assert (code7.n, code7.k) == (2186, 2172)
-        assert not report.oracle_checked  # weight-3 enumeration over budget
+        assert report.oracle_checked
+
+    @pytest.mark.parametrize("m", [7, 9, 11, 13])
+    def test_oracle_runs_by_default_to_m11(self, m):
+        """By default the oracle runs at m <= 11 and not at m = 13, where its
+        estimate fits the budget but ORACLE_MAX_M stops it."""
+        assert conclude_distance(build_code(make_field(m))).oracle_checked is (m <= 11)
 
     def test_oracle_runs_exactly_when_its_estimate_fits_the_budget(self, code3):
-        estimate = sum(comb(code3.n, w) * 2 ** (w - 1) for w in (1, 2, 3))
-        assert estimate == 11076
+        estimate = 3 * code3.n * (3 * code3.n).bit_length()
+        assert estimate == 546
         assert conclude_distance(code3, budget=estimate).oracle_checked
         assert not conclude_distance(code3, budget=estimate - 1).oracle_checked
 
