@@ -3,11 +3,11 @@ search, an independent brute-force oracle, and a MacWilliams transform as a
 third path.
 
 Each of the weight-2 and weight-3 searches and the weight-4 witness is
-one call of _words: a prefix of (position, coefficient) terms, the
-positions it scans and a mask on the last position.  _words solves the
-last position of a word from the v-syndrome and checks the u-syndrome in
-the log domain of the field tables, block by block, so a search stops at
-the block of its first hit.  The weight-2 search scans position 0 alone;
+one call of _words: a prefix of (position, coefficient) terms and the
+positions it scans.  _words solves the last position of a word, past the
+scanned one, from the v-syndrome and checks the u-syndrome in the log
+domain of the field tables, block by block, so a search stops at the block
+of its first hit.  The weight-2 search scans position 0 alone;
 the weight-3 search scans its middle position over the Frobenius orbit
 representatives only, about n/m positions; the weight-4 witness scans
 t_3 > t_2 for each t_2 in order.  The oracle is kept independent of them:
@@ -55,12 +55,12 @@ class DistanceReport(NamedTuple):
         }
 
 
-def _words(code: CyclicCode, prefix, positions, keep):
-    """Codewords with the (t, c) terms of prefix, c_p at a position t_p of
-    positions and c_w at a last position t_w, as dicts of support, sorted,
-    and coefficients.  Hits come by c_p = 1, then 2, then block by block of
-    ctx.scan_logs, by (t_p, c_w, t_w) within a block, so a caller that stops
-    at a hit scans no block after it, whatever the block size.
+def _words(code: CyclicCode, prefix, positions):
+    """Codewords with the (t, c) terms of prefix, below positions, c_p at a
+    position t_p of positions and c_w at t_w > t_p, as dicts of support,
+    ascending, and coefficients.  Hits come by c_p = 1, then 2, then block by
+    block of ctx.scan_logs, by (t_p, c_w, t_w) within a block, so a caller
+    that stops at a hit scans no block after it, whatever the block size.
 
     The logs su, sv of the prefix's u- and v-syndromes (-1 while they
     vanish) plus c_p*pi^(e t_p) give the partial syndromes S_u, S_v.  The
@@ -70,7 +70,7 @@ def _words(code: CyclicCode, prefix, positions, keep):
     log(-S_u / c_w), only positions with v*log S_u - u*log S_v =
     (u - v)*log(-c_w) (mod n), a test free of t_w and exact when g = 1,
     solve for t_w; its roots are tested against the u-syndrome, all in the
-    log domain, and keep(t_p, t_w) masks the allowed last positions.
+    log domain, and only t_w > t_p is kept.
     block_hits returns plain ints and starmap keeps no block, so the kernel
     holds no block array while suspended at a hit.
     """
@@ -103,7 +103,7 @@ def _words(code: CyclicCode, prefix, positions, keep):
             # u-syndrome: c_w*pi^(u t_w) = -S_u, u*t_w + log(-c_w) = log S_u
             # (never for S_u = 0, log -1); a root needs S_v != 0 and g | L
             good = ctx.mod(u * tw + lneg) == lu[:, None]
-            good &= keep(tp[:, None], tw) & ((lv >= 0) & (q * g == lt))[:, None]
+            good &= (tp[:, None] < tw) & ((lv >= 0) & (q * g == lt))[:, None]
             r, k = np.divmod(np.flatnonzero(good), g)
             found += zip(tp[r].tolist(), [cw] * len(r), tw[r, k].tolist())
         return sorted(found)
@@ -112,7 +112,7 @@ def _words(code: CyclicCode, prefix, positions, keep):
         lcp = ctx.log_of_scalar(cp)
         for hits in itertools.starmap(block_hits, ctx.scan_logs(positions, (u, lcp), (v, lcp))):
             for tp, cw, tw in hits:
-                terms = sorted([*prefix, (tp, cp), (tw, cw)])
+                terms = [*prefix, (tp, cp), (tw, cw)]
                 yield {"support": [t for t, _ in terms], "coefficients": [c for _, c in terms]}
 
 
@@ -123,17 +123,19 @@ def _completions(code: CyclicCode):
     t_2, c_2, then in the order of _words."""
     for t2 in range(1, code.n):
         for c2 in (1, 2):
-            yield from _words(code, [(0, 1), (t2, c2)], range(t2 + 1, code.n), np.less)
+            yield from _words(code, [(0, 1), (t2, c2)], range(t2 + 1, code.n))
 
 
 def _weight3_words(code: CyclicCode):
     """Weight-3 codewords of _words with 1 at position 0, t_p a Frobenius
-    orbit representative (ctx.orbit_reps) and t_w outside {0, t_p}.  Every
-    cyclic code over GF(3) is fixed by the multiplier t -> 3t mod n, since
-    c(pi^e)^3 = c(pi^(3e)); a word on {0, t_p, t_w} maps to one on
-    {0, 3t_p, 3t_w} with the same coefficients.  So some word of this form
-    exists iff any weight-3 codeword does."""
-    return _words(code, [(0, 1)], code.ctx.orbit_reps[1:], lambda tp, tw: (tw != 0) & (tw != tp))
+    orbit representative (ctx.orbit_reps) and t_w > t_p.  Every cyclic code
+    over GF(3) is fixed by the multiplier t -> 3t mod n, as c(pi^e)^3 =
+    c(pi^(3e)), which keeps 0 and the coefficients.  Shift and scale a word
+    to 1 at 0, with a, b its other positions and r_a <= r_b their orbits'
+    representatives: a power of the multiplier sends a to r_a and b into its
+    orbit, to at least r_b, and not to r_a, as a != b.  So some word of this
+    form exists iff any weight-3 codeword does."""
+    return _words(code, [(0, 1)], code.ctx.orbit_reps[1:])
 
 
 def weight2_search(code: CyclicCode) -> dict | None:
@@ -141,7 +143,7 @@ def weight2_search(code: CyclicCode) -> dict | None:
     None: _words on the one position t_1 = 0.  Its c_1 = 2 hits are the
     negatives of its c_1 = 1 hits, which come first, so the first hit has
     c_1 = 1."""
-    return next(_words(code, [], range(1), np.less), None)  # t_2 > 0
+    return next(_words(code, [], range(1)), None)
 
 
 def weight3_search(code: CyclicCode) -> dict | None:

@@ -4,12 +4,13 @@ definition-level forms of the dual spectrum and of the lemma's kernel.
 An element is an int in [0, 3^m) whose base-3 digit i is the coefficient of
 x^i, as in ctx.exp.  add, neg and smul work digit by digit and never read
 ctx.zech, so they check the log-domain kernels independently; exp_of, mul,
-power and trace read only ctx.exp, ctx.log and ctx.trace_by_log, which
-test_gf3m checks entry by entry against the modulus.  Tests import this
+power and trace read only ctx.exp, its scatter log and ctx.trace_by_log,
+which test_gf3m checks entry by entry against the modulus.  Tests import this
 module as they import conftest.
 """
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -46,17 +47,30 @@ def exp_of(ctx, j):
     return int(ctx.exp[j % ctx.order])
 
 
+_logs = weakref.WeakKeyDictionary()
+
+
+def log(ctx):
+    """The log of each packed element (int32), -1 at 0: ctx.exp scattered,
+    cached per context for as long as the context lives."""
+    if ctx not in _logs:
+        table = np.full(ctx.size, -1, dtype=np.int32)
+        table[ctx.exp] = np.arange(ctx.order, dtype=np.int32)
+        _logs[ctx] = table
+    return _logs[ctx]
+
+
 def mul(ctx, a, b):
-    return exp_of(ctx, int(ctx.log[a]) + int(ctx.log[b])) if a and b else 0
+    return exp_of(ctx, int(log(ctx)[a]) + int(log(ctx)[b])) if a and b else 0
 
 
 def power(ctx, a, e):
     """a^e for e >= 0, 0^0 = 1; the exponent product is a Python int."""
-    return exp_of(ctx, int(ctx.log[a]) * e) if a else int(e == 0)
+    return exp_of(ctx, int(log(ctx)[a]) * e) if a else int(e == 0)
 
 
 def trace(ctx, a):
-    return int(ctx.trace_by_log[ctx.log[a]]) if a else 0
+    return int(ctx.trace_by_log[log(ctx)[a]]) if a else 0
 
 
 def dual_codeword_weight(a, b, ctx):
@@ -84,7 +98,7 @@ def fhat(lam, ctx):
     if lam == 0:
         d = trv
     else:  # Tr(lam*x) at x = pi^j is trace_by_log[(log(lam) + j) mod n]
-        d = (trv - np.roll(ctx.trace_by_log, -int(ctx.log[lam]))) % 3
+        d = (trv - np.roll(ctx.trace_by_log, -int(log(ctx)[lam]))) % 3
     counts = np.bincount(np.asarray(d, dtype=np.int64), minlength=3)
     n0 = int(counts[0]) + 1  # x = 0 contributes chi(0)
     return n0 - int(counts[2]), int(counts[1]) - int(counts[2])

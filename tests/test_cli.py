@@ -152,7 +152,7 @@ def no_field_tables(monkeypatch):
         raise AssertionError("a field table was read")
 
     gf3m._default_field.cache_clear()
-    for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
+    for table in ("exp", "zech", "trace_by_log", "orbit_reps"):
         monkeypatch.setattr(gf3m.FieldCtx, table, property(no_table))
 
 

@@ -8,7 +8,7 @@ import pytest
 from tritcodes import gf3m, polyring
 from tritcodes.exceptions import EvenDegree, NotIrreducible, NotPrimitive, UnsupportedDegree
 
-from reference import add, exp_of, mul, neg, power, trace
+from reference import add, exp_of, log, mul, neg, power, trace
 
 
 def as_poly(ctx, a):
@@ -125,7 +125,7 @@ class TestMakeField:
     @pytest.mark.parametrize("m", sorted(gf3m.DEFAULT_MODULI))
     def test_tables_are_int32(self, m):
         ctx = gf3m.make_field(m)
-        assert ctx.exp.dtype == ctx.log.dtype == ctx.zech.dtype == np.int32
+        assert ctx.exp.dtype == ctx.zech.dtype == np.int32
 
     @pytest.mark.parametrize("m, k", MODULI)
     def test_whole_exp_and_trace_tables(self, m, k):
@@ -179,20 +179,30 @@ TABLE_DIGESTS = {
 def test_tables_do_not_depend_on_the_order_of_first_reads(text):
     """Each table is built on first read: on fresh contexts, reading the Zech
     table first or the exp table first gives the same int32 tables, byte for
-    byte, as building all three at construction did."""
+    byte, as building all three at construction did (the log table is
+    reference.log, the tests' scatter of exp)."""
     f = polyring.parse_poly(text)
     assert gf3m.check_modulus(len(f) - 1, f) == f
-    for order in (("zech", "log", "exp"), ("exp", "zech", "log")):
+    for order in (("zech", "exp"), ("exp", "zech")):
         ctx = gf3m.FieldCtx(len(f) - 1, f)
-        assert not {"exp", "log", "zech"} & set(vars(ctx))
+        assert not {"exp", "zech"} & set(vars(ctx))
         for table in order:
             getattr(ctx, table)
         digest = hashlib.sha256()
-        for table in (ctx.exp, ctx.log, ctx.zech):
+        for table in (ctx.exp, log(ctx), ctx.zech):
             assert table.dtype == np.int32
             digest.update(table.dtype.str.encode())
             digest.update(table.tobytes())
         assert digest.hexdigest()[:16] == TABLE_DIGESTS[text], order
+
+
+def test_zech_build_keeps_no_log_table():
+    """The Zech table's log table is a local of its build: a fresh context
+    that has built zech holds the exp and Zech tables and no log attribute."""
+    ctx = gf3m.FieldCtx(5, gf3m.DEFAULT_MODULI[5])
+    ctx.zech
+    assert set(vars(ctx)) >= {"exp", "zech"}
+    assert not hasattr(ctx, "log")
 
 
 class TestArithmetic:
@@ -229,7 +239,7 @@ class TestArithmetic:
     def test_u_power_dichotomy_full_scan(self, ctx5):
         u = (3**5 + 1) // 2
         for y in range(1, ctx5.size):
-            expect = y if ctx5.log[y] % 2 == 0 else neg(ctx5, y)
+            expect = y if log(ctx5)[y] % 2 == 0 else neg(ctx5, y)
             assert power(ctx5, y, u) == expect
 
     def test_trace_basics(self, ctx5):
@@ -265,8 +275,8 @@ class TestInvariants:
     def test_log_exp_round_trip(self, ctx5, ctx7):
         for ctx in (ctx5, ctx7):
             for a in range(1, ctx.size):
-                assert ctx.exp[ctx.log[a]] == a
-            assert ctx.log[0] == -1
+                assert ctx.exp[log(ctx)[a]] == a
+            assert log(ctx)[0] == -1
 
     def test_frobenius_orbit_closes(self, ctx3, ctx5):
         for ctx in (ctx3, ctx5):
@@ -282,7 +292,7 @@ class TestInvariants:
         la, lb = np.meshgrid(np.arange(ctx5.order), np.arange(ctx5.order))
         got = ctx5.log_add(la.ravel(), lb.ravel())
         for x, y, z in zip(la.ravel().tolist(), lb.ravel().tolist(), got.tolist()):
-            assert z == ctx5.log[add(ctx5, exp_of(ctx5, x), exp_of(ctx5, y))]
+            assert z == log(ctx5)[add(ctx5, exp_of(ctx5, x), exp_of(ctx5, y))]
 
     @pytest.mark.parametrize("lo, hi", [(0, 26), (5, 26), (25, 26), (26, 26)])
     @pytest.mark.parametrize("source", ["range", "orbit_reps"])
@@ -304,15 +314,16 @@ class TestInvariants:
             assert logs.tolist() == [(e * j + c) % 26 for j in positions]
 
     def test_zech_block_size_does_not_change_the_tables(self, monkeypatch):
-        """The exp, log and Zech tables and the orbit representatives are
-        built in blocks of gf3m.BLOCK over [0, n): neither 7 nor 37 divides
-        n = 242, so the last block is short, and 11 does (242 = 2 * 11^2)."""
+        """The exp table, the Zech table's log table and the orbit
+        representatives are built in blocks of gf3m.BLOCK over [0, n):
+        neither 7 nor 37 divides n = 242, so the last block is short, and 11
+        does (242 = 2 * 11^2)."""
         custom = (1, 1, 1, 1, 2, 1)  # not the default, so not cached
         whole = gf3m.make_field(5, custom)
         for block in (7, 11, 37):
             monkeypatch.setattr(gf3m, "BLOCK", block)
             blocked = gf3m.make_field(5, custom)
-            for table in ("exp", "log", "zech", "trace_by_log", "orbit_reps"):
+            for table in ("exp", "zech", "trace_by_log", "orbit_reps"):
                 assert np.array_equal(getattr(blocked, table), getattr(whole, table)), table
 
     @pytest.mark.parametrize("m, k", MODULI)
@@ -323,7 +334,7 @@ class TestInvariants:
         elem = ctx.exp.astype(np.int64)
         digit0 = elem % 3
         one_plus = elem - digit0 + (digit0 + 1) % 3
-        assert np.array_equal(ctx.zech, ctx.log[one_plus])
+        assert np.array_equal(ctx.zech, log(ctx)[one_plus])
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_orbit_reps_are_the_least_of_each_orbit(self, m):

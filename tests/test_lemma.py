@@ -163,7 +163,7 @@ def test_scan_memory_m13():
     m = 13 measured 4.8 MiB (the full-length scan it replaced, ~87 MiB).
     The tables it reads, built on first read, are read before the window."""
     ctx = make_field(13)
-    ctx.exp, ctx.log, ctx.zech
+    ctx.exp, ctx.zech
     tracemalloc.start()
     try:
         assert lemma_check(ctx, 1).solution_count == 0
