@@ -5,24 +5,24 @@ third path.
 Each of the weight-2 and weight-3 searches and the weight-4 witness is
 one call of _words: a prefix of (position, coefficient) terms and the
 positions it scans.  _words solves the last position of a word, past the
-scanned one, from the v-syndrome and checks the u-syndrome in the log
-domain of the field tables, block by block, so a search stops at the block
-of its first hit.  The weight-2 search scans position 0 alone;
-the weight-3 search scans its middle position over the Frobenius orbit
-representatives only, about n/m positions; the weight-4 witness scans
-t_3 > t_2 for each t_2 in order.  The oracle is kept independent of them:
-it gives only the lightest weight <= 3, from collisions among keys packed
-from ctx.exp, one per scaled row of the parity-check matrix, under the
-budget gate; no logs, no Zech table, no orbits, and weight-3 words only
-through position 0, which rotation and a pigeonhole on the coefficients
-allow.  The oracle and MacWilliams must agree with the searches both ways
-on the lightest weight <= 3.
+scanned one, by the one inverse of v mod n, after a test on both syndromes
+that needs no root, in the log domain of the field tables, block by block,
+so a search stops at the block of its first hit.  The weight-2 search
+scans position 0 alone; the weight-3 search scans its middle position over
+the Frobenius orbit representatives only, about n/m positions; the
+weight-4 witness scans t_3 > t_2 for each t_2 in order.  The oracle is
+kept independent of them: it gives only the lightest weight <= 3, from
+collisions among keys packed from ctx.exp, one per scaled row of the
+parity-check matrix, under the budget gate; no logs, no Zech table, no
+orbits, and weight-3 words only through position 0, which rotation and a
+pigeonhole on the coefficients allow.  The oracle and MacWilliams must
+agree with the searches both ways on the lightest weight <= 3.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, gcd
+from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -63,24 +63,21 @@ def _words(code: CyclicCode, prefix, positions):
     that stops at a hit scans no block after it, whatever the block size.
 
     The logs su, sv of the prefix's u- and v-syndromes (-1 while they
-    vanish) plus c_p*pi^(e t_p) give the partial syndromes S_u, S_v.  The
-    last term c_w*pi^(v t_w) must cancel S_v, so v*t_w = L (mod n) with
-    L = log(-S_v / c_w): that has g = gcd(v, n) roots t0 + k*n/g when g
-    divides L and none otherwise.  As the u-syndrome asks u*t_w =
-    log(-S_u / c_w), only positions with v*log S_u - u*log S_v =
-    (u - v)*log(-c_w) (mod n), a test free of t_w and exact when g = 1,
-    solve for t_w; its roots are tested against the u-syndrome, all in the
-    log domain, and only t_w > t_p is kept.
+    vanish) plus c_p*pi^(e t_p) give the partial syndromes S_u, S_v, both
+    nonzero for a hit.  The last term c_w*pi^(e t_w) must cancel both, so
+    v*t_w = log(-S_v / c_w) and u*t_w = log(-S_u / c_w) (mod n).  The
+    paper's v has gcd(v, n) = 1, as 4n = -1 (mod v), so the first has the
+    one root t_w = (log S_v + log(-c_w)) * v^-1, and v times the second
+    holds at it iff v*log S_u - u*log S_v = (u - v)*log(-c_w): a test free
+    of t_w that decides the word, all in the log domain; only t_w > t_p is
+    kept.  A code with gcd(v, n) > 1 raises ValueError.
     block_hits returns plain ints and starmap keeps no block, so the kernel
     holds no block array while suspended at a hit.
     """
     ctx = code.ctx
     n, u, v = code.n, code.u, code.v
-    g = gcd(v, n)
-    vinv = pow(v // g, -1, n // g)
-    roots = np.arange(g, dtype=np.int64) * (n // g)
+    vinv = pow(v, -1, n)
     lnegs = [ctx.log_of_scalar(3 - cw) for cw in (1, 2)]  # log(-1/c_w) = log(-c_w)
-    r1, r2 = ((u - v) * lneg % n for lneg in lnegs)
 
     def plus(s, lg):  # log(pi^s + pi^lg), s = -1 standing for 0
         return lg if s < 0 else ctx.log_add(lg, s)
@@ -92,20 +89,13 @@ def _words(code: CyclicCode, prefix, positions):
     def block_hits(tp, logs):
         lu, lv = map(plus, (su, sv), logs)
         d = ctx.mod(v * lu - u * lv)
-        passed = np.flatnonzero((d == r1) | (d == r2))
-        tp, lu, lv = tp[passed], lu[passed], lv[passed]
+        d[(lu < 0) | (lv < 0)] = -1  # no c_w*pi^(e t_w) cancels a zero S_u or S_v
         found = []
         for cw, lneg in zip((1, 2), lnegs):
-            # v-syndrome: v*t_w = L (mod n), lt = L = log(-S_v / c_w)
-            lt = ctx.wrap(lv + lneg)
-            q = lt // g
-            tw = ((q * vinv) % (n // g))[:, None] + roots
-            # u-syndrome: c_w*pi^(u t_w) = -S_u, u*t_w + log(-c_w) = log S_u
-            # (never for S_u = 0, log -1); a root needs S_v != 0 and g | L
-            good = ctx.mod(u * tw + lneg) == lu[:, None]
-            good &= (tp[:, None] < tw) & ((lv >= 0) & (q * g == lt))[:, None]
-            r, k = np.divmod(np.flatnonzero(good), g)
-            found += zip(tp[r].tolist(), [cw] * len(r), tw[r, k].tolist())
+            keep = np.flatnonzero(d == (u - v) * lneg % n)
+            tp_k, tw = tp[keep], ctx.mod((lv[keep] + lneg) * vinv)  # v*t_w = log(-S_v / c_w)
+            later = tp_k < tw
+            found += zip(tp_k[later].tolist(), itertools.repeat(cw), tw[later].tolist())
         return sorted(found)
 
     for cp in (1, 2):

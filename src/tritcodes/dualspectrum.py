@@ -6,8 +6,9 @@ c(a,b)_t = Tr(a*pi^(ut) + b*pi^(vt)).  As 4n = 3(2*3^ell + 1)(2*3^ell - 1) - 1
 c(a', 1): the direct path weighs c(a,0) and c(a,1) for every a by trace
 lookups.  The spectral path gets fhat(lam) = sum over x of chi(x^v - lam*x),
 the Fourier transform of x^v, at every point from one exact ternary Walsh
-transform (m*3^m operations) and turns two spectrum values into a weight.
-enumerators() runs the paths asked for, direct first, and compares the two.
+transform (m*3^m operations), checks fhat(lam^3) = fhat(lam) and turns two
+spectrum values into a weight.  enumerators() runs the paths asked for,
+direct first, and compares the two.
 All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
@@ -114,7 +115,9 @@ def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEn
 
 
 def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:
-    """The enumerator of spectral_enumerator from _fhat_all's values fr."""
+    """The enumerator of spectral_enumerator from _fhat_all's values fr, once
+    they pass the Frobenius check fr[3s mod n] = fr[s]: Tr(y^3) = Tr(y), so
+    fhat(lam^3) = fhat(lam).  It runs last, in memory the earlier steps freed."""
     n = ctx.order
     pair_sum = fr + np.roll(fr, -ctx.half)  # fhat(lam) + fhat(-lam), lam = pi^s
     if np.any(pair_sum % 3):
@@ -125,6 +128,10 @@ def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:
     counts = {int(w): int(hist[w]) * n for w in np.flatnonzero(hist)}
     counts[mid] = counts.get(mid, 0) + 2 * n
     counts[0] = counts.get(0, 0) + 1
+    s3 = ctx.wrap(ctx.wrap(np.arange(0, 3 * n, 3, dtype=np.int32)))  # 3s < 3n
+    bad = np.flatnonzero(fr[s3] != fr)
+    if bad.size:
+        raise Inconsistent(f"fhat(pi^{s3[bad[0]]}) != fhat(pi^{bad[0]})")
     return WeightEnumerator(n=n, counts=counts)
 
 

@@ -142,9 +142,11 @@ class FieldCtx:
             np.put(log, part, np.arange(lo, lo + len(part), dtype=np.int32), mode="clip")
         rows = log.reshape(-1, 3)
         zech = np.empty(self.order, dtype=np.int32)
-        zech[rows[1:, 0]] = rows[1:, 1]  # not np.put: it copies each column whole, +5 MiB
-        zech[rows[:, 1]] = rows[:, 2]
-        zech[rows[:, 2]] = rows[:, 0]
+        zech[0], zech[self.half] = rows[0, 2], -1  # 1 + 1 = 2 and 1 + 2 = 0
+        for lo in range(1, len(rows), BLOCK):  # blocks keep np.put's index copies small
+            part = rows[lo : lo + BLOCK]
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                np.put(zech, part[:, a], part[:, b])
         return zech
 
     @cached_property

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
@@ -34,8 +35,15 @@ def with_v(code, v):
 
 
 def relaxed(code):
-    """C_(u,u): the v equations repeat the u ones (positive control)."""
-    return with_v(code, code.u)
+    """C_(1,1): the v equations repeat the u ones (positive control).  It holds
+    1 + x^(n/2) and words of weight 3 and 4; C_(u,u) has gcd(u, n) = 2, which
+    the searches refuse."""
+    return with_v(code._replace(u=1), 1)
+
+
+def coprime_vs(code):
+    """Every v in [1, n) with gcd(v, n) = 1, the codes the searches accept."""
+    return [v for v in range(1, code.n) if gcd(v, code.n) == 1]
 
 
 def flipped(hit):
@@ -92,6 +100,20 @@ def scalar_weight3_words(code):
     return words
 
 
+def scalar_lightest(code):
+    """The lightest weight <= 3 of a nonzero codeword, or None, by the
+    digit-wise reference arithmetic: weight 1 is impossible, a weight-2 word
+    scales and shifts to 1 at position 0, and scalar_weight3_words lists
+    the weight-3 ones."""
+    if any(
+        all(_syndrome(code.ctx, e, [0, t], [1, c]) == 0 for e in (code.u, code.v))
+        for t in range(1, code.n)
+        for c in (1, 2)
+    ):
+        return 2
+    return 3 if scalar_weight3_words(code) else None
+
+
 def _syndrome(ctx, e, support, coeffs):
     acc = 0
     for t, c in zip(support, coeffs):
@@ -105,15 +127,21 @@ class TestWeight2:
             assert weight2_search(code) is None
 
     def test_relaxed_system_has_witnesses(self, code3):
-        wit = weight2_search(relaxed(code3))
-        assert wit is not None
-        # delta is a nonsquare with c = 1: delta^u = -delta = -1 means delta = 1,
-        # so the c=1 witnesses are exactly delta with delta^u = -1
+        """On C_(1,1) a weight-2 word 1 + c_2*x^t_2 needs c_2*pi^t_2 = -1: the
+        first is 1 + x^(n/2)."""
+        variant = relaxed(code3)
+        wit = weight2_search(variant)
+        assert wit == {"support": [0, code3.n // 2], "coefficients": [1, 1]}
         ctx = code3.ctx
-        t2 = wit["support"][1]
-        c2 = wit["coefficients"][1]
-        delta_u = power(ctx, exp_of(ctx, t2), code3.u)
-        assert smul(ctx, c2, delta_u) == neg(ctx, 1)
+        t2, c2 = wit["support"][1], wit["coefficients"][1]
+        assert smul(ctx, c2, power(ctx, exp_of(ctx, t2), variant.u)) == neg(ctx, 1)
+
+    @pytest.mark.parametrize("search", [weight2_search, weight3_search, weight4_witness])
+    def test_refuses_v_not_prime_to_n(self, code3, search):
+        """The kernel solves v*t_w = L (mod n) by the inverse of v: C_(u,u),
+        with gcd(u, n) = 2, is library misuse, a ValueError."""
+        with pytest.raises(ValueError, match="not invertible"):
+            search(with_v(code3, code3.u))
 
 
 class TestWeight3:
@@ -122,7 +150,7 @@ class TestWeight3:
             assert weight3_search(code) is None
 
     def test_relaxed_system_has_witnesses(self, code3, code5, code7):
-        """Reported weight-2/3 words have zero u- and v-syndromes (C_(u,u), C_(u,1))."""
+        """Reported weight-2/3 words have zero u- and v-syndromes (C_(1,1), C_(u,1))."""
         for code in (code3, code5, code7):
             for variant in (relaxed(code), code._replace(v=1)):
                 wits = [weight2_search(variant), weight3_search(variant)]
@@ -154,12 +182,14 @@ class TestWeight3:
         assert got == want
 
     def test_orbit_scan_every_v_m3(self, code3):
-        for v in range(1, code3.n):
+        for v in coprime_vs(code3):
             self.check_orbit_scan(code3._replace(v=v))
 
     @pytest.mark.parametrize("v", ["code", "u", 1])
     def test_orbit_scan_m5(self, code5, v):
-        self.check_orbit_scan(code5._replace(v={"code": code5.v, "u": code5.u}.get(v, v)))
+        """v = u is C_(1,1)."""
+        code = {"code": code5, "u": relaxed(code5)}.get(v) or code5._replace(v=v)
+        self.check_orbit_scan(code)
 
     @pytest.mark.parametrize("search", [weight3_search, weight4_witness])
     def test_memory_m13(self, search):
@@ -250,18 +280,19 @@ class TestOracle:
         assert not {"zech", "orbit_reps", "trace_by_log"} & set(vars(ctx))
 
     def test_relaxed_agreement(self, code3):
-        """Relaxed C_(u,u): structured and direct scans agree on existence."""
-        ctx = code3.ctx
-        wit = weight2_search(relaxed(code3))
+        """Relaxed C_(1,1): structured and direct scans agree on existence."""
+        ctx, variant = code3.ctx, relaxed(code3)
+        wit = weight2_search(variant)
         assert wit is not None
         # direct scan of the u-syndrome over weight-2 patterns
         found = False
         for t2 in range(1, code3.n):
             for c2 in (1, 2):
-                s = add(ctx, 1, smul(ctx, c2, exp_of(ctx, code3.u * t2)))
+                s = add(ctx, 1, smul(ctx, c2, exp_of(ctx, variant.u * t2)))
                 if s == 0:
                     found = True
         assert found
+        assert brute_force_min_weight(variant, 3) == 2
 
 
 class TestWeight4Witness:
@@ -394,15 +425,22 @@ class TestConcludeDistance:
         "m, v", [(3, v) for v in [*range(1, 26), "u"]] + [(5, v) for v in [1, 2, 4, 5, 7, 13, "u"]]
     )
     def test_structured_weight_matches_oracle(self, m, v):
-        """Any v, including gcd(v, n) > 1, and at m = 3 every v in [1, n): the
-        searches find the oracle's lightest weight <= wmax for each wmax."""
+        """Any v, and at m = 3 every v in [1, n): the oracle finds the scalar
+        reference's lightest weight <= wmax for each wmax, and so do the
+        searches where gcd(v, n) = 1.  Where gcd(v, n) > 1 (v = u among them)
+        the searches refuse the code, ValueError, and the oracle alone runs."""
         code = build_code(make_field(m))
         code = with_v(code, code.u if v == "u" else v)
-        report = conclude_distance(code)  # raises Inconsistent on disagreement
-        assert report.oracle_checked
-        structured = 2 if weight2_search(code) else 3 if weight3_search(code) else None
+        want = scalar_lightest(code)
+        if gcd(code.v, code.n) == 1:
+            report = conclude_distance(code)  # raises Inconsistent on disagreement
+            assert report.oracle_checked
+            assert (2 if weight2_search(code) else 3 if weight3_search(code) else None) == want
+        else:
+            with pytest.raises(ValueError):
+                conclude_distance(code)
         for wmax in (1, 2, 3):
-            lightest = structured if structured and structured <= wmax else None
+            lightest = want if want and want <= wmax else None
             assert brute_force_min_weight(code, wmax) == lightest
 
     def test_disagreement_raises_inconsistent(self, code3, monkeypatch):
@@ -474,40 +512,42 @@ class TestBlockedCompletions:
         assert hits() == want
 
     def test_every_hit_has_zero_syndromes_m3(self, code3):
-        """For every v' in [1, n), weight2_search on C_(u,v') finds a word
-        exactly when the naive search finds one of weight 2, and that word and
-        each weight-4 hit have zero u- and v-syndromes by scalar field
-        arithmetic.  Where the partial v-syndrome S_v vanishes no last
-        position fits; without the S_v != 0 condition of the root mask, some
-        such prefixes pass the u-check (v' = 4 gives the spurious weight-4
-        support [0, 2, 7, 16])."""
-        for v in range(1, code3.n):
-            code = code3._replace(v=v)
+        """For u the paper's and 1 and every v' in [1, n) prime to n,
+        weight2_search on C_(u,v') finds a word exactly when the naive search
+        finds one of weight 2, and that word and each weight-4 hit have zero
+        u- and v-syndromes by scalar field arithmetic.  Where a partial
+        syndrome S_u or S_v vanishes no last position fits; without the
+        zero-syndrome mask some such prefixes pass the t_w-free test (v' = 1
+        gives the spurious weight-4 support [0, 2, 8, 12])."""
+        for u, v in itertools.product((code3.u, 1), coprime_vs(code3)):
+            code = code3._replace(u=u, v=v)
             wit2 = weight2_search(code)
-            assert (wit2 is not None) == (naive_min_weight(code, 2) is not None), v
+            assert (wit2 is not None) == (naive_min_weight(code, 2) is not None), (u, v)
             for hit in [*filter(None, [wit2]), *distance._completions(code)]:
                 support, coeffs = hit["support"], hit["coefficients"]
-                for e in (code.u, v):
-                    assert _syndrome(code.ctx, e, support, coeffs) == 0, (v, hit)
+                for e in (u, v):
+                    assert _syndrome(code.ctx, e, support, coeffs) == 0, (u, v, hit)
 
     def test_weight2_is_the_least_word_m3(self, code3):
-        """For every v' in [1, n), weight2_search on C_(u,v') returns the least
-        (c_2, t_2) weight-2 word with 1 at position 0, by scalar field
-        arithmetic: the kernel's c_1 = 2 pass, the negatives of the c_1 = 1
-        hits, never comes first."""
-        found = 0
-        for v in range(1, code3.n):
-            code = code3._replace(v=v)
+        """For u the paper's and 1 and every v' in [1, n) prime to n,
+        weight2_search on C_(u,v') returns the least (c_2, t_2) weight-2 word
+        with 1 at position 0, by scalar field arithmetic: the kernel's c_1 = 2
+        pass, the negatives of the c_1 = 1 hits, never comes first.  With the
+        paper's u no such v' gives a weight-2 word; with u = 1 each does, as
+        every such v' is odd and 1 + x^(n/2) has pi^(e n/2) = -1 for odd e."""
+        found = Counter()
+        for u, v in itertools.product((code3.u, 1), coprime_vs(code3)):
+            code = code3._replace(u=u, v=v)
             words = (
                 {"support": [0, t], "coefficients": [1, c]}
                 for c in (1, 2)
                 for t in range(1, code.n)
-                if all(_syndrome(code.ctx, e, [0, t], [1, c]) == 0 for e in (code.u, v))
+                if all(_syndrome(code.ctx, e, [0, t], [1, c]) == 0 for e in (u, v))
             )
             want = next(words, None)
-            assert weight2_search(code) == want, v
-            found += want is not None
-        assert found > 1
+            assert weight2_search(code) == want, (u, v)
+            found[u] += want is not None
+        assert found == {code3.u: 0, 1: len(coprime_vs(code3))}
 
     def test_witness_stops_at_its_first_hit(self, monkeypatch):
         """With blocks of 37 positions at m = 7 the witness [0, 1, 211, 443]
@@ -529,10 +569,10 @@ class TestBlockedCompletions:
 
     @pytest.mark.parametrize("variant", ["v=u", "v=1"])
     def test_hits_near_the_end_m13(self, variant):
-        """Weight-3 hits of the orbit scan of the relaxed m = 13 codes, those
-        with t_3 nearest n - 1 among the first 300, have zero syndromes by
-        GF(3)[x] arithmetic on Python ints: a log product computed in int32
-        would wrap silently."""
+        """Weight-3 hits of the orbit scan of the m = 13 codes C_(1,1) and
+        C_(u,1), those with t_3 nearest n - 1 among the first 300, have zero
+        syndromes by GF(3)[x] arithmetic on Python ints: a log product
+        computed in int32 would wrap silently."""
         code = build_code(make_field(13))
         code = relaxed(code) if variant == "v=u" else code._replace(v=1)
         hits = list(itertools.islice(distance._weight3_words(code), 300))

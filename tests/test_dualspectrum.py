@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
 
+from tritcodes import dualspectrum
+from tritcodes.cli import main
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.distance import macwilliams
 from tritcodes.dualspectrum import (
@@ -218,3 +221,19 @@ def test_spectral_enumerator_builds_only_the_exp_and_trace_tables():
     assert spectral_enumerator(ctx).counts == ENUM_M5
     tables = {"exp", "zech", "trace_by_log", "orbit_reps"}
     assert tables & set(vars(ctx)) == {"exp", "trace_by_log"}
+
+
+def test_frobenius_check_refuses_a_foreign_trace_table(capsys, monkeypatch):
+    """The default m = 5 context with the trace table of x^5 + x^4 + x^2 + 1:
+    its pair sums fhat(lam) + fhat(-lam) take each value as often as the
+    right ones, so they give ENUM_M5 and the fixture's bytes, but
+    fhat(pi^(3s)) = fhat(pi^s) fails at s = 5, and report --m 5 exits 1 with
+    nothing on stdout."""
+    ctx = make_field(5)
+    monkeypatch.setattr(ctx, "trace_by_log", make_field(5, (1, 0, 1, 0, 1, 1)).trace_by_log)
+    fr = dualspectrum._fhat_all(ctx, exponent_pair(5)[1])
+    pair_sums = Counter((fr + np.roll(fr, -ctx.half)).tolist())
+    assert pair_sums == Counter((transform(5) + np.roll(transform(5), -ctx.half)).tolist())
+    assert fr[15] != fr[5]
+    assert main(["report", "--m", "5"]) == 1
+    assert capsys.readouterr() == ("", "error: Inconsistent: fhat(pi^15) != fhat(pi^5)\n")
