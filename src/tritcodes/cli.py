@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
@@ -43,6 +42,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _json(doc: dict) -> str:
+    import json  # here, not at the top: a refused modulus or flag writes no JSON
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -4,15 +4,16 @@ check_modulus validates a modulus in GF(3)[x], without numpy; make_field
 wraps a valid one in a FieldCtx, one shared context per default modulus.
 The exp table maps a log j to the packed element pi^j, an int in [0, 3^m)
 whose base-3 digit i is the coefficient of x^i.  The primitive element pi
-is always the residue class of x.  Every table is built on first read: the
-exp table, the Zech table from it (m <= 13, about 1.6M entries each at the
-top) through a log table that is freed once the Zech table is built, the
-trace table, which only the dual-spectrum paths read, and the Frobenius
-orbit representatives.  So a new context holds no table, and each command
-builds only the tables it reads.  The context is immutable and safe to
-share.  The exp and Zech tables are int32; arithmetic on their entries runs
-in int64 or ints.  numpy is imported on the first table read, not before:
-a command that reads no table, or whose modulus is refused, never loads it.
+is always the residue class of x.  Each table is built on first read, in
+its own cached property of FieldCtx: the exp table, the Zech table from it
+(m <= 13, about 1.6M entries each at the top) through a log table that is
+freed once the Zech table is built, the trace table, which only the
+dual-spectrum paths read, and the Frobenius orbit representatives.  So a
+new context holds no table, and each command builds only the tables it
+reads.  The context is immutable and safe to share.  The exp and Zech
+tables are int32; arithmetic on their entries runs in int64 or ints.  numpy
+is imported on the first table read, not before: a command that reads no
+table, or whose modulus is refused, never loads it.
 
 Addition runs in the log domain through the Zech table
 zech[k] = log(1 + pi^k):  pi^a + pi^b = pi^(a + zech[b - a]).  With
@@ -94,7 +95,7 @@ def _default_field(m: int) -> FieldCtx:
 
 class FieldCtx:
     """Immutable GF(3^m) context: modulus, primitive element pi = x, tables
-    (exp, zech, trace_by_log, orbit_reps; zech builds a log table and drops it).
+    (exp, zech, trace_by_log, orbit_reps), each built in its own property.
 
     Do not instantiate directly; use make_field(), which validates the
     modulus (x must be primitive modulo it, or exp repeats an element) and
@@ -151,8 +152,16 @@ class FieldCtx:
 
     @cached_property
     def trace_by_log(self) -> np.ndarray:
-        """Absolute trace of pi^j, indexed by j (int8): see _build_trace_table."""
-        return _build_trace_table(self)
+        """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j (int8): a
+        _recurring sequence (Tr is linear) started by Tr(x^k) for k < m, the
+        power sums of the roots of the modulus f, by Newton's identities:
+        Tr(1) = m and Tr(x^k) = -(k*f_(m-k) + sum_(0<i<k) f_(m-i)*Tr(x^(k-i))),
+        all mod 3."""
+        m, f = self.m, self.modulus
+        p = [m % 3]
+        for k in range(1, m):
+            p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
+        return _recurring(p, f, self.order)
 
     @cached_property
     def orbit_reps(self) -> np.ndarray:
@@ -160,14 +169,15 @@ class FieldCtx:
         on [0, n), ascending (int64): 0 first, 122,642 of them at m = 13.
 
         Multiplying t by 3 mod n rotates its m base-3 digits, so t is the
-        least of its orbit iff no rotation is smaller.  Each block of
-        BLOCK uint32 candidates is rotated m - 1 times by 3t and two
-        wraps (3t < 3n); a candidate is dropped as soon as a rotation
-        undercuts it."""
-        n, block = self.order, BLOCK
+        least of its orbit iff no rotation is smaller.  The least rotation
+        starts with the smallest digit, 0 or 1 (all 2s is t = n), so only
+        t < 2*3^(m-1) are tried: BLOCK uint32 candidates at a time, each
+        rotated m - 1 times by 3t and two wraps (3t < 3n) and dropped as
+        soon as a rotation undercuts it."""
+        top, block = 2 * 3 ** (self.m - 1), BLOCK
         reps = []
-        for lo in range(0, n, block):
-            cand = np.arange(lo, min(lo + block, n), dtype=np.uint32)
+        for lo in range(0, top, block):
+            cand = np.arange(lo, min(lo + block, top), dtype=np.uint32)
             rot = cand.copy()
             for _ in range(self.m - 1):
                 rot *= 3
@@ -254,15 +264,3 @@ def _lincomb3(coeffs, rows) -> np.ndarray:
         if c:
             acc += c * row
     return _mod3(acc)
-
-
-def _build_trace_table(ctx: FieldCtx) -> np.ndarray:
-    """Absolute trace GF(3^m) -> GF(3) of pi^j, indexed by j: a _recurring
-    sequence (Tr is linear) started by Tr(x^k) for k < m, the power sums of
-    the roots of the modulus f, by Newton's identities: Tr(1) = m and
-    Tr(x^k) = -(k*f_(m-k) + sum_(0<i<k) f_(m-i)*Tr(x^(k-i))), all mod 3."""
-    m, f = ctx.m, ctx.modulus
-    p = [m % 3]
-    for k in range(1, m):
-        p.append(-(k * f[m - k] + sum(f[m - i] * p[k - i] for i in range(1, k))) % 3)
-    return _recurring(p, f, ctx.order)

@@ -376,11 +376,15 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
 
 def _loaded(argvs, modules, *flags):
     """Run main on each of argvs in a fresh `python *flags` with stdout sent
-    to os.devnull, then print the exit codes and which of modules it imported."""
+    to os.devnull, then print the exit codes (argparse's by SystemExit) and
+    which of modules it imported."""
     program = (
         "import os, sys\nfrom tritcodes.cli import main\n"
         "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
-        f"print(*[main(argv) for argv in {argvs!r}], file=out)\n"
+        "def code(argv):\n"
+        "    try:\n        return main(argv)\n"
+        "    except SystemExit as exc:\n        return exc.code\n"
+        f"print(*[code(argv) for argv in {argvs!r}], file=out)\n"
         f"print(*sorted(set({modules!r}) & set(sys.modules)), sep=',', file=out)\n"
     )
     proc = fresh_python([*flags, "-c", program], text=True)
@@ -438,6 +442,15 @@ def test_start_up_imports_no_pathlib():
         "-S",
     )
     assert lines == ["0 0 2", ""], err
+
+
+def test_refused_input_loads_no_json():
+    """cli imports json on the first JSON it writes: a refused m = 13 modulus
+    and an unknown flag each exit 2 with json never loaded (-S: no site .pth
+    file imports it first)."""
+    refused = ["construct", "--m", "13", "--modulus", "1,1,0,2,0,1,1,1,0,2,1,0,2,1"]
+    lines, err = _loaded([refused, ["construct", "--m", "13", "--bogus"]], ["json"], "-S")
+    assert lines == ["2 2", ""], err
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

@@ -351,6 +351,14 @@ class TestInvariants:
         orbits = [j for r in ctx.orbit_reps.tolist() for j in polyring.cyclotomic_coset(r, m)]
         assert sorted(orbits) == list(range(n))
 
+    @pytest.mark.parametrize("m", sorted(gf3m.DEFAULT_MODULI))
+    def test_orbit_reps_lie_below_two_thirds_of_3_to_the_m(self, m):
+        """A least rotation starts with its smallest digit, which is 0 or 1 for
+        every t < n: each representative is below 2*3^(m-1), and the largest is
+        12...2 in base 3, 2*3^(m-1) - 1, which orbit_reps must reach."""
+        reps = gf3m.make_field(m).orbit_reps
+        assert reps.max() == reps[-1] == 2 * 3 ** (m - 1) - 1
+
     def test_orbit_reps_m13(self):
         """One representative per necklace of 13 trits but 22...2 (t = n), by
         Burnside: 13 is prime, so (3^13 + 12*3)/13 - 1 = 122,642."""
