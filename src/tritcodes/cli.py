@@ -88,9 +88,9 @@ def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
 
 def cmd_dual_spectrum(ctx, args) -> tuple[dict, bool]:
     from . import dualspectrum
-    enums, agree = dualspectrum.enumerators(ctx, args.method, args.budget)
+    enums, agree = dualspectrum.enumerators(ctx, args.method == "both", args.budget)
     if agree is None:
-        return enums[args.method].to_json_dict(), True
+        return enums["spectral"].to_json_dict(), True
     return {**{name: e.to_json_dict() for name, e in enums.items()}, "agree": agree}, agree
 
 
@@ -104,8 +104,8 @@ def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
 def cmd_report(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder, distance, dualspectrum, lemma
     code = codebuilder.build_code(ctx)
-    enums, agree = dualspectrum.enumerators(ctx, args.method, args.budget)
-    enum = next(iter(enums.values()))
+    enums, agree = dualspectrum.enumerators(ctx, args.method == "both", args.budget)
+    enum = enums["spectral"]
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
     lemma_reports = lemma.reports(ctx, orbit_scan=True)
     code_doc = code.to_json_dict()
@@ -165,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="operation-count ceiling gating expensive paths",
             )
         if name in ("dual-spectrum", "report"):
-            p.add_argument(
-                "--method", choices=("spectral", "direct", "both"), default="spectral"
-            )
+            p.add_argument("--method", choices=("spectral", "both"), default="spectral")
         p.set_defaults(func=func)
     return parser
 

@@ -3,18 +3,20 @@
 Delsarte's theorem presents the dual as the trace codewords
 c(a,b)_t = Tr(a*pi^(ut) + b*pi^(vt)).  As 4n = 3(2*3^ell + 1)(2*3^ell - 1) - 1
 = -1 mod v, gcd(v, n) = 1, so each c(a, b != 0) is a cyclic shift of some
-c(a', 1): the direct path weighs c(a,0) and c(a,1) for every a by trace
-lookups.  The spectral path gets fhat(lam) = sum over x of chi(x^v - lam*x),
+c(a', 1).  The spectral path gets fhat(lam) = sum over x of chi(x^v - lam*x),
 the Fourier transform of x^v, at every point from one exact ternary Walsh
 transform (m*3^m operations), checks fhat(lam^3) = fhat(lam) and turns two
-spectrum values into a weight.  enumerators() runs the paths asked for,
-direct first, and compares the two.
+spectrum values into a weight.  The direct path weighs c(pi^s, 1) as window s
+of the trace m-sequence T against its v-decimation: the m-sequence
+cross-correlation (T. Helleseth, Discrete Math. 16 (1976) 209-232), counted
+one window at a time, (n+1)*n trace lookups, which the budget gates.
+enumerators() runs the spectral path, and the direct one first when asked,
+and compares the two.
 All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -85,22 +87,25 @@ def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
 
 
 def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
-    """Definition-level, from trace_by_log alone: c(a, pi^(vs)) is c(a*pi^(-us), 1)
-    shifted by s, so each a is weighed against b = 0 once and b = 1 n times."""
+    """Definition-level, from trace_by_log T alone.  As u = h + 1, pi^(ut) =
+    (-1)^t*pi^t: c(pi^s, 1)_t = (-1)^t*T_(s+t) + T_(vt) is zero iff T_(s+t) = y_t,
+    so row a = pi^s is window s of T against y (int8 like T, lest != upcast).
+    c(a, pi^(vs)) is c(a*pi^(-us), 1) shifted by s: each window weighs n codewords."""
     n = ctx.order
     check_budget("direct enumeration", (n + 1) * n, "trace lookups", budget)
-    u, v = exponent_pair(ctx.m)
-    t = np.arange(n, dtype=np.int64)
-    ut, minus_b1 = u * t % n, -ctx.trace_by_log[v * t % n] % 3  # minus_b1 = -c(0,1)
-    rows = (ctx.trace_by_log.take(ut + s, mode="wrap") for s in range(n))  # a = pi^s, lazily
+    trace = ctx.trace_by_log
+    y = trace[exponent_pair(ctx.m)[1] * np.arange(n, dtype=np.int64) % n]
+    y[::2] = -y[::2] % 3  # y_t = -(-1)^t * T_(vt) mod 3
+    doubled = np.concatenate([trace, trace])
     hist = np.zeros(n + 1, dtype=np.int64)
-    for row in chain([np.zeros_like(minus_b1)], rows):  # a = 0 first
-        hist[np.count_nonzero(row)] += 1
-        hist[np.count_nonzero(row != minus_b1)] += n
+    for s in range(n):
+        hist[np.count_nonzero(doubled[s : s + n] != y)] += n
+    hist[0] += 1  # c(0, 0)
+    hist[np.count_nonzero(trace)] += 2 * n  # c(a, 0) and c(0, b)
     return WeightEnumerator(n=n, counts={w: c for w, c in enumerate(hist.tolist()) if c})
 
 
-def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+def spectral_enumerator(ctx: FieldCtx) -> WeightEnumerator:
     """Dual weight enumerator through the Fourier transform of x^v.
 
     Nonzero pairs (a,b) fall into classes by lam(a,b) = a*c with
@@ -108,9 +113,8 @@ def spectral_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEn
     weight 2*3^(m-1) - (fhat(lam) + fhat(-lam))/3.  The a=0 xor b=0
     boundary contributes 2*(3^m - 1) codewords of weight 2*3^(m-1).
     All fhat values come from one ternary Walsh transform, m*3^m
-    operations, which the budget gates.
+    operations.
     """
-    check_budget("spectral transform", ctx.m * ctx.size, "operations", budget)
     return _from_transform(ctx, _fhat_all(ctx, exponent_pair(ctx.m)[1]))
 
 
@@ -135,14 +139,10 @@ def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:
     return WeightEnumerator(n=n, counts=counts)
 
 
-def enumerators(ctx: FieldCtx, method: str, budget: int) -> tuple[dict, bool | None]:
-    """The enumerators method names ("spectral", "direct" or "both"), spectral
-    first, and whether they agree (None unless "both").  Direct runs first: its
-    (n+1)*n estimate is never below m*3^m, so a refused "both" reads no table."""
-    if method not in ("spectral", "direct", "both"):
-        raise ValueError(f"method must be spectral, direct or both, got {method!r}")
-    enums = {"direct": direct_enumerator(ctx, budget=budget)} if method != "spectral" else {}
-    if method != "direct":
-        enums = {"spectral": spectral_enumerator(ctx, budget=budget), **enums}
-    agree = enums["spectral"] == enums["direct"] if method == "both" else None
-    return enums, agree
+def enumerators(ctx: FieldCtx, both: bool, budget: int) -> tuple[dict, bool | None]:
+    """The spectral enumerator and, when both is set, the direct one, spectral
+    first, and whether they agree (None unless both).  The direct path runs
+    first: it is the one the budget gates, so a refused run reads no table."""
+    enums = {"direct": direct_enumerator(ctx, budget=budget)} if both else {}
+    enums = {"spectral": spectral_enumerator(ctx), **enums}
+    return enums, enums["spectral"] == enums["direct"] if both else None

@@ -1,5 +1,5 @@
 """Exception hierarchy for tritcodes, and the one budget gate that raises
-BudgetExceeded for the oracle and both enumerators.
+BudgetExceeded for the d <= 3 oracle and the direct dual enumerator.
 
 Each class carries the CLI exit code it maps to.  TritcodesError and its
 input errors exit 2 (invalid input).  Inconsistent exits 1: a self-check
@@ -35,7 +35,8 @@ class BudgetExceeded(TritcodesError):
     """Estimated work exceeds the configured operation budget."""
 
 
-# Operation-count ceiling for the budget-gated paths (oracles, spectrum).
+# Operation-count ceiling for the budget-gated paths: the d <= 3 oracle and the
+# direct dual enumerator.
 DEFAULT_BUDGET = 10**9
 
 

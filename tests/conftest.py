@@ -1,5 +1,6 @@
 import functools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tritcodes
-from tritcodes import dualspectrum
+from tritcodes import dualspectrum, polyring
 from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
@@ -58,6 +59,17 @@ def fresh_python(argv, *drop_env, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
     return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
+
+
+def seeded_primitive_moduli(m, count, seed):
+    """count distinct primitive moduli of degree m, drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        f = (*(rng.randrange(3) for _ in range(m)), 1)
+        if f not in found and polyring.is_primitive(f):
+            found.append(f)
+    return found
 
 
 @functools.cache

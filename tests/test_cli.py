@@ -74,26 +74,28 @@ def test_dual_spectrum_both_m3(capsys):
 
 
 def test_dual_spectrum_direct_m7(capsys):
-    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "direct")
+    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "both")
     assert code == 0
-    assert json.loads(out)["counts"] == {str(w): c for w, c in ENUM_M7.items()}
+    doc = json.loads(out)
+    assert doc["direct"]["counts"] == {str(w): c for w, c in ENUM_M7.items()}
+    assert doc["agree"] is True
 
 
-def test_dual_spectrum_direct_budget_gate_m11(capsys):
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "11", "--method", "direct")
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: BudgetExceeded: direct enumeration needs ~3.14e+10 trace lookups"
-        " (budget 1e+09)\n"
-    )
+def test_dual_spectrum_spectral_runs_under_any_budget(capsys):
+    """The spectral path costs m*3^m operations and no budget gates it."""
+    default = run_cli(capsys, "dual-spectrum", "--m", "9")
+    assert default[0] == 0
+    assert run_cli(capsys, "dual-spectrum", "--m", "9", "--budget", "1") == default
 
 
-def test_dual_spectrum_spectral_budget_gate_m9(capsys):
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "9", "--budget", "100000")
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: BudgetExceeded: spectral transform needs ~1.77e+05 operations"
-        " (budget 1e+05)\n"
+def test_dual_spectrum_method_direct_exit_2(capsys):
+    """--method takes spectral or both: both runs the direct path and compares it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dual-spectrum", "--m", "3", "--method", "direct"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].startswith(
+        "tritcodes dual-spectrum: error: argument --method: invalid choice: 'direct'"
     )
 
 

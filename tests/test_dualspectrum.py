@@ -18,7 +18,7 @@ from tritcodes.dualspectrum import (
 from tritcodes.exceptions import DEFAULT_BUDGET, BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI, FieldCtx, make_field
 
-from conftest import ENUM_M5, ENUM_M7, ENUM_M9, spectral_enum, transform
+from conftest import ENUM_M5, ENUM_M7, ENUM_M9, seeded_primitive_moduli, spectral_enum, transform
 from reference import dual_codeword_weight, exp_of, fhat, log, neg
 
 
@@ -88,8 +88,13 @@ class TestFhat:
 class TestEnumerators:
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_path_equivalence(self, m):
-        ctx = make_field(m)
-        assert direct_enumerator(ctx) == spectral_enumerator(ctx)
+        """The window count and the Walsh transform agree under the default
+        modulus and two seeded primitive ones, whose trace sequences differ."""
+        moduli = seeded_primitive_moduli(m, 2, seed=m)
+        assert DEFAULT_MODULI[m] not in moduli
+        for modulus in (DEFAULT_MODULI[m], *moduli):
+            ctx = make_field(m, modulus)
+            assert direct_enumerator(ctx) == spectral_enumerator(ctx), modulus
 
     def test_direct_budget_gate(self):
         ctx = FieldCtx(11, DEFAULT_MODULI[11])
@@ -98,31 +103,22 @@ class TestEnumerators:
             direct_enumerator(ctx)
         assert "trace_by_log" not in vars(ctx)  # refused before any table is read
 
-    def test_spectral_budget_gate(self, ctx9):
-        with pytest.raises(BudgetExceeded):
-            # the transform needs m * 3^m = 177,147 operations at m = 9
-            spectral_enumerator(ctx9, budget=10**5)
-
     @pytest.mark.parametrize("m", range(3, 15, 2))
     def test_direct_estimate_never_below_spectral(self, m):
-        """enumerators runs the direct path first because its (n+1)*n estimate
-        is never below the spectral m*3^m: a budget that refuses the spectral
-        path refuses "both" on the direct one, before any table is read."""
+        """enumerators runs the direct path first, the one the budget gates: a
+        budget one below its (n+1)*n estimate refuses both paths before any
+        table is read, at every m."""
         n = 3**m - 1
-        assert (n + 1) * n >= m * 3**m
         ctx = FieldCtx(m, DEFAULT_MODULI[m])
         with pytest.raises(BudgetExceeded, match="^direct enumeration"):
-            enumerators(ctx, "both", budget=m * 3**m - 1)
+            enumerators(ctx, True, budget=(n + 1) * n - 1)
         assert not {"exp", "trace_by_log"} & set(vars(ctx))
 
     def test_enumerators_run_the_paths_asked_for(self, ctx3):
-        for method, names in [("spectral", ["spectral"]), ("direct", ["direct"])]:
-            enums, agree = enumerators(ctx3, method, DEFAULT_BUDGET)
-            assert ([*enums], agree) == (names, None)
-        enums, agree = enumerators(ctx3, "both", DEFAULT_BUDGET)
+        enums, agree = enumerators(ctx3, False, DEFAULT_BUDGET)
+        assert ([*enums], agree) == (["spectral"], None)
+        enums, agree = enumerators(ctx3, True, DEFAULT_BUDGET)
         assert ([*enums], agree) == (["spectral", "direct"], True)
-        with pytest.raises(ValueError, match="method"):
-            enumerators(ctx3, "fourier", DEFAULT_BUDGET)
 
     def test_example1(self, enum5):
         assert enum5.counts == ENUM_M5
@@ -221,6 +217,15 @@ def test_spectral_enumerator_builds_only_the_exp_and_trace_tables():
     assert spectral_enumerator(ctx).counts == ENUM_M5
     tables = {"exp", "zech", "trace_by_log", "orbit_reps"}
     assert tables & set(vars(ctx)) == {"exp", "trace_by_log"}
+
+
+def test_direct_enumerator_builds_only_the_trace_table():
+    """On a fresh context (a primitive modulus other than the default, so
+    not cached) the direct path reads the trace table alone."""
+    ctx = make_field(5, (1, 1, 1, 1, 2, 1))
+    assert direct_enumerator(ctx).counts == ENUM_M5
+    tables = {"exp", "zech", "trace_by_log", "orbit_reps"}
+    assert tables & set(vars(ctx)) == {"trace_by_log"}
 
 
 def test_frobenius_check_refuses_a_foreign_trace_table(capsys, monkeypatch):

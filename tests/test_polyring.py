@@ -21,7 +21,7 @@ from tritcodes.polyring import (
     poly_mul,
 )
 
-from conftest import GEN_M5
+from conftest import GEN_M5, seeded_primitive_moduli
 from reference import add, exp_of, mul
 
 
@@ -111,16 +111,6 @@ def test_minimal_polynomial_irreducible_and_roots(ctx5):
             assert acc == 0
 
 
-def _seeded_primitive_moduli(m, count, seed):
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        f = (*(rng.randrange(3) for _ in range(m)), 1)
-        if f not in found and polyring.is_primitive(f):
-            found.append(f)
-    return found
-
-
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
 def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
     """The GF(3)[x] minimal polynomials of pi^u and pi^v, under the default
@@ -129,7 +119,7 @@ def test_minimal_polynomials_of_u_and_v_against_field_tables(m):
     them irreducible."""
     moduli = [DEFAULT_MODULI[m]]
     if m <= 9:
-        moduli += _seeded_primitive_moduli(m, 4 if m == 3 else 5, seed=m)
+        moduli += seeded_primitive_moduli(m, 4 if m == 3 else 5, seed=m)
     for modulus in moduli:
         ctx = make_field(m, modulus)
         for j in exponent_pair(m):
