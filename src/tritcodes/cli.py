@@ -14,10 +14,11 @@ doc is written) or a self-check raised Inconsistent (nothing is written),
 path; the error: and note: lines go to stderr, and nowhere when it is closed.
 
 The report command diffs against the fixtures shipped as package data for
-m in {5, 7, 9}, which hold what a run with the default modulus writes for
-the code and its dual enumerator: fixture_match is true when the file's text
-is those bytes.  When the diff cannot run (no fixture file, or another
-modulus) fixture_match is null and a one-line note on stderr says why.
+m in FIXTURE_MS: what a default-modulus run writes for the code and its dual
+enumerator, on which both enumerator paths agreed.  fixture_match is true
+when the file's text is those bytes; when the diff cannot run (no fixture
+file, or another modulus) it is null and a one-line note on stderr says why,
+as one does for each path that --budget skips (the direct enumerator: null).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 # the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-FIXTURE_MS = (5, 7, 9)
+FIXTURE_MS = (5, 7, 9, 11)
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -88,10 +89,9 @@ def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
 
 def cmd_dual_spectrum(ctx, args) -> tuple[dict, bool]:
     from . import dualspectrum
-    enums, agree = dualspectrum.enumerators(ctx, args.method == "both", args.budget)
-    if agree is None:
-        return enums["spectral"].to_json_dict(), True
-    return {**{name: e.to_json_dict() for name, e in enums.items()}, "agree": agree}, agree
+    enums, agree = dualspectrum.enumerators(ctx, args.budget)
+    docs = {name: e and e.to_json_dict() for name, e in enums.items()}
+    return {**docs, "agree": agree}, agree is not False
 
 
 def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
@@ -104,7 +104,7 @@ def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
 def cmd_report(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder, distance, dualspectrum, lemma
     code = codebuilder.build_code(ctx)
-    enums, agree = dualspectrum.enumerators(ctx, args.method == "both", args.budget)
+    enums, agree = dualspectrum.enumerators(ctx, args.budget)
     enum = enums["spectral"]
     dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
     lemma_reports = lemma.reports(ctx, orbit_scan=True)
@@ -122,10 +122,7 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
         **code_doc,
         "distance": dist_report.to_json_dict(),
         "lemma": [r.to_json_dict() for r in lemma_reports],
-        "dual_spectrum": {
-            "method": args.method, "spectral": None, "direct": None,
-            **{name: e.to_json_dict() for name, e in enums.items()},
-        },
+        "dual_spectrum": {name: e and e.to_json_dict() for name, e in enums.items()},
         "checks": checks,
         "mismatch": mismatch,
     }
@@ -164,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--budget", type=_positive_int, default=DEFAULT_BUDGET,
                 help="operation-count ceiling gating expensive paths",
             )
-        if name in ("dual-spectrum", "report"):
-            p.add_argument("--method", choices=("spectral", "both"), default="spectral")
+        if name in ("dual-spectrum", "report"):  # accepted, ignored: the budget picks the paths
+            p.add_argument("--method", choices=("both",), help=argparse.SUPPRESS)
         p.set_defaults(func=func)
     return parser
 

@@ -259,8 +259,8 @@ def conclude_distance(
     try:
         if code.ctx.m <= ORACLE_MAX_M:
             lightest["oracle"] = brute_force_min_weight(code, 3, budget=budget)
-    except BudgetExceeded:
-        pass
+    except BudgetExceeded as exc:
+        exc.note()
     mw = {} if dual_enum is None else macwilliams(dual_enum, max_weight=4).counts
     if dual_enum is not None:
         lightest["MacWilliams"] = next((j for j in (1, 2, 3) if j in mw), None)

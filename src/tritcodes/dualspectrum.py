@@ -9,9 +9,9 @@ transform (m*3^m operations), checks fhat(lam^3) = fhat(lam) and turns two
 spectrum values into a weight.  The direct path weighs c(pi^s, 1) as window s
 of the trace m-sequence T against its v-decimation: the m-sequence
 cross-correlation (T. Helleseth, Discrete Math. 16 (1976) 209-232), counted
-one window at a time, (n+1)*n trace lookups, which the budget gates.
-enumerators() runs the spectral path, and the direct one first when asked,
-and compares the two.
+one window per orbit of s -> 3s and s -> s + h, about n^2/(2m) trace
+comparisons, which the budget gates.  enumerators() runs the spectral path,
+and the direct one when the budget admits it, and compares the two.
 All sums are Eisenstein integers p + q*w, kept as int pairs (p, q); no floats.
 """
 
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codebuilder import exponent_pair
-from .exceptions import DEFAULT_BUDGET, Inconsistent, check_budget
+from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, check_budget
 from .gf3m import FieldCtx
 
 
@@ -90,16 +90,22 @@ def direct_enumerator(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> WeightEnum
     """Definition-level, from trace_by_log T alone.  As u = h + 1, pi^(ut) =
     (-1)^t*pi^t: c(pi^s, 1)_t = (-1)^t*T_(s+t) + T_(vt) is zero iff T_(s+t) = y_t,
     so row a = pi^s is window s of T against y (int8 like T, lest != upcast).
-    c(a, pi^(vs)) is c(a*pi^(-us), 1) shifted by s: each window weighs n codewords."""
-    n = ctx.order
-    check_budget("direct enumeration", (n + 1) * n, "trace lookups", budget)
+    c(a, pi^(vs)) is c(a*pi^(-us), 1) shifted by s: each window weighs n codewords.
+    Windows s, 3s and s + h count alike, as Tr(w^3) = Tr(w) and c(pi^(s+h), 1) is
+    -c(pi^s, 1) shifted by h.  Parity is kept by s -> 3s and flipped by s -> s + h
+    (n even, h odd), so the window of an even r of ctx.orbit_reps weighs 2*n*|orbit(r)|."""
+    m, n = ctx.m, ctx.order
+    windows = (sum(3 ** np.gcd(k, m) for k in range(m)) // m - 1) // 2  # necklaces - 1, halved
+    check_budget("direct enumeration", windows * n, "trace comparisons", budget)
     trace = ctx.trace_by_log
-    y = trace[exponent_pair(ctx.m)[1] * np.arange(n, dtype=np.int64) % n]
+    y = trace[exponent_pair(m)[1] * np.arange(n, dtype=np.int64) % n]
     y[::2] = -y[::2] % 3  # y_t = -(-1)^t * T_(vt) mod 3
     doubled = np.concatenate([trace, trace])
+    reps = ctx.orbit_reps[ctx.orbit_reps % 2 == 0]
+    fixed = (reps * 3 ** np.arange(m)[:, None] % n == reps).sum(axis=0)  # m / |orbit(r)|
     hist = np.zeros(n + 1, dtype=np.int64)
-    for s in range(n):
-        hist[np.count_nonzero(doubled[s : s + n] != y)] += n
+    for r, f in zip(reps.tolist(), fixed.tolist()):
+        hist[np.count_nonzero(doubled[r : r + n] != y)] += 2 * n * m // f
     hist[0] += 1  # c(0, 0)
     hist[np.count_nonzero(trace)] += 2 * n  # c(a, 0) and c(0, b)
     return WeightEnumerator(n=n, counts={w: c for w, c in enumerate(hist.tolist()) if c})
@@ -139,10 +145,12 @@ def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:
     return WeightEnumerator(n=n, counts=counts)
 
 
-def enumerators(ctx: FieldCtx, both: bool, budget: int) -> tuple[dict, bool | None]:
-    """The spectral enumerator and, when both is set, the direct one, spectral
-    first, and whether they agree (None unless both).  The direct path runs
-    first: it is the one the budget gates, so a refused run reads no table."""
-    enums = {"direct": direct_enumerator(ctx, budget=budget)} if both else {}
-    enums = {"spectral": spectral_enumerator(ctx), **enums}
-    return enums, enums["spectral"] == enums["direct"] if both else None
+def enumerators(ctx: FieldCtx, budget: int) -> tuple[dict, bool | None]:
+    """The spectral and the direct enumerator, and whether they agree: the
+    direct one and agree are None, with a note on stderr, over the budget."""
+    enums = {"spectral": spectral_enumerator(ctx), "direct": None}
+    try:
+        enums["direct"] = direct_enumerator(ctx, budget=budget)
+    except BudgetExceeded as exc:
+        exc.note()
+    return enums, None if enums["direct"] is None else enums["direct"] == enums["spectral"]

@@ -1,5 +1,6 @@
 """Test references: one scalar GF(3^m) arithmetic on packed elements, and the
-definition-level forms of the dual spectrum and of the lemma's kernel.
+definition-level forms of the dual spectrum, its enumerator and the lemma's
+kernel.
 
 An element is an int in [0, 3^m) whose base-3 digit i is the coefficient of
 x^i, as in ctx.exp.  add, neg and smul work digit by digit and never read
@@ -16,6 +17,7 @@ import numpy as np
 
 from tritcodes import lemma
 from tritcodes.codebuilder import exponent_pair
+from tritcodes.dualspectrum import WeightEnumerator
 
 
 def add(ctx, a, b):
@@ -81,6 +83,22 @@ def dual_codeword_weight(a, b, ctx):
         x = add(ctx, mul(ctx, a, exp_of(ctx, -u * i)), mul(ctx, b, exp_of(ctx, -v * i)))
         weight += trace(ctx, x) != 0
     return weight
+
+
+def window_enumerator(ctx):
+    """The dual enumerator by every window s of the trace m-sequence T against
+    y_t = -(-1)^t * T_(vt) mod 3, each weighing n codewords, with no orbit
+    reduction: c(pi^s, 1)_t is zero iff T_(s+t) = y_t, as u = h + 1."""
+    n, trace = ctx.order, ctx.trace_by_log
+    y = trace[exponent_pair(ctx.m)[1] * np.arange(n, dtype=np.int64) % n]
+    y[::2] = -y[::2] % 3
+    doubled = np.concatenate([trace, trace])
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for s in range(n):
+        hist[np.count_nonzero(doubled[s : s + n] != y)] += n
+    hist[0] += 1  # c(0, 0)
+    hist[np.count_nonzero(trace)] += 2 * n  # c(a, 0) and c(0, b)
+    return WeightEnumerator(n=n, counts={w: c for w, c in enumerate(hist.tolist()) if c})
 
 
 @functools.cache

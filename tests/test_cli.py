@@ -8,6 +8,7 @@ import pytest
 import tritcodes
 from tritcodes import cli, dualspectrum, gf3m, polyring
 from tritcodes.cli import main
+from tritcodes.exceptions import BudgetExceeded
 from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import DEFAULT_MODULI
 
@@ -66,15 +67,16 @@ def test_verify_distance_m3(capsys):
 
 
 def test_dual_spectrum_both_m3(capsys):
-    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "3", "--method", "both")
+    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "3")
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["spectral", "direct", "agree"]
     assert doc["agree"] is True
     assert doc["spectral"]["total"] == 3**6
 
 
 def test_dual_spectrum_direct_m7(capsys):
-    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "7", "--method", "both")
+    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "7")
     assert code == 0
     doc = json.loads(out)
     assert doc["direct"]["counts"] == {str(w): c for w, c in ENUM_M7.items()}
@@ -82,21 +84,33 @@ def test_dual_spectrum_direct_m7(capsys):
 
 
 def test_dual_spectrum_spectral_runs_under_any_budget(capsys):
-    """The spectral path costs m*3^m operations and no budget gates it."""
-    default = run_cli(capsys, "dual-spectrum", "--m", "9")
+    """The spectral path costs m*3^m operations and no budget gates it: under
+    --budget 1 it prints the default run's enumerator, and the direct path
+    is skipped with a note."""
+    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "9")
+    default = json.loads(out)
+    assert (code, default["agree"]) == (0, True)
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "9", "--budget", "1")
+    assert (code, json.loads(out)) == (0, {**default, "direct": None, "agree": None})
+    assert err.startswith("note: skipped: direct enumeration needs ~")
+
+
+@pytest.mark.parametrize("command", ["dual-spectrum", "report"])
+def test_dual_spectrum_method_direct_exit_2(capsys, command):
+    """Both enumerator paths run whenever the budget admits them: --method
+    spectral and direct exit 2 through argparse, and the ignored --method
+    both prints what no flag prints."""
+    for method in ("spectral", "direct"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--m", "3", "--method", method])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1].startswith(
+            f"tritcodes {command}: error: argument --method: invalid choice: '{method}'"
+        )
+    default = run_cli(capsys, command, "--m", "5")
     assert default[0] == 0
-    assert run_cli(capsys, "dual-spectrum", "--m", "9", "--budget", "1") == default
-
-
-def test_dual_spectrum_method_direct_exit_2(capsys):
-    """--method takes spectral or both: both runs the direct path and compares it."""
-    with pytest.raises(SystemExit) as exc:
-        main(["dual-spectrum", "--m", "3", "--method", "direct"])
-    captured = capsys.readouterr()
-    assert (exc.value.code, captured.out) == (2, "")
-    assert captured.err.splitlines()[-1].startswith(
-        "tritcodes dual-spectrum: error: argument --method: invalid choice: 'direct'"
-    )
+    assert run_cli(capsys, command, "--m", "5", "--method", "both") == default
 
 
 def test_lemma_check_m5(capsys):
@@ -108,21 +122,23 @@ def test_lemma_check_m5(capsys):
 
 
 def test_report_m3_both(capsys):
-    code, out, _ = run_cli(capsys, "report", "--m", "3", "--method", "both")
+    code, out, _ = run_cli(capsys, "report", "--m", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["mismatch"] is None
+    assert list(doc["dual_spectrum"]) == ["spectral", "direct"]
     assert doc["checks"]["d_equals_4"] is True
     assert doc["checks"]["paths_agree"] is True
     assert doc["distance"]["d"] == 4
 
 
-@pytest.mark.parametrize("m", [5, 7, 9])
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
 def test_report_matches_fixture(capsys, m):
-    code, out, _ = run_cli(capsys, "report", "--m", str(m))
-    assert code == 0
+    code, out, err = run_cli(capsys, "report", "--m", str(m))
+    assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["checks"]["fixture_match"] is True
+    assert doc["checks"]["paths_agree"] is True
 
 
 def test_failed_self_check_exit_1(capsys, monkeypatch):
@@ -169,15 +185,50 @@ def test_reads_no_field_table(capsys, no_field_tables, command):
 
 
 @pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_over_budget_both_reads_no_field_table(capsys, no_field_tables, command):
-    """--method both runs the direct path first, whose estimate is never below
-    the spectral one: a refused run exits 2 before any table is read."""
-    code, out, err = run_cli(capsys, command, "--m", "11", "--method", "both")
-    assert (code, out) == (2, "")
+def test_over_budget_both_reads_no_field_table(capsys, request, command):
+    """An over-budget direct path is skipped with one note and the run exits
+    0 (at m = 7 the budget 1e5 admits the oracle's 8.5e4 key comparisons);
+    direct_enumerator raises before it reads any field table."""
+    code, out, err = run_cli(capsys, command, "--m", "7", "--budget", "100000")
+    doc = json.loads(out)
+    assert (code, (doc["dual_spectrum"] if command == "report" else doc)["direct"]) == (0, None)
     assert err == (
-        "error: BudgetExceeded: direct enumeration needs ~3.14e+10 trace lookups"
-        " (budget 1e+09)\n"
+        "note: skipped: direct enumeration needs ~3.43e+05 trace comparisons (budget 1e+05)\n"
     )
+    request.getfixturevalue("no_field_tables")
+    with pytest.raises(BudgetExceeded, match="^direct enumeration"):
+        dualspectrum.direct_enumerator(gf3m.make_field(7), budget=100000)
+
+
+# What --budget 1 skips at m = 5: each path's note, in the order the paths run
+SKIP_NOTES = {
+    "oracle": "note: skipped: oracle needs ~7.26e+03 key comparisons (budget 1e+00)",
+    "direct": "note: skipped: direct enumeration needs ~6.05e+03 trace comparisons (budget 1e+00)",
+}
+
+
+@pytest.mark.parametrize(
+    "command, skipped",
+    [
+        ("verify-distance", ["oracle"]),
+        ("dual-spectrum", ["direct"]),
+        ("report", ["direct", "oracle"]),
+    ],
+)
+def test_budget_skips_are_noted(capsys, command, skipped):
+    """Each path that the budget skips prints one note on stderr with its
+    estimate and the budget, and the stdout is the default run's but for the
+    skipped path's null results; a run that skips nothing prints no note."""
+    code, out, err = run_cli(capsys, command, "--m", "5")
+    assert (code, err) == (0, "")
+    default = json.loads(out)
+    code, out, err = run_cli(capsys, command, "--m", "5", "--budget", "1")
+    assert (code, err.splitlines()) == (0, [SKIP_NOTES[path] for path in skipped])
+    if command == "dual-spectrum":
+        default.update(direct=None, agree=None)
+    elif command == "report":
+        default["dual_spectrum"]["direct"] = default["checks"]["paths_agree"] = None
+    assert json.loads(out) == default
 
 
 @pytest.fixture
@@ -193,7 +244,7 @@ def direct_one_off(monkeypatch):
 
 
 def test_dual_spectrum_paths_that_disagree_exit_1(capsys, direct_one_off):
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3", "--method", "both")
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3")
     assert (code, err) == (1, "")
     doc = json.loads(out)
     assert list(doc) == ["spectral", "direct", "agree"]
@@ -202,7 +253,7 @@ def test_dual_spectrum_paths_that_disagree_exit_1(capsys, direct_one_off):
 
 
 def test_report_paths_that_disagree_exit_1(capsys, direct_one_off):
-    code, out, err = run_cli(capsys, "report", "--m", "3", "--method", "both")
+    code, out, err = run_cli(capsys, "report", "--m", "3")
     assert (code, err) == (1, "")
     doc = json.loads(out)
     assert doc["checks"]["paths_agree"] is False

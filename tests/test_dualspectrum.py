@@ -19,7 +19,10 @@ from tritcodes.exceptions import DEFAULT_BUDGET, BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI, FieldCtx, make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9, seeded_primitive_moduli, spectral_enum, transform
-from reference import dual_codeword_weight, exp_of, fhat, log, neg
+from reference import dual_codeword_weight, exp_of, fhat, log, neg, window_enumerator
+
+# Windows the direct path reads: half the Frobenius orbit representatives
+WINDOWS = {3: 5, 5: 25, 7: 157, 9: 1097, 11: 8053, 13: 61321}
 
 
 class TestCodewordWeight:
@@ -86,7 +89,7 @@ class TestFhat:
 
 
 class TestEnumerators:
-    @pytest.mark.parametrize("m", [3, 5, 7])
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_path_equivalence(self, m):
         """The window count and the Walsh transform agree under the default
         modulus and two seeded primitive ones, whose trace sequences differ."""
@@ -96,29 +99,61 @@ class TestEnumerators:
             ctx = make_field(m, modulus)
             assert direct_enumerator(ctx) == spectral_enumerator(ctx), modulus
 
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_orbit_windows_count_as_every_window(self, m):
+        """The direct path reads one window per Frobenius x h-shift orbit; the
+        reference reads all n, under the moduli of test_path_equivalence."""
+        for modulus in (DEFAULT_MODULI[m], *seeded_primitive_moduli(m, 2, seed=m)):
+            ctx = make_field(m, modulus)
+            assert direct_enumerator(ctx) == window_enumerator(ctx), modulus
+
+    @pytest.mark.parametrize("m", range(3, 15, 2))
+    def test_kept_windows(self, m):
+        """The direct path reads the window of each even orbit representative
+        r: half of them, as the least rotation of r + h is a representative of
+        the other parity, and r -> that rotation permutes the representatives."""
+        ctx = make_field(m)
+        reps, n = ctx.orbit_reps, ctx.order
+        partner = ((reps + ctx.half) % n * 3 ** np.arange(m)[:, None] % n).min(axis=0)
+        assert np.count_nonzero(reps % 2 == 0) == len(reps) // 2 == WINDOWS[m]
+        assert np.all((reps - partner) % 2 == 1)
+        assert np.array_equal(np.sort(partner), reps)
+
     def test_direct_budget_gate(self):
-        ctx = FieldCtx(11, DEFAULT_MODULI[11])
+        ctx = FieldCtx(13, DEFAULT_MODULI[13])
         with pytest.raises(BudgetExceeded):
-            # (n + 1) * n = 3.1e10 trace lookups at m = 11
+            # 61,321 windows of n: 9.8e10 trace comparisons at m = 13
             direct_enumerator(ctx)
         assert "trace_by_log" not in vars(ctx)  # refused before any table is read
 
     @pytest.mark.parametrize("m", range(3, 15, 2))
     def test_direct_estimate_never_below_spectral(self, m):
-        """enumerators runs the direct path first, the one the budget gates: a
-        budget one below its (n+1)*n estimate refuses both paths before any
-        table is read, at every m."""
+        """The direct path's estimate, windows * n trace comparisons, is the
+        necklace count's, read on a fresh context before any table is built,
+        and never below the spectral path's m*3^m operations."""
         n = 3**m - 1
+        estimate = WINDOWS[m] * n
+        assert estimate >= m * 3**m
         ctx = FieldCtx(m, DEFAULT_MODULI[m])
-        with pytest.raises(BudgetExceeded, match="^direct enumeration"):
-            enumerators(ctx, True, budget=(n + 1) * n - 1)
-        assert not {"exp", "trace_by_log"} & set(vars(ctx))
+        with pytest.raises(BudgetExceeded) as exc:
+            direct_enumerator(ctx, budget=estimate - 1)
+        want = f"direct enumeration needs ~{estimate:.2e} trace comparisons"
+        assert str(exc.value).startswith(want)
+        assert not {"exp", "zech", "trace_by_log", "orbit_reps"} & set(vars(ctx))
 
-    def test_enumerators_run_the_paths_asked_for(self, ctx3):
-        enums, agree = enumerators(ctx3, False, DEFAULT_BUDGET)
-        assert ([*enums], agree) == (["spectral"], None)
-        enums, agree = enumerators(ctx3, True, DEFAULT_BUDGET)
+    def test_enumerators_run_the_paths_asked_for(self, ctx3, capsys):
+        """The budget alone asks: both paths run when the direct estimate fits
+        it; else the direct one is None, a note says why, and agree is None."""
+        enums, agree = enumerators(ctx3, DEFAULT_BUDGET)
         assert ([*enums], agree) == (["spectral", "direct"], True)
+        assert enums["direct"] == enums["spectral"]
+        assert capsys.readouterr().err == ""
+        enums, agree = enumerators(ctx3, budget=1)
+        assert (enums["direct"], agree) == (None, None)
+        assert enums["spectral"] == spectral_enumerator(ctx3)
+        assert capsys.readouterr().err == (
+            "note: skipped: direct enumeration needs ~1.30e+02 trace comparisons (budget 1e+00)\n"
+        )
 
     def test_example1(self, enum5):
         assert enum5.counts == ENUM_M5
@@ -221,11 +256,12 @@ def test_spectral_enumerator_builds_only_the_exp_and_trace_tables():
 
 def test_direct_enumerator_builds_only_the_trace_table():
     """On a fresh context (a primitive modulus other than the default, so
-    not cached) the direct path reads the trace table alone."""
+    not cached) the direct path reads the trace table and, for its windows,
+    the orbit representatives: the exp and Zech tables stay unbuilt."""
     ctx = make_field(5, (1, 1, 1, 1, 2, 1))
     assert direct_enumerator(ctx).counts == ENUM_M5
     tables = {"exp", "zech", "trace_by_log", "orbit_reps"}
-    assert tables & set(vars(ctx)) == {"trace_by_log"}
+    assert tables & set(vars(ctx)) == {"trace_by_log", "orbit_reps"}
 
 
 def test_frobenius_check_refuses_a_foreign_trace_table(capsys, monkeypatch):
