@@ -20,19 +20,19 @@ from conftest import fresh_python
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 
-# golden file stem -> (argv, exit code)
+# golden file stem -> (argv, exit code); a _both run checks both dual enumerators
 CASES = {
     "construct_m13": (["construct", "--m", "13"], 0),
     "construct_m13_modulus": (
         ["construct", "--m", "13", "--modulus", "1,0,0,2,0,0,1,1,2,2,1,0,0,1"], 0
     ),
-    "report_m3_both": (["report", "--m", "3", "--method", "both"], 0),
-    "report_m5_both": (["report", "--m", "5", "--method", "both"], 0),
+    "report_m3_both": (["report", "--m", "3"], 0),
+    "report_m5_both": (["report", "--m", "5"], 0),
     "verify_distance_m7": (["verify-distance", "--m", "7"], 0),
     "verify_distance_m13": (["verify-distance", "--m", "13"], 0),
     "lemma_check_m9": (["lemma-check", "--m", "9"], 0),
     "lemma_check_m13": (["lemma-check", "--m", "13"], 0),
-    "dual_spectrum_m5_both": (["dual-spectrum", "--m", "5", "--method", "both"], 0),
+    "dual_spectrum_m5_both": (["dual-spectrum", "--m", "5"], 0),
 }
 
 
