@@ -8,8 +8,8 @@ import pytest
 import tritcodes
 from tritcodes import cli, dualspectrum, gf3m, polyring
 from tritcodes.cli import main
-from tritcodes.exceptions import BudgetExceeded
 from tritcodes.codebuilder import build_code
+from tritcodes.exceptions import BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI
 
 from conftest import ENUM_M7, fresh_python
@@ -95,22 +95,22 @@ def test_dual_spectrum_spectral_runs_under_any_budget(capsys):
     assert err.startswith("note: skipped: direct enumeration needs ~")
 
 
-@pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_dual_spectrum_method_direct_exit_2(capsys, command):
-    """Both enumerator paths run whenever the budget admits them: --method
-    spectral and direct exit 2 through argparse, and the ignored --method
-    both prints what no flag prints."""
-    for method in ("spectral", "direct"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--m", "3", "--method", method])
-        captured = capsys.readouterr()
-        assert (exc.value.code, captured.out) == (2, "")
-        assert captured.err.splitlines()[-1].startswith(
-            f"tritcodes {command}: error: argument --method: invalid choice: '{method}'"
-        )
-    default = run_cli(capsys, command, "--m", "5")
-    assert default[0] == 0
-    assert run_cli(capsys, command, "--m", "5", "--method", "both") == default
+def test_dual_spectrum_method_direct_exit_2(capsys):
+    """Both enumerator paths run whenever the budget admits them: in
+    dual-spectrum and report, --method spectral and direct exit 2 through
+    argparse, and the ignored --method both prints what no flag prints."""
+    for command in ("dual-spectrum", "report"):
+        for method in ("spectral", "direct"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--m", "3", "--method", method])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert captured.err.splitlines()[-1].startswith(
+                f"tritcodes {command}: error: argument --method: invalid choice: '{method}'"
+            )
+        default = run_cli(capsys, command, "--m", "5")
+        assert default[0] == 0
+        assert run_cli(capsys, command, "--m", "5", "--method", "both") == default
 
 
 def test_lemma_check_m5(capsys):
