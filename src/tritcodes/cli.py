@@ -16,9 +16,9 @@ path; the error: and note: lines go to stderr, and nowhere when it is closed.
 The report command diffs against the fixtures shipped as package data for
 m in FIXTURE_MS: what a default-modulus run writes for the code and its dual
 enumerator, on which both enumerator paths agreed.  fixture_match is true
-when the file's text is those bytes; when the diff cannot run (no fixture
-file, or another modulus) it is null and a one-line note on stderr says why,
-as one does for each path that --budget skips (the direct enumerator: null).
+when the file's text is those bytes, and null, with a one-line note on
+stderr, when the diff cannot run (no fixture file, or another modulus).  A
+path that --budget skips gets a note too, and a skipped enumerator is null.
 """
 
 from __future__ import annotations

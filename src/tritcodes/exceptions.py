@@ -1,5 +1,5 @@
-"""Exception hierarchy for tritcodes, and the one budget gate, whose
-BudgetExceeded skips the d <= 3 oracle or the direct dual enumerator.
+"""Exception hierarchy for tritcodes, and the budget gate of the d <= 3 oracle
+and the direct dual enumerator: a caller skips either by BudgetExceeded.note().
 
 Each class carries the CLI exit code it maps to.  TritcodesError and its
 input errors exit 2 (invalid input).  Inconsistent exits 1: a self-check
