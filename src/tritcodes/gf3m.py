@@ -45,8 +45,8 @@ MAX_M = 13
 BLOCK = 1 << 15
 
 # Monic primitive polynomials used when no modulus is supplied, ascending
-# trit lists.  The m = 5, 7, 9 entries are pinned so that the generator
-# polynomials and dual enumerators match the shipped fixtures bit-exactly.
+# trit lists.  Every entry is pinned: its generator polynomial and dual
+# enumerator match the shipped fixtures/m{m}.json bit-exactly.
 DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
     3: (1, 2, 0, 1),  # x^3 + 2x + 1
     5: (1, 2, 0, 0, 0, 1),  # x^5 + 2x + 1
