@@ -17,8 +17,8 @@ The report command diffs against fixtures/m{m}.json, shipped as package data
 for every m of DEFAULT_MODULI: what a default-modulus run writes for the code
 and its dual enumerator, on which both enumerator paths agreed.  fixture_match
 is true when the file's text is those bytes, and null, with a one-line note on
-stderr, when the diff cannot run (no fixture file, or another modulus).  A
-path that --budget skips gets a note too, and a skipped enumerator is null.
+stderr, when the diff cannot run (no fixture file, or another modulus).
+--budget gates the direct enumerator alone; a skipped one is null, with a note.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def cmd_construct(ctx, args) -> tuple[dict, bool]:
 
 def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder, distance
-    report = distance.conclude_distance(codebuilder.build_code(ctx), budget=args.budget)
+    report = distance.conclude_distance(codebuilder.build_code(ctx))
     return report.to_json_dict(), report.concluded_d == 4
 
 
@@ -103,7 +103,7 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
     code = codebuilder.build_code(ctx)
     enums, agree = dualspectrum.enumerators(ctx, args.budget)
     enum = enums["spectral"]
-    dist_report = distance.conclude_distance(code, dual_enum=enum, budget=args.budget)
+    dist_report = distance.conclude_distance(code, dual_enum=enum)
     lemma_reports = lemma.reports(ctx, orbit_scan=True)
     code_doc = code.to_json_dict()
     written = {**code_doc, "dual_weight_enumerator": enum.to_json_dict()}
@@ -153,12 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True, help=f"extension degree (odd, 3..{MAX_M})")
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
-        if name in ("verify-distance", "dual-spectrum", "report"):
+        if name in ("dual-spectrum", "report"):  # --method both is accepted, ignored
             p.add_argument(
                 "--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                help="operation-count ceiling gating expensive paths",
+                help="trace-comparison ceiling of the direct dual enumerator",
             )
-        if name in ("dual-spectrum", "report"):  # accepted, ignored: the budget picks the paths
             p.add_argument("--method", choices=("both",), help=argparse.SUPPRESS)
         p.set_defaults(func=func)
     return parser

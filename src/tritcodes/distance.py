@@ -13,7 +13,7 @@ the Frobenius orbit representatives only, about n/m positions; the
 weight-4 witness scans t_3 > t_2 for each t_2 in order.  The oracle is
 kept independent of them: it gives only the lightest weight <= 3, from
 collisions among keys packed from ctx.exp, one per scaled row of the
-parity-check matrix, under the budget gate; no logs, no Zech table, no
+parity-check matrix, at m <= ORACLE_MAX_M only; no logs, no Zech table, no
 orbits, and weight-3 words only through position 0, which rotation and a
 pigeonhole on the coefficients allow.  The oracle and MacWilliams must
 agree with the searches both ways on the lightest weight <= 3.
@@ -29,13 +29,14 @@ import numpy as np
 
 from . import polyring
 from .codebuilder import CyclicCode, sphere_packing_max_d
-from .exceptions import DEFAULT_BUDGET, BudgetExceeded, Inconsistent, check_budget
+from .exceptions import Inconsistent
 
 if TYPE_CHECKING:
     from .dualspectrum import WeightEnumerator
 
-# The largest m whose distance report runs the oracle: at m = 13, within budget, it
-# would take a verify-distance from 0.18 s and 50 MiB peak RSS to 0.5 s and 200 MiB.
+# The largest m whose distance report runs the oracle, its only gate: its sorts fit the
+# default --budget at every m (1.1e8 comparisons at 13), but at m = 13 it would take a
+# verify-distance from 0.26 to 0.50 s and 49.6 to 194.8 MiB peak RSS (2 vCPUs, median of 7).
 ORACLE_MAX_M = 11
 
 
@@ -141,9 +142,7 @@ def weight3_search(code: CyclicCode) -> dict | None:
     return next(_weight3_words(code), None)
 
 
-def brute_force_min_weight(
-    code: CyclicCode, wmax: int, budget: int = DEFAULT_BUDGET
-) -> int | None:
+def brute_force_min_weight(code: CyclicCode, wmax: int) -> int | None:
     """Lightest weight w <= wmax <= 3 of a nonzero codeword, or None, by
     collisions among keys of the parity checks, read from ctx.exp alone.
 
@@ -154,13 +153,11 @@ def brute_force_min_weight(
     keys of H[0] + H[t], t > 0, join them (the 2n are closed under negation;
     any other repeat is a lighter word).  Row t is row 0 times (pi^u, pi^v)^t,
     and two of a weight-3 word's three coefficients are equal, so a rotation
-    and a scaling put 1 at 0 and at some t.  BudgetExceeded caps the sorts'
-    3n * (3n).bit_length() key comparisons.
+    and a scaling put 1 at 0 and at some t.
     """
     ctx, n = code.ctx, code.n
     if not 1 <= wmax <= 3:
         raise ValueError("wmax must be in {1,2,3}")
-    check_budget("oracle", 3 * n * (3 * n).bit_length(), "key comparisons", budget)
 
     def keys(s, step=lambda x: x):  # step(exp[e t + s]) for e = u, v and t in [0, n), packed
         lo, hi = (step(ctx.exp[np.arange(s, s + e * n, e) % n]) for e in (code.u, code.v))
@@ -233,18 +230,16 @@ def macwilliams(enum: WeightEnumerator, max_weight: int | None = None) -> Weight
 
 
 def conclude_distance(
-    code: CyclicCode,
-    dual_enum: WeightEnumerator | None = None,
-    budget: int = DEFAULT_BUDGET,
+    code: CyclicCode, dual_enum: WeightEnumerator | None = None
 ) -> DistanceReport:
     """Combine every verification path into a single distance report.
 
     Weight 1 is structurally impossible (c*pi^(u*t) never vanishes); the
-    oracle, run at m <= ORACLE_MAX_M within the budget, checks it.  Weights 2
-    and 3 use the structured searches, a weight-4 codeword is produced
-    constructively, and MacWilliams transforms a supplied dual enumerator of
-    length code.n.  The oracle's and MacWilliams' lightest weights <= 3, or
-    None, must each equal the searches', or Inconsistent is raised.
+    oracle, run at m <= ORACLE_MAX_M, checks it.  Weights 2 and 3 use the
+    structured searches, a weight-4 codeword is produced constructively, and
+    MacWilliams transforms a supplied dual enumerator of length code.n.  The
+    oracle's and MacWilliams' lightest weights <= 3, or None, must each equal
+    the searches', or Inconsistent is raised.
     """
     n = code.n
     if dual_enum is not None and dual_enum.n != n:
@@ -256,11 +251,8 @@ def conclude_distance(
     wit4 = weight4_witness(code)
 
     lightest = {}  # each other path's lightest weight <= 3
-    try:
-        if code.ctx.m <= ORACLE_MAX_M:
-            lightest["oracle"] = brute_force_min_weight(code, 3, budget=budget)
-    except BudgetExceeded as exc:
-        exc.note()
+    if code.ctx.m <= ORACLE_MAX_M:
+        lightest["oracle"] = brute_force_min_weight(code, 3)
     mw = {} if dual_enum is None else macwilliams(dual_enum, max_weight=4).counts
     if dual_enum is not None:
         lightest["MacWilliams"] = next((j for j in (1, 2, 3) if j in mw), None)

@@ -55,7 +55,7 @@ def weight_value_set(m: int) -> set[int]:
     return {0, mid, mid - 2 * step, mid + 2 * step, mid - step, mid + step}
 
 
-def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
+def _fhat_all(ctx: FieldCtx) -> np.ndarray:
     """Real value of fhat(pi^s) for every s in [0, n); raises if any is complex.
 
     With x = sum_i x_i pi^i, Tr(lam*x) = sum_i x_i Tr(lam*pi^i), so fhat is
@@ -65,6 +65,7 @@ def _fhat_all(ctx: FieldCtx, v: int) -> np.ndarray:
     all 3^m values in m passes.
     """
     m, n = ctx.m, ctx.order
+    v = exponent_pair(m)[1]  # the paper's v, gcd(v, n) = 1
     g = np.zeros(ctx.size, dtype=np.int8)
     g[ctx.exp] = ctx.trace_by_log[(v * np.arange(n, dtype=np.int64)) % n]
     # omega^g as (p, q): 1 = (1, 0), w = (0, 1), w^2 = (-1, -1); |fhat| <= 3^m fits int32
@@ -121,7 +122,7 @@ def spectral_enumerator(ctx: FieldCtx) -> WeightEnumerator:
     All fhat values come from one ternary Walsh transform, m*3^m
     operations.
     """
-    return _from_transform(ctx, _fhat_all(ctx, exponent_pair(ctx.m)[1]))
+    return _from_transform(ctx, _fhat_all(ctx))
 
 
 def _from_transform(ctx: FieldCtx, fr: np.ndarray) -> WeightEnumerator:

@@ -1,5 +1,5 @@
-"""Exception hierarchy for tritcodes, and the budget gate of the d <= 3 oracle
-and the direct dual enumerator: a caller skips either by BudgetExceeded.note().
+"""Exception hierarchy for tritcodes, and the budget gate of the direct dual
+enumerator: a caller skips it by BudgetExceeded.note().
 
 Each class carries the CLI exit code it maps to.  TritcodesError and its
 input errors exit 2 (invalid input).  Inconsistent exits 1: a self-check
@@ -40,15 +40,15 @@ class BudgetExceeded(TritcodesError):
         print(f"note: skipped: {self}", file=sys.stderr)
 
 
-# Operation-count ceiling for the budget-gated paths: the d <= 3 oracle and the
-# direct dual enumerator (1.43e9 trace comparisons at m = 11).
+# Operation-count ceiling for the one budget-gated path, the direct dual enumerator
+# (1.43e9 trace comparisons at m = 11).
 DEFAULT_BUDGET = 2 * 10**9
 
 
 def check_budget(what: str, work: int, unit: str, budget: int) -> None:
     """Raise BudgetExceeded when a path's work estimate exceeds the budget."""
     if work > budget:
-        raise BudgetExceeded(f"{what} needs ~{work:.2e} {unit} (budget {budget:.0e})")
+        raise BudgetExceeded(f"{what} needs ~{work:.2e} {unit} (budget {budget})")
 
 
 class Inconsistent(TritcodesError):

@@ -9,7 +9,7 @@ import pytest
 
 import tritcodes
 from tritcodes import dualspectrum, polyring
-from tritcodes.codebuilder import build_code, exponent_pair
+from tritcodes.codebuilder import build_code
 from tritcodes.gf3m import make_field
 
 
@@ -75,7 +75,7 @@ def seeded_primitive_moduli(m, count, seed):
 @functools.cache
 def transform(m):
     """The Walsh transform at every pi^s under the default modulus, once per m."""
-    return dualspectrum._fhat_all(make_field(m), exponent_pair(m)[1])
+    return dualspectrum._fhat_all(make_field(m))
 
 
 @functools.cache

@@ -18,7 +18,7 @@ from tritcodes.distance import (
     weight4_witness,
 )
 from tritcodes.dualspectrum import WeightEnumerator, spectral_enumerator
-from tritcodes.exceptions import BudgetExceeded, Inconsistent
+from tritcodes.exceptions import Inconsistent
 from tritcodes.codebuilder import build_code, exponent_pair
 from tritcodes.gf3m import make_field
 
@@ -244,11 +244,6 @@ class TestOracle:
             with pytest.raises(ValueError):
                 brute_force_min_weight(code3, wmax)
 
-    def test_budget_rejected(self, code7):
-        with pytest.raises(BudgetExceeded) as exc:
-            brute_force_min_weight(code7, 3, budget=10**4)
-        assert str(exc.value) == "oracle needs ~8.53e+04 key comparisons (budget 1e+04)"
-
     def test_oracle_keys_fit_int64(self):
         """The oracle's int64 keys, exp[u t + s] + 3^m * exp[v t + s], are
         below 3^(2m): exact to m = 19, so a MAX_M above 19 needs another key
@@ -401,15 +396,9 @@ class TestConcludeDistance:
 
     @pytest.mark.parametrize("m", [7, 9, 11, 13])
     def test_oracle_runs_by_default_to_m11(self, m):
-        """By default the oracle runs at m <= 11 and not at m = 13, where its
-        estimate fits the budget but ORACLE_MAX_M stops it."""
+        """The oracle runs at m <= 11 and not at m = 13, where ORACLE_MAX_M,
+        its only gate, stops it."""
         assert conclude_distance(build_code(make_field(m))).oracle_checked is (m <= 11)
-
-    def test_oracle_runs_exactly_when_its_estimate_fits_the_budget(self, code3):
-        estimate = 3 * code3.n * (3 * code3.n).bit_length()
-        assert estimate == 546
-        assert conclude_distance(code3, budget=estimate).oracle_checked
-        assert not conclude_distance(code3, budget=estimate - 1).oracle_checked
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_weight3_found_both_ways_on_u1_code(self, m):
@@ -463,15 +452,16 @@ class TestConcludeDistance:
             int(np.count_nonzero((a + b) % 3)) for a in rows[code.u] for b in rows[1]
         )
         dual = WeightEnumerator(n=code.n, counts=dict(weights))
-        # budget=1 skips the oracle, so only MacWilliams can disagree
-        assert conclude_distance(code, dual_enum=dual, budget=1).concluded_d is None
+        # ORACLE_MAX_M = 1 skips the oracle, so only MacWilliams can disagree
+        monkeypatch.setattr(distance, "ORACLE_MAX_M", 1)
+        assert conclude_distance(code, dual_enum=dual).concluded_d is None
         # the searches find weight 3, MacWilliams none
         with pytest.raises(Inconsistent, match="weight None, structured searches found 3"):
-            conclude_distance(code, dual_enum=spectral_enumerator(ctx3), budget=1)
+            conclude_distance(code, dual_enum=spectral_enumerator(ctx3))
         monkeypatch.setattr(distance, "weight3_search", lambda code: None)
         # MacWilliams finds weight 3, the searches none
         with pytest.raises(Inconsistent, match="weight 3, structured searches found None"):
-            conclude_distance(code, dual_enum=dual, budget=1)
+            conclude_distance(code, dual_enum=dual)
 
     def test_dual_enumerator_of_another_length_rejected(self, code3, enum5):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from conftest import fresh_python
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 
-# golden file stem -> (argv, exit code); a _both run checks both dual enumerators
+# golden file stem -> (argv, exit code); every default report and dual-spectrum to
+# m = 11 checks both dual enumerators, so a _both stem names no option of its own
 CASES = {
     "construct_m13": (["construct", "--m", "13"], 0),
     "construct_m13_modulus": (
