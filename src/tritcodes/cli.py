@@ -18,7 +18,8 @@ for every m of DEFAULT_MODULI: what a default-modulus run writes for the code
 and its dual enumerator, on which both enumerator paths agreed.  fixture_match
 is true when the file's text is those bytes, and null, with a one-line note on
 stderr, when the diff cannot run (no fixture file, or another modulus).
---budget gates the direct enumerator alone; a skipped one is null, with a note.
+--budget, by default DEFAULT_BUDGET, gates the direct enumerator alone; a
+skipped one is null, with a note.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import sys
 
 from . import polyring
-from .exceptions import DEFAULT_BUDGET, TritcodesError
+from .exceptions import TritcodesError
 from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 
 # tritcodes computes in exact integers and never calls BLAS, so numpy's
@@ -39,6 +40,8 @@ from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+DEFAULT_BUDGET = 2 * 10**9  # --budget's default: admits m = 11 (1.43e9), not m = 13
 
 
 def _json(doc: dict) -> str:

@@ -9,7 +9,6 @@ import tritcodes
 from tritcodes import cli, dualspectrum, gf3m, polyring
 from tritcodes.cli import main
 from tritcodes.codebuilder import build_code
-from tritcodes.exceptions import BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI
 
 from conftest import ENUM_M7, fresh_python, spectral_enum
@@ -192,18 +191,21 @@ def test_reads_no_field_table(capsys, no_field_tables, command):
 
 
 @pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_over_budget_both_reads_no_field_table(capsys, request, command):
+def test_over_budget_both_reads_no_field_table(capsys, monkeypatch, command):
     """An over-budget direct path is skipped with one note and the run exits
-    0; direct_enumerator raises before it reads any field table."""
+    0: enumerators(ctx, 100000) at m = 7 never calls direct_enumerator, so it
+    reads none of that path's field tables."""
+
+    def never(ctx):
+        raise AssertionError("direct_enumerator was called")
+
+    monkeypatch.setattr(dualspectrum, "direct_enumerator", never)
     code, out, err = run_cli(capsys, command, "--m", "7", "--budget", "100000")
     doc = json.loads(out)
     assert (code, (doc["dual_spectrum"] if command == "report" else doc)["direct"]) == (0, None)
     assert err == (
         "note: skipped: direct enumeration needs ~3.43e+05 trace comparisons (budget 100000)\n"
     )
-    request.getfixturevalue("no_field_tables")
-    with pytest.raises(BudgetExceeded, match="^direct enumeration"):
-        dualspectrum.direct_enumerator(gf3m.make_field(7), budget=100000)
 
 
 # What --budget 1 skips at m = 5: the direct enumerator, the one path it gates
@@ -229,11 +231,14 @@ def test_budget_skips_are_noted(capsys, command):
 
 def test_skip_note_states_the_budget_as_given(capsys):
     """The note gives the deciding budget unrounded: at m = 3 the direct
-    estimate is 130 trace comparisons, one above the budget 129."""
+    estimate is 130 trace comparisons, one above the budget 129.  A budget
+    equal to the estimate admits the path: both run, agree, and no note."""
     code, _, err = run_cli(capsys, "dual-spectrum", "--m", "3", "--budget", "129")
     assert (code, err) == (
         0, "note: skipped: direct enumeration needs ~1.30e+02 trace comparisons (budget 129)\n"
     )
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3", "--budget", "130")
+    assert (code, json.loads(out)["agree"], err) == (0, True, "")
 
 
 @pytest.fixture
@@ -241,8 +246,8 @@ def direct_one_off(monkeypatch):
     """The direct enumerator with one more codeword of weight 0."""
     direct = dualspectrum.direct_enumerator
 
-    def one_off(ctx, budget):
-        enum = direct(ctx, budget=budget)
+    def one_off(ctx):
+        enum = direct(ctx)
         return dualspectrum.WeightEnumerator(enum.n, {**enum.counts, 0: enum.counts[0] + 1})
 
     monkeypatch.setattr(dualspectrum, "direct_enumerator", one_off)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tritcodes import dualspectrum
-from tritcodes.cli import main
+from tritcodes.cli import DEFAULT_BUDGET, main
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.distance import macwilliams
 from tritcodes.dualspectrum import (
@@ -15,7 +15,6 @@ from tritcodes.dualspectrum import (
     spectral_enumerator,
     weight_value_set,
 )
-from tritcodes.exceptions import DEFAULT_BUDGET, BudgetExceeded
 from tritcodes.gf3m import DEFAULT_MODULI, FieldCtx, make_field
 
 from conftest import ENUM_M5, ENUM_M7, ENUM_M9, seeded_primitive_moduli, spectral_enum, transform
@@ -119,27 +118,13 @@ class TestEnumerators:
         assert np.all((reps - partner) % 2 == 1)
         assert np.array_equal(np.sort(partner), reps)
 
-    def test_direct_budget_gate(self):
-        ctx = FieldCtx(13, DEFAULT_MODULI[13])
-        with pytest.raises(BudgetExceeded):
-            # 61,321 windows of n: 9.8e10 trace comparisons at m = 13
-            direct_enumerator(ctx)
-        assert "trace_by_log" not in vars(ctx)  # refused before any table is read
-
     @pytest.mark.parametrize("m", range(3, 15, 2))
     def test_direct_estimate_never_below_spectral(self, m):
-        """The direct path's estimate, windows * n trace comparisons, is the
-        necklace count's, read on a fresh context before any table is built,
-        and never below the spectral path's m*3^m operations."""
+        """The direct path's estimate, windows * n trace comparisons, comes
+        from the necklace count alone, with no context built, and is never
+        below the spectral path's m*3^m operations."""
         n = 3**m - 1
-        estimate = WINDOWS[m] * n
-        assert estimate >= m * 3**m
-        ctx = FieldCtx(m, DEFAULT_MODULI[m])
-        with pytest.raises(BudgetExceeded) as exc:
-            direct_enumerator(ctx, budget=estimate - 1)
-        want = f"direct enumeration needs ~{estimate:.2e} trace comparisons"
-        assert str(exc.value).startswith(want)
-        assert not {"exp", "zech", "trace_by_log", "orbit_reps"} & set(vars(ctx))
+        assert dualspectrum._direct_work(m) == WINDOWS[m] * n >= m * 3**m
 
     def test_enumerators_run_the_paths_asked_for(self, ctx3, capsys):
         """The budget alone asks: both paths run when the direct estimate fits

@@ -1,4 +1,5 @@
-"""Golden CLI outputs: the exact stdout bytes and exit code of nine commands.
+"""Golden CLI outputs: the exact stdout bytes, exit code and empty stderr of
+nine commands, and the one note of a budget skip.
 
 Byte-identical default output is part of the CLI contract; stdout is the
 CLI's one output path.  Each file under tests/golden/ is the stdout of
@@ -43,6 +44,16 @@ def test_stdout_bytes_and_exit_code(name):
     proc = fresh_python(["-m", "tritcodes.cli", *argv])
     assert proc.returncode == exit_code, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+    assert proc.stderr == b""
+
+
+def test_skip_note_survives_os_exit():
+    """cli.run flushes the budget's skip note before os._exit: it is all of
+    stderr, and the run exits 0."""
+    proc = fresh_python(["-m", "tritcodes.cli", "dual-spectrum", "--m", "3", "--budget", "129"])
+    assert (proc.returncode, proc.stderr) == (
+        0, b"note: skipped: direct enumeration needs ~1.30e+02 trace comparisons (budget 129)\n"
+    )
 
 
 def test_readme_library_example():
