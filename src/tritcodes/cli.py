@@ -18,8 +18,8 @@ for every m of DEFAULT_MODULI: what a default-modulus run writes for the code
 and its dual enumerator, on which both enumerator paths agreed.  fixture_match
 is true when the file's text is those bytes, and null, with a one-line note on
 stderr, when the diff cannot run (no fixture file, or another modulus).
---budget, by default DEFAULT_BUDGET, gates the direct enumerator alone; a
-skipped one is null, with a note.
+Above dualspectrum.DIRECT_MAX_M the direct enumerator is skipped: it is
+null, with a note.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .gf3m import DEFAULT_MODULI, MAX_M, make_field
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
-DEFAULT_BUDGET = 2 * 10**9  # --budget's default: admits m = 11 (1.43e9), not m = 13
 
 
 def _json(doc: dict) -> str:
@@ -89,7 +87,7 @@ def cmd_verify_distance(ctx, args) -> tuple[dict, bool]:
 
 def cmd_dual_spectrum(ctx, args) -> tuple[dict, bool]:
     from . import dualspectrum
-    enums, agree = dualspectrum.enumerators(ctx, args.budget)
+    enums, agree = dualspectrum.enumerators(ctx)
     docs = {name: e and e.to_json_dict() for name, e in enums.items()}
     return {**docs, "agree": agree}, agree is not False
 
@@ -104,7 +102,7 @@ def cmd_lemma_check(ctx, args) -> tuple[dict, bool]:
 def cmd_report(ctx, args) -> tuple[dict, bool]:
     from . import codebuilder, distance, dualspectrum, lemma
     code = codebuilder.build_code(ctx)
-    enums, agree = dualspectrum.enumerators(ctx, args.budget)
+    enums, agree = dualspectrum.enumerators(ctx)
     enum = enums["spectral"]
     dist_report = distance.conclude_distance(code, dual_enum=enum)
     lemma_reports = lemma.reports(ctx, orbit_scan=True)
@@ -129,16 +127,6 @@ def cmd_report(ctx, args) -> tuple[dict, bool]:
     return doc, mismatch is None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tritcodes",
@@ -156,11 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True, help=f"extension degree (odd, 3..{MAX_M})")
         p.add_argument("--modulus", help="ascending trit list, e.g. 1,2,0,0,0,1")
-        if name in ("dual-spectrum", "report"):  # --method both is accepted, ignored
-            p.add_argument(
-                "--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                help="trace-comparison ceiling of the direct dual enumerator",
-            )
+        if name == "report":  # --method both is accepted, ignored
             p.add_argument("--method", choices=("both",), help=argparse.SUPPRESS)
         p.set_defaults(func=func)
     return parser

@@ -34,8 +34,7 @@ from .exceptions import Inconsistent
 if TYPE_CHECKING:
     from .dualspectrum import WeightEnumerator
 
-# The largest m whose distance report runs the oracle, its only gate: its sorts fit the
-# default --budget at every m (1.1e8 comparisons at 13), but at m = 13 it would take a
+# The largest m whose distance report runs the oracle, its only gate: at m = 13 it would take a
 # verify-distance from 0.26 to 0.50 s and 49.6 to 194.8 MiB peak RSS (2 vCPUs, median of 7).
 ORACLE_MAX_M = 11
 

@@ -82,34 +82,23 @@ def test_dual_spectrum_direct_m7(capsys):
     assert doc["agree"] is True
 
 
-def test_dual_spectrum_spectral_runs_under_any_budget(capsys):
-    """The spectral path costs m*3^m operations and no budget gates it: under
-    --budget 1 it prints the default run's enumerator, and the direct path
-    is skipped with a note."""
-    code, out, _ = run_cli(capsys, "dual-spectrum", "--m", "9")
-    default = json.loads(out)
-    assert (code, default["agree"]) == (0, True)
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "9", "--budget", "1")
-    assert (code, json.loads(out)) == (0, {**default, "direct": None, "agree": None})
-    assert err.startswith("note: skipped: direct enumeration needs ~")
-
-
 def test_dual_spectrum_method_direct_exit_2(capsys):
-    """Both enumerator paths run whenever the budget admits them: in
-    dual-spectrum and report, --method spectral and direct exit 2 through
-    argparse, and the ignored --method both prints what no flag prints."""
-    for command in ("dual-spectrum", "report"):
-        for method in ("spectral", "direct"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--m", "3", "--method", method])
-            captured = capsys.readouterr()
-            assert (exc.value.code, captured.out) == (2, "")
-            assert captured.err.splitlines()[-1].startswith(
-                f"tritcodes {command}: error: argument --method: invalid choice: '{method}'"
-            )
-        default = run_cli(capsys, command, "--m", "5")
-        assert default[0] == 0
-        assert run_cli(capsys, command, "--m", "5", "--method", "both") == default
+    """Both enumerator paths run up to DIRECT_MAX_M, with no switch: report
+    accepts only an ignored --method both, which prints what no flag prints,
+    and refuses spectral and direct; dual-spectrum refuses --method."""
+    for command, method, why in [
+        ("report", "spectral", "tritcodes report: error: argument --method: invalid choice"),
+        ("report", "direct", "tritcodes report: error: argument --method: invalid choice"),
+        ("dual-spectrum", "both", "tritcodes: error: unrecognized arguments: --method both"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--m", "3", "--method", method])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1].startswith(why)
+    default = run_cli(capsys, "report", "--m", "5")
+    assert default[0] == 0
+    assert run_cli(capsys, "report", "--m", "5", "--method", "both") == default
 
 
 def test_lemma_check_m5(capsys):
@@ -133,13 +122,11 @@ def test_report_m3_both(capsys):
 
 @pytest.mark.parametrize("m", sorted(DEFAULT_MODULI))
 def test_report_matches_fixture(capsys, m):
-    """Every default report matches its shipped fixture; at m = 13 the budget
-    skips the direct enumerator, whose result the fixture freezes."""
+    """Every default report matches its shipped fixture; at m = 13, above
+    DIRECT_MAX_M, the direct enumerator is skipped, and the fixture freezes it."""
     code, out, err = run_cli(capsys, "report", "--m", str(m))
     skipped = m == 13
-    note = (
-        "note: skipped: direct enumeration needs ~9.78e+10 trace comparisons (budget 2000000000)\n"
-    )
+    note = "note: skipped: direct enumeration runs at m <= 11\n"
     assert (code, err) == (0, note if skipped else "")
     doc = json.loads(out)
     assert doc["checks"]["fixture_match"] is True
@@ -192,36 +179,32 @@ def test_reads_no_field_table(capsys, no_field_tables, command):
 
 @pytest.mark.parametrize("command", ["dual-spectrum", "report"])
 def test_over_budget_both_reads_no_field_table(capsys, monkeypatch, command):
-    """An over-budget direct path is skipped with one note and the run exits
-    0: enumerators(ctx, 100000) at m = 7 never calls direct_enumerator, so it
-    reads none of that path's field tables."""
+    """A direct path above DIRECT_MAX_M is skipped with one note and the run
+    exits 0: with the limit at 3, enumerators at m = 5 never calls
+    direct_enumerator, so it reads none of that path's field tables."""
 
     def never(ctx):
         raise AssertionError("direct_enumerator was called")
 
     monkeypatch.setattr(dualspectrum, "direct_enumerator", never)
-    code, out, err = run_cli(capsys, command, "--m", "7", "--budget", "100000")
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
+    code, out, err = run_cli(capsys, command, "--m", "5")
     doc = json.loads(out)
     assert (code, (doc["dual_spectrum"] if command == "report" else doc)["direct"]) == (0, None)
-    assert err == (
-        "note: skipped: direct enumeration needs ~3.43e+05 trace comparisons (budget 100000)\n"
-    )
-
-
-# What --budget 1 skips at m = 5: the direct enumerator, the one path it gates
-SKIP_NOTE = "note: skipped: direct enumeration needs ~6.05e+03 trace comparisons (budget 1)\n"
+    assert err == "note: skipped: direct enumeration runs at m <= 3\n"
 
 
 @pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_budget_skips_are_noted(capsys, command):
-    """A direct path that the budget skips prints one note on stderr with its
-    estimate and the budget, and the stdout is the default run's but for the
-    skipped path's null results; a run that skips nothing prints no note."""
+def test_budget_skips_are_noted(capsys, monkeypatch, command):
+    """A direct path above DIRECT_MAX_M prints one note on stderr with the
+    limit, and the stdout is the default run's but for the skipped path's
+    null results; a run that skips nothing prints no note."""
     code, out, err = run_cli(capsys, command, "--m", "5")
     assert (code, err) == (0, "")
     default = json.loads(out)
-    code, out, err = run_cli(capsys, command, "--m", "5", "--budget", "1")
-    assert (code, err) == (0, SKIP_NOTE)
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
+    code, out, err = run_cli(capsys, command, "--m", "5")
+    assert (code, err) == (0, "note: skipped: direct enumeration runs at m <= 3\n")
     if command == "dual-spectrum":
         default.update(direct=None, agree=None)
     else:
@@ -229,15 +212,14 @@ def test_budget_skips_are_noted(capsys, command):
     assert json.loads(out) == default
 
 
-def test_skip_note_states_the_budget_as_given(capsys):
-    """The note gives the deciding budget unrounded: at m = 3 the direct
-    estimate is 130 trace comparisons, one above the budget 129.  A budget
-    equal to the estimate admits the path: both run, agree, and no note."""
-    code, _, err = run_cli(capsys, "dual-spectrum", "--m", "3", "--budget", "129")
-    assert (code, err) == (
-        0, "note: skipped: direct enumeration needs ~1.30e+02 trace comparisons (budget 129)\n"
-    )
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3", "--budget", "130")
+def test_skip_note_states_the_budget_as_given(capsys, monkeypatch):
+    """The note gives the limit it read: with DIRECT_MAX_M at 2, m = 3 is
+    skipped.  At m = DIRECT_MAX_M the path runs: both agree, and no note."""
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 2)
+    code, _, err = run_cli(capsys, "dual-spectrum", "--m", "3")
+    assert (code, err) == (0, "note: skipped: direct enumeration runs at m <= 2\n")
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3")
     assert (code, json.loads(out)["agree"], err) == (0, True, "")
 
 
@@ -342,21 +324,20 @@ def test_fixture_other_than_the_run_bytes_does_not_match(tmp_path, capsys, monke
     assert report["mismatch"] == "fixture_match"
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--budget", "-5"), ("--budget", "0"), ("--out", "x.json")]
-)
+@pytest.mark.parametrize("flag, value", [("--out", "x.json")])
 def test_nonpositive_budget_exit_2(capsys, flag, value):
-    """argparse refuses a budget below 1, and --out: stdout is the one output path."""
+    """argparse refuses --out: stdout is the one output path."""
     with pytest.raises(SystemExit) as exc:
         main(["dual-spectrum", "--m", "5", flag, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert flag in captured.err
-    assert ("unrecognized arguments" in captured.err) is (flag == "--out")
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
-@pytest.mark.parametrize("command", ["construct", "verify-distance", "lemma-check"])
+@pytest.mark.parametrize(
+    "command", ["construct", "verify-distance", "dual-spectrum", "lemma-check", "report"]
+)
 def test_budget_refused_where_it_is_not_read(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--m", "5", "--budget", "7"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tritcodes import dualspectrum
-from tritcodes.cli import DEFAULT_BUDGET, main
+from tritcodes.cli import main
 from tritcodes.codebuilder import exponent_pair
 from tritcodes.distance import macwilliams
 from tritcodes.dualspectrum import (
@@ -118,27 +118,19 @@ class TestEnumerators:
         assert np.all((reps - partner) % 2 == 1)
         assert np.array_equal(np.sort(partner), reps)
 
-    @pytest.mark.parametrize("m", range(3, 15, 2))
-    def test_direct_estimate_never_below_spectral(self, m):
-        """The direct path's estimate, windows * n trace comparisons, comes
-        from the necklace count alone, with no context built, and is never
-        below the spectral path's m*3^m operations."""
-        n = 3**m - 1
-        assert dualspectrum._direct_work(m) == WINDOWS[m] * n >= m * 3**m
-
-    def test_enumerators_run_the_paths_asked_for(self, ctx3, capsys):
-        """The budget alone asks: both paths run when the direct estimate fits
-        it; else the direct one is None, a note says why, and agree is None."""
-        enums, agree = enumerators(ctx3, DEFAULT_BUDGET)
+    def test_enumerators_run_the_paths_asked_for(self, ctx3, capsys, monkeypatch):
+        """DIRECT_MAX_M alone asks: both paths run at m <= DIRECT_MAX_M;
+        above it the direct one is None, a note says why, and agree is None."""
+        assert dualspectrum.DIRECT_MAX_M == 11
+        enums, agree = enumerators(ctx3)
         assert ([*enums], agree) == (["spectral", "direct"], True)
         assert enums["direct"] == enums["spectral"]
         assert capsys.readouterr().err == ""
-        enums, agree = enumerators(ctx3, budget=1)
+        monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 2)
+        enums, agree = enumerators(ctx3)
         assert (enums["direct"], agree) == (None, None)
         assert enums["spectral"] == spectral_enumerator(ctx3)
-        assert capsys.readouterr().err == (
-            "note: skipped: direct enumeration needs ~1.30e+02 trace comparisons (budget 1)\n"
-        )
+        assert capsys.readouterr().err == "note: skipped: direct enumeration runs at m <= 2\n"
 
     def test_example1(self, enum5):
         assert enum5.counts == ENUM_M5

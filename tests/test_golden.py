@@ -1,5 +1,5 @@
 """Golden CLI outputs: the exact stdout bytes, exit code and empty stderr of
-nine commands, and the one note of a budget skip.
+nine commands, and the one note of a skipped direct enumerator.
 
 Byte-identical default output is part of the CLI contract; stdout is the
 CLI's one output path.  Each file under tests/golden/ is the stdout of
@@ -48,11 +48,12 @@ def test_stdout_bytes_and_exit_code(name):
 
 
 def test_skip_note_survives_os_exit():
-    """cli.run flushes the budget's skip note before os._exit: it is all of
-    stderr, and the run exits 0."""
-    proc = fresh_python(["-m", "tritcodes.cli", "dual-spectrum", "--m", "3", "--budget", "129"])
+    """cli.run flushes the skip note before os._exit: with DIRECT_MAX_M at 3,
+    the note is all of dual-spectrum --m 5's stderr, and the run exits 0."""
+    patch = "from tritcodes import cli, dualspectrum; dualspectrum.DIRECT_MAX_M = 3; cli.run()"
+    proc = fresh_python(["-c", patch, "dual-spectrum", "--m", "5"])
     assert (proc.returncode, proc.stderr) == (
-        0, b"note: skipped: direct enumeration needs ~1.30e+02 trace comparisons (budget 129)\n"
+        0, b"note: skipped: direct enumeration runs at m <= 3\n"
     )
 
 
