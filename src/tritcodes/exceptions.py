@@ -1,10 +1,10 @@
 """Exception hierarchy for tritcodes.
 
 Each class carries the CLI exit code it maps to.  TritcodesError and its
-input errors exit 2 (invalid input).  Inconsistent exits 1: a self-check
-failed, because two paths disagree or a computed value breaks an identity
-that it must satisfy.  Library misuse raises the built-in ValueError or
-ZeroDivisionError instead.
+input errors, the refusals of gf3m.check_modulus (one class per rule), exit
+2.  Inconsistent exits 1: a self-check failed, because two paths disagree or
+a computed value breaks an identity that it must satisfy.  Library misuse
+raises the built-in ValueError or ZeroDivisionError instead.
 """
 
 
@@ -15,19 +15,16 @@ class TritcodesError(Exception):
 
 
 class EvenDegree(TritcodesError):
-    """Extension degree m is even or below 3."""
+    """Extension degree m is even."""
 
 
 class UnsupportedDegree(TritcodesError):
-    """Extension degree m is outside the supported range (tables too large)."""
-
-
-class NotIrreducible(TritcodesError):
-    """The chosen modulus factors over GF(3)."""
+    """Extension degree m is odd but outside 3..MAX_M (tables too large)."""
 
 
 class NotPrimitive(TritcodesError):
-    """x has order below 3^m - 1 modulo the chosen modulus."""
+    """The chosen modulus is not a primitive polynomial of degree m: not
+    monic, of another degree, or x of order below 3^m - 1 modulo it."""
 
 
 class Inconsistent(TritcodesError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 
 from . import polyring
-from .exceptions import EvenDegree, NotIrreducible, NotPrimitive, UnsupportedDegree
+from .exceptions import EvenDegree, NotPrimitive, UnsupportedDegree
 
 
 class _Numpy:  # numpy, imported on the first attribute read, which rebinds np
@@ -59,23 +59,18 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
 
 def check_modulus(m: int, modulus=None) -> polyring.Poly:
     """The modulus of GF(3^m), the default for m when None, checked in GF(3)[x]
-    without numpy: m odd and supported, monic of degree m, and x of order
-    3^m - 1 modulo it, which makes it irreducible.  A refused modulus factors
-    if x^(3^m - 1) != 1 (in a field it is 1): NotIrreducible.  Else
-    NotPrimitive, also for a product of three distinct irreducible cubics, the
-    only reducible modulus with x^(3^m - 1) = 1 at a supported m (m = 9)."""
-    if m % 2 == 0 or m < 3:
-        raise EvenDegree(f"m must be odd and >= 3, got {m}")
-    if m > MAX_M:
-        raise UnsupportedDegree(f"m={m} exceeds the supported maximum {MAX_M}")
+    without numpy, one rule per argument: m odd (else EvenDegree) and in
+    3..MAX_M (else UnsupportedDegree); the modulus a primitive polynomial of
+    degree m, monic with x of order 3^m - 1 modulo it, which makes it
+    irreducible (else NotPrimitive)."""
+    if m % 2 == 0:
+        raise EvenDegree(f"m must be odd, got {m}")
+    if not 3 <= m <= MAX_M:
+        raise UnsupportedDegree(f"m must be in 3..{MAX_M}, got {m}")
     mod = DEFAULT_MODULI[m] if modulus is None else polyring.normalize(modulus)
-    text = polyring.format_poly(mod)
-    if polyring.degree(mod) != m or mod[-1] != 1:
-        raise NotIrreducible(f"modulus must be monic of degree {m}: {text}")
-    if not polyring.is_primitive(mod):
-        if polyring.poly_pow_mod(polyring.X, 3**m - 1, mod) != polyring.ONE:
-            raise NotIrreducible(f"modulus factors over GF(3): {text}")
-        raise NotPrimitive(f"x generates a subgroup of order < {3**m - 1} modulo {text}")
+    if polyring.degree(mod) != m or mod[-1] != 1 or not polyring.is_primitive(mod):
+        text = polyring.format_poly(mod)
+        raise NotPrimitive(f"modulus is not a primitive polynomial of degree {m}: {text}")
     return mod
 
 

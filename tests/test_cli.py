@@ -41,13 +41,15 @@ def test_construct_m7(capsys):
 def test_construct_even_m_exit_2(capsys):
     code, _, err = run_cli(capsys, "construct", "--m", "4")
     assert code == 2
-    assert "EvenDegree" in err
+    assert err == "error: EvenDegree: m must be odd, got 4\n"
 
 
 def test_construct_reducible_modulus_exit_2(capsys):
-    code, _, err = run_cli(capsys, "construct", "--m", "5", "--modulus", "0,0,0,0,0,1")
-    assert code == 2
-    assert "NotIrreducible" in err
+    code, out, err = run_cli(capsys, "construct", "--m", "5", "--modulus", "0,0,0,0,0,1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: NotPrimitive: modulus is not a primitive polynomial of degree 5: 0,0,0,0,0,1\n"
+    )
 
 
 def test_construct_custom_modulus(capsys):
@@ -82,20 +84,8 @@ def test_dual_spectrum_direct_m7(capsys):
     assert doc["agree"] is True
 
 
-def test_dual_spectrum_method_direct_exit_2(capsys):
-    """Both enumerator paths run up to DIRECT_MAX_M, with no switch: report
-    accepts only an ignored --method both, which prints what no flag prints,
-    and refuses spectral and direct; dual-spectrum refuses --method."""
-    for command, method, why in [
-        ("report", "spectral", "tritcodes report: error: argument --method: invalid choice"),
-        ("report", "direct", "tritcodes report: error: argument --method: invalid choice"),
-        ("dual-spectrum", "both", "tritcodes: error: unrecognized arguments: --method both"),
-    ]:
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--m", "3", "--method", method])
-        captured = capsys.readouterr()
-        assert (exc.value.code, captured.out) == (2, "")
-        assert captured.err.splitlines()[-1].startswith(why)
+def test_report_method_both_prints_what_no_flag_prints(capsys):
+    """report accepts an ignored --method both, which perfbench passes."""
     default = run_cli(capsys, "report", "--m", "5")
     assert default[0] == 0
     assert run_cli(capsys, "report", "--m", "5", "--method", "both") == default
@@ -178,30 +168,21 @@ def test_reads_no_field_table(capsys, no_field_tables, command):
 
 
 @pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_over_budget_both_reads_no_field_table(capsys, monkeypatch, command):
-    """A direct path above DIRECT_MAX_M is skipped with one note and the run
-    exits 0: with the limit at 3, enumerators at m = 5 never calls
-    direct_enumerator, so it reads none of that path's field tables."""
+def test_direct_max_m_skips_are_noted(capsys, monkeypatch, command):
+    """A run that skips nothing prints no note.  Above DIRECT_MAX_M (patched
+    to 3) the direct path is skipped with one note giving the limit, and the
+    run exits 0: at m = 5 direct_enumerator is never called, so it reads none
+    of that path's field tables, and stdout is the default run's but for the
+    skipped path's nulls.  At m = DIRECT_MAX_M both paths run and agree."""
+    code, out, err = run_cli(capsys, command, "--m", "5")
+    assert (code, err) == (0, "")
+    default = json.loads(out)
+    direct = dualspectrum.direct_enumerator
 
     def never(ctx):
         raise AssertionError("direct_enumerator was called")
 
     monkeypatch.setattr(dualspectrum, "direct_enumerator", never)
-    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
-    code, out, err = run_cli(capsys, command, "--m", "5")
-    doc = json.loads(out)
-    assert (code, (doc["dual_spectrum"] if command == "report" else doc)["direct"]) == (0, None)
-    assert err == "note: skipped: direct enumeration runs at m <= 3\n"
-
-
-@pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_budget_skips_are_noted(capsys, monkeypatch, command):
-    """A direct path above DIRECT_MAX_M prints one note on stderr with the
-    limit, and the stdout is the default run's but for the skipped path's
-    null results; a run that skips nothing prints no note."""
-    code, out, err = run_cli(capsys, command, "--m", "5")
-    assert (code, err) == (0, "")
-    default = json.loads(out)
     monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
     code, out, err = run_cli(capsys, command, "--m", "5")
     assert (code, err) == (0, "note: skipped: direct enumeration runs at m <= 3\n")
@@ -210,17 +191,11 @@ def test_budget_skips_are_noted(capsys, monkeypatch, command):
     else:
         default["dual_spectrum"]["direct"] = default["checks"]["paths_agree"] = None
     assert json.loads(out) == default
-
-
-def test_skip_note_states_the_budget_as_given(capsys, monkeypatch):
-    """The note gives the limit it read: with DIRECT_MAX_M at 2, m = 3 is
-    skipped.  At m = DIRECT_MAX_M the path runs: both agree, and no note."""
-    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 2)
-    code, _, err = run_cli(capsys, "dual-spectrum", "--m", "3")
-    assert (code, err) == (0, "note: skipped: direct enumeration runs at m <= 2\n")
-    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
-    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3")
-    assert (code, json.loads(out)["agree"], err) == (0, True, "")
+    monkeypatch.setattr(dualspectrum, "direct_enumerator", direct)
+    code, out, err = run_cli(capsys, command, "--m", "3")
+    doc = json.loads(out)
+    agree = doc["agree"] if command == "dual-spectrum" else doc["checks"]["paths_agree"]
+    assert (code, agree, err) == (0, True, "")
 
 
 @pytest.fixture
@@ -324,27 +299,32 @@ def test_fixture_other_than_the_run_bytes_does_not_match(tmp_path, capsys, monke
     assert report["mismatch"] == "fixture_match"
 
 
-@pytest.mark.parametrize("flag, value", [("--out", "x.json")])
-def test_nonpositive_budget_exit_2(capsys, flag, value):
-    """argparse refuses --out: stdout is the one output path."""
-    with pytest.raises(SystemExit) as exc:
-        main(["dual-spectrum", "--m", "5", flag, value])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"unrecognized arguments: {flag} {value}" in captured.err
+UNKNOWN = "tritcodes: error: unrecognized arguments: "
+INVALID_METHOD = "tritcodes report: error: argument --method: invalid choice"
+COMMANDS = ["construct", "verify-distance", "dual-spectrum", "lemma-check", "report"]
+# command and flags -> the start of the last stderr line, argparse's message
+RETIRED_FLAGS = {
+    "dual-spectrum --out x.json": UNKNOWN + "--out x.json",
+    **{f"{command} --budget 7": UNKNOWN + "--budget 7" for command in COMMANDS},
+    "dual-spectrum --method both": UNKNOWN + "--method both",
+    "report --method spectral": INVALID_METHOD,
+    "report --method direct": INVALID_METHOD,
+}
 
 
 @pytest.mark.parametrize(
-    "command", ["construct", "verify-distance", "dual-spectrum", "lemma-check", "report"]
+    "argv", RETIRED_FLAGS, ids=lambda argv: argv.replace(" --", "--").replace(" ", "-")
 )
-def test_budget_refused_where_it_is_not_read(capsys, command):
+def test_retired_flags_exit_2(capsys, argv):
+    """argparse refuses --out (stdout is the one output path), the retired
+    --budget on every command, --method on dual-spectrum, and every --method
+    but the ignored both on report: exit 2 and nothing on stdout."""
+    command, *flags = argv.split()
     with pytest.raises(SystemExit) as exc:
-        main([command, "--m", "5", "--budget", "7"])
-    assert exc.value.code == 2
+        main([command, "--m", "5", *flags])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --budget 7" in captured.err
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1].startswith(RETIRED_FLAGS[argv])
 
 
 @pytest.mark.parametrize("m", ["4", "x"])
@@ -363,9 +343,8 @@ def test_closed_stderr_writes_nothing_on_stdout(capsys, monkeypatch, m):
 
 def test_empty_modulus_exit_2(capsys):
     code, out, err = run_cli(capsys, "construct", "--m", "5", "--modulus", "")
-    assert code == 2
-    assert out == ""
-    assert "NotIrreducible" in err
+    assert (code, out) == (2, "")
+    assert err == "error: NotPrimitive: modulus is not a primitive polynomial of degree 5: \n"
 
 
 def test_modulus_parts_may_be_spaced(capsys):
@@ -406,10 +385,10 @@ def test_rejected_moduli_exit_2_before_numpy_loads():
     )
     proc = fresh_python(["-c", script], text=True)
     assert proc.stdout.split() == ["2", "2", "False"]
+    refusal = "error: NotPrimitive: modulus is not a primitive polynomial of degree 13: "
     assert proc.stderr.splitlines() == [
-        "error: NotIrreducible: modulus factors over GF(3): 1,1,0,2,0,1,1,1,0,2,1,0,2,1",
-        "error: NotPrimitive: x generates a subgroup of order < 1594322 modulo"
-        " 2,2,1,2,1,0,1,2,2,1,2,1,2,1",
+        refusal + "1,1,0,2,0,1,1,1,0,2,1,0,2,1",
+        refusal + "2,2,1,2,1,0,1,2,2,1,2,1,2,1",
     ]
 
 
@@ -562,7 +541,9 @@ def test_run_refused_modulus_exit_2():
     reducible = "1,1,0,2,0,1,1,1,0,2,1,0,2,1"
     proc = fresh_python([*CLI, "construct", "--m", "13", "--modulus", reducible], text=True)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: NotIrreducible: modulus factors over GF(3): {reducible}\n"
+    assert proc.stderr == (
+        f"error: NotPrimitive: modulus is not a primitive polynomial of degree 13: {reducible}\n"
+    )
 
 
 def test_run_failed_self_check_exit_1():

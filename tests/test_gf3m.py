@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tritcodes import gf3m, polyring
-from tritcodes.exceptions import EvenDegree, NotIrreducible, NotPrimitive, UnsupportedDegree
+from tritcodes.exceptions import EvenDegree, NotPrimitive, UnsupportedDegree
 
 from reference import add, exp_of, log, mul, neg, power, trace
 
@@ -40,7 +40,7 @@ class TestMakeField:
 
     def test_reducible_modulus_rejected(self):
         # x^5 factors as x * x^4
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(NotPrimitive):
             gf3m.make_field(5, (0, 0, 0, 0, 0, 1))
 
     def test_irreducible_but_imprimitive_rejected(self):
@@ -53,9 +53,8 @@ class TestMakeField:
 
     def test_classification_matches_sympy(self):
         """Every monic modulus of degree 3 and 5 is accepted iff sympy finds it
-        primitive, refused as NotIrreducible iff sympy finds it reducible, and
-        as NotPrimitive otherwise.  At m = 9 a product of three distinct
-        irreducible cubics has x^(3^9 - 1) = 1, so it is NotPrimitive."""
+        primitive (irreducible, and x of order 3^m - 1), and refused as
+        NotPrimitive otherwise."""
         sympy = pytest.importorskip("sympy")
         from sympy.polys.domains import ZZ
         from sympy.polys.galoistools import gf_pow_mod
@@ -67,41 +66,44 @@ class TestMakeField:
             for low in itertools.product(range(3), repeat=m):
                 f = (*low, 1)
                 powers = [gf_pow_mod([1, 0], n // p, list(f[::-1]), 3, ZZ) for p in primes]
-                if not sympy.Poly(f[::-1], x, modulus=3).is_irreducible:
-                    want = NotIrreducible
-                elif [1] in powers:
-                    want = NotPrimitive
-                else:
+                if sympy.Poly(f[::-1], x, modulus=3).is_irreducible and [1] not in powers:
                     assert gf3m.make_field(m, f).modulus == f
-                    continue
-                with pytest.raises(want):
-                    gf3m.make_field(m, f)
-        cubics = polyring.poly_mul(polyring.poly_mul((1, 0, 2, 1), (1, 1, 2, 1)), (1, 2, 0, 1))
-        with pytest.raises(NotPrimitive):
-            gf3m.make_field(9, cubics)
+                else:
+                    with pytest.raises(NotPrimitive):
+                        gf3m.make_field(m, f)
 
     def test_rejections_build_no_table(self, monkeypatch):
-        """Every modulus make_field refuses is refused in GF(3)[x], before
-        a FieldCtx (and its tables) is built."""
+        """polyring.is_primitive alone decides a modulus, in GF(3)[x]: with
+        FieldCtx and poly_pow_mod raising, every default modulus is accepted,
+        and refused as NotPrimitive are an irreducible but imprimitive one, a
+        reducible one (at m = 9 a product of three distinct irreducible cubics,
+        with x^(3^9 - 1) = 1), one of degree below m and a non-monic one
+        (2x^3 + x + 2, twice the default x^3 + 2x + 1)."""
 
-        def no_tables(*args):
-            raise AssertionError("make_field built tables for a rejected modulus")
+        def raises(*args):
+            raise AssertionError("make_field built tables or called poly_pow_mod")
 
-        monkeypatch.setattr(gf3m, "FieldCtx", no_tables)
-        with pytest.raises(NotPrimitive):
-            gf3m.make_field(3, (2, 2, 2, 1))
-        with pytest.raises(NotPrimitive):
-            gf3m.make_field(13, (2, 2, 1, 2, 1, 0, 1, 2, 2, 1, 2, 1, 2, 1))
-        with pytest.raises(NotIrreducible):
-            gf3m.make_field(5, (0, 0, 0, 0, 0, 1))
-        with pytest.raises(NotIrreducible):
-            gf3m.make_field(5, (1, 2, 0, 0, 1))
+        cubics = polyring.poly_mul(polyring.poly_mul((1, 0, 2, 1), (1, 1, 2, 1)), (1, 2, 0, 1))
+        monkeypatch.setattr(gf3m, "FieldCtx", raises)
+        monkeypatch.setattr(polyring, "poly_pow_mod", raises)
+        for m, mod in gf3m.DEFAULT_MODULI.items():
+            assert gf3m.check_modulus(m) == gf3m.check_modulus(m, mod) == mod
+        for m, mod in [
+            (3, (2, 2, 2, 1)),
+            (13, (2, 2, 1, 2, 1, 0, 1, 2, 2, 1, 2, 1, 2, 1)),
+            (5, (0, 0, 0, 0, 0, 1)),
+            (9, cubics),
+            (5, (1, 2, 0, 0, 1)),
+            (3, (2, 1, 0, 2)),
+        ]:
+            text = f"modulus is not a primitive polynomial of degree {m}: "
+            with pytest.raises(NotPrimitive, match=f"^{text}{polyring.format_poly(mod)}$"):
+                gf3m.make_field(m, mod)
 
     def test_even_degree_rejected(self):
-        with pytest.raises(EvenDegree):
-            gf3m.make_field(4)
-        with pytest.raises(EvenDegree):
-            gf3m.make_field(1)
+        for m in (0, 4):
+            with pytest.raises(EvenDegree, match=f"^m must be odd, got {m}$"):
+                gf3m.make_field(m)
 
     def test_only_default_moduli_cached(self):
         custom = (1, 1, 1, 1, 2, 1)  # minimal polynomial of pi^5, primitive
@@ -109,8 +111,10 @@ class TestMakeField:
         assert gf3m.make_field(5) is gf3m.make_field(5)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(UnsupportedDegree):
-            gf3m.make_field(15)
+        """An odd m outside 3..MAX_M, below it too, is UnsupportedDegree."""
+        for m in (1, -1, 15):
+            with pytest.raises(UnsupportedDegree, match=f"^m must be in 3..13, got {m}$"):
+                gf3m.make_field(m)
 
     def test_m3_exp_table_distinct(self, ctx3):
         assert ctx3.order == 26
