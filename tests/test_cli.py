@@ -168,21 +168,30 @@ def test_reads_no_field_table(capsys, no_field_tables, command):
 
 
 @pytest.mark.parametrize("command", ["dual-spectrum", "report"])
-def test_direct_max_m_skips_are_noted(capsys, monkeypatch, command):
-    """A run that skips nothing prints no note.  Above DIRECT_MAX_M (patched
-    to 3) the direct path is skipped with one note giving the limit, and the
-    run exits 0: at m = 5 direct_enumerator is never called, so it reads none
-    of that path's field tables, and stdout is the default run's but for the
-    skipped path's nulls.  At m = DIRECT_MAX_M both paths run and agree."""
-    code, out, err = run_cli(capsys, command, "--m", "5")
-    assert (code, err) == (0, "")
-    default = json.loads(out)
-    direct = dualspectrum.direct_enumerator
+def test_over_budget_both_reads_no_field_table(capsys, monkeypatch, command):
+    """A direct path above DIRECT_MAX_M is skipped with one note and the run
+    exits 0: with the limit at 3, enumerators at m = 5 never calls
+    direct_enumerator, so it reads none of that path's field tables."""
 
     def never(ctx):
         raise AssertionError("direct_enumerator was called")
 
     monkeypatch.setattr(dualspectrum, "direct_enumerator", never)
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
+    code, out, err = run_cli(capsys, command, "--m", "5")
+    doc = json.loads(out)
+    assert (code, (doc["dual_spectrum"] if command == "report" else doc)["direct"]) == (0, None)
+    assert err == "note: skipped: direct enumeration runs at m <= 3\n"
+
+
+@pytest.mark.parametrize("command", ["dual-spectrum", "report"])
+def test_budget_skips_are_noted(capsys, monkeypatch, command):
+    """A direct path above DIRECT_MAX_M prints one note on stderr with the
+    limit, and the stdout is the default run's but for the skipped path's
+    null results; a run that skips nothing prints no note."""
+    code, out, err = run_cli(capsys, command, "--m", "5")
+    assert (code, err) == (0, "")
+    default = json.loads(out)
     monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
     code, out, err = run_cli(capsys, command, "--m", "5")
     assert (code, err) == (0, "note: skipped: direct enumeration runs at m <= 3\n")
@@ -191,11 +200,17 @@ def test_direct_max_m_skips_are_noted(capsys, monkeypatch, command):
     else:
         default["dual_spectrum"]["direct"] = default["checks"]["paths_agree"] = None
     assert json.loads(out) == default
-    monkeypatch.setattr(dualspectrum, "direct_enumerator", direct)
-    code, out, err = run_cli(capsys, command, "--m", "3")
-    doc = json.loads(out)
-    agree = doc["agree"] if command == "dual-spectrum" else doc["checks"]["paths_agree"]
-    assert (code, agree, err) == (0, True, "")
+
+
+def test_skip_note_states_the_budget_as_given(capsys, monkeypatch):
+    """The note gives the limit it read: with DIRECT_MAX_M at 2, m = 3 is
+    skipped.  At m = DIRECT_MAX_M the path runs: both agree, and no note."""
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 2)
+    code, _, err = run_cli(capsys, "dual-spectrum", "--m", "3")
+    assert (code, err) == (0, "note: skipped: direct enumeration runs at m <= 2\n")
+    monkeypatch.setattr(dualspectrum, "DIRECT_MAX_M", 3)
+    code, out, err = run_cli(capsys, "dual-spectrum", "--m", "3")
+    assert (code, json.loads(out)["agree"], err) == (0, True, "")
 
 
 @pytest.fixture
